@@ -17,7 +17,7 @@ from numpy.polynomial.polynomial import polyval
 
 from .errors import AccuracyError
 from .specfun import JacobiParams, _hyp2f1_array
-from .quadrature import mapped_jacobi_rule
+from .quadrature import ladder_size, mapped_jacobi_rule
 
 __all__ = [
     "Indicator",
@@ -187,7 +187,7 @@ def jacobi_function(tau: float, t: float, params: JacobiParams,
         s, amp = _cosine_data(t, params, n)
         return float(amp @ np.cos(tau * s))
 
-    n0 = int(tau * t / math.pi) + 40
+    n0 = ladder_size(int(tau * t / math.pi) + 40)
     prev = evaluate(n0)
     n = n0
     while 2 * n <= max(4096, 4 * n0):
@@ -293,7 +293,7 @@ def _sweep_piece(lo: float, hi: float, g, taus: np.ndarray,
     for ti, ui in zip(t_nodes, u):
         if ui == 0.0:
             continue
-        n_in = (int(tau_max * ti / math.pi) + 40) << level
+        n_in = ladder_size(int(tau_max * ti / math.pi) + 40) << level
         s, amp = _cosine_data(float(ti), params, n_in)
         out += ui * (np.cos(np.outer(taus, s)) @ amp)
     return out
@@ -325,7 +325,8 @@ def transform_sweep(f, taus, params: JacobiParams,
                 acc = float(np.max(np.abs(total))) or 1.0
                 lo = start
                 while True:
-                    n_out = (int(tau_max * width / math.pi) + 32) << level
+                    n_out = ladder_size(int(tau_max * width / math.pi)
+                                        + 32) << level
                     inc = _sweep_piece(lo, lo + width, g, taus, params, n_out,
                                        level)
                     total += inc
@@ -337,7 +338,8 @@ def transform_sweep(f, taus, params: JacobiParams,
                     lo += width
                 continue
             lo, hi, g = piece
-            n_out = (int(tau_max * (hi - lo) / math.pi) + 32) << level
+            n_out = ladder_size(int(tau_max * (hi - lo) / math.pi)
+                                + 32) << level
             total += _sweep_piece(lo, hi, g, taus, params, n_out, level)
         return total
 
@@ -383,7 +385,7 @@ def _phi_grid(params: JacobiParams, ts: np.ndarray, taus: np.ndarray,
         if t < 1e-8:
             out[i] = 1.0
             continue
-        n = int(tau_max * t / math.pi) + 40
+        n = ladder_size(int(tau_max * t / math.pi) + 40)
         s, amp = _cosine_data(float(t), params, n)
         row = np.cos(np.outer(taus, s)) @ amp
         s2, amp2 = _cosine_data(float(t), params, 2 * n)

@@ -13,7 +13,7 @@ from numpy.polynomial.polynomial import polyval, polyroots
 
 from .errors import AccuracyError
 from .specfun import laguerre_r, laguerre_r_table
-from .quadrature import gauss_laguerre_rule, mapped_jacobi_rule
+from .quadrature import gauss_laguerre_rule, ladder_size, mapped_jacobi_rule
 from .series import DecayReport, _fit_loglog, decade_max
 
 __all__ = [
@@ -131,7 +131,7 @@ def _coefficient_values(f, kmax: int, alpha: float,
                 total += laguerre_r_table(kmax, alpha, x) @ (rule.weights * g)
             return total
 
-        n0 = kmax + 24
+        n0 = ladder_size(kmax + 24)
     else:
         coeffs, rate = _poly_parts(f)
         scale = (1.0 + rate) ** (-(alpha + 1.0))
@@ -143,7 +143,7 @@ def _coefficient_values(f, kmax: int, alpha: float,
             return scale * (laguerre_r_table(kmax, alpha, x)
                             @ (rule.weights * g))
 
-        n0 = (kmax + len(coeffs)) // 2 + 8
+        n0 = ladder_size((kmax + len(coeffs)) // 2 + 8)
 
     prev = one(n0)
     n = n0
@@ -193,7 +193,7 @@ def laguerre_norm(f, alpha: float) -> float:
                 total += float(rule.weights @ g)
             return total
 
-        n0 = 48
+        n0 = ladder_size(48)
     else:
         coeffs, rate = _poly_parts(f)
         s = rate + 0.5
@@ -227,7 +227,7 @@ def laguerre_norm(f, alpha: float) -> float:
                 total += math.exp(-s * r) / s * float(rule.weights @ g)
             return total
 
-        n0 = max(24, len(coeffs) + 8)
+        n0 = ladder_size(max(24, len(coeffs) + 8))
 
     prev = one(n0)
     n = n0
@@ -258,7 +258,7 @@ def step_identity_check(a: float, k: int, alpha: float) -> tuple[float, float]:
         x = rule.nodes
         return float(rule.weights @ (laguerre_r(k, alpha, x) * np.exp(-x)))
 
-    n = k + 24
+    n = ladder_size(k + 24)
     prev = one(n)
     lhs = None
     while 2 * n <= max(4096, 4 * (k + 24)):

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import AccuracyError
 from .specfun import JacobiParams, PolyValue, _hyp2f1_array
-from .quadrature import mehler_inner_rule, mapped_jacobi_rule, converge_doubling
+from .quadrature import (mehler_inner_rule, mapped_jacobi_rule, converge_doubling,
+                         ladder_size)
 
 __all__ = ["mehler_r", "mehler_limit_r", "kernel_mass_h"]
 
@@ -64,7 +65,8 @@ def mehler_r(k: int, params: JacobiParams, theta: float,
         g = np.cos(lam * phi) * (1.0 + t) ** (-(a + b) / 2.0) * f21
         return pref * float(rule.weights @ g)
 
-    value = converge_doubling(evaluate, n0=k + 48, rtol=rtol)
+    # Rounding up adds 16 on average, so starts still average k + 48 points.
+    value = converge_doubling(evaluate, n0=ladder_size(k + 32), rtol=rtol)
     return PolyValue(k, value, "mehler-integral")
 
 
@@ -94,7 +96,8 @@ def mehler_limit_r(k: int, beta: float, theta: float,
         g = np.cos(phi / 2.0) ** (-beta - 1.5) * np.cos(nu * phi) * f21
         return float(rule.weights @ g)
 
-    integral = converge_doubling(correction, n0=k + 48, rtol=rtol)
+    integral = converge_doubling(correction, n0=ladder_size(k + 32),
+                                  rtol=rtol)
     value = first + 0.25 * (beta * beta - 0.25) * sin(theta / 2.0) * integral
     return PolyValue(k, value, "limit-formula")
 
@@ -114,5 +117,5 @@ def kernel_mass_h(theta: float, alpha: float) -> float:
         rule = mehler_inner_rule(theta, alpha, n)
         return float(np.sum(rule.weights))
 
-    mass = converge_doubling(evaluate, n0=16, rtol=1e-12)
+    mass = converge_doubling(evaluate, n0=ladder_size(16), rtol=1e-12)
     return sin(theta) ** (-2.0 * alpha) * mass

@@ -1,9 +1,12 @@
 """Gaussian quadrature rules built from closed-form recurrence coefficients.
 
-Nodes and weights come from the Golub-Welsch eigenvalue method applied to the
-symmetric tridiagonal matrix of the monic three-term recurrence.  Rules are
-cached per (n, exponents), and the node/weight arrays are frozen so cached
-rules cannot be mutated by callers.
+Nodes are the eigenvalues of the symmetric tridiagonal (Jacobi) matrix of the
+three-term recurrence, polished by one Newton step on the recurrence; weights
+are the Christoffel numbers summed along the same recurrence.  No eigenvector
+is formed, so a rule costs O(n) memory and O(n^2) time.  Rules are cached per
+(n, exponents), and the node/weight arrays are frozen so cached rules cannot
+be mutated by callers.  Doubling loops start from ladder_size(n), a multiple
+of 32, so that the sizes they request repeat and hit that cache.
 """
 
 from dataclasses import dataclass
@@ -11,7 +14,7 @@ from functools import lru_cache
 from math import lgamma, exp, log, cos
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import AccuracyError
 
@@ -24,6 +27,7 @@ __all__ = [
     "mehler_inner_rule",
     "integrate",
     "converge_doubling",
+    "ladder_size",
 ]
 
 
@@ -46,6 +50,11 @@ class QuadratureRule:
         return float(self.weights @ f(self.nodes))
 
 
+# Sum over the nodes of the squared recurrence values above which the nodes
+# are rescaled: leaves room for one step's growth and for the summed squares.
+_RESCALE = 1e128
+
+
 def _freeze(rule: QuadratureRule) -> QuadratureRule:
     rule.nodes.setflags(write=False)
     rule.weights.setflags(write=False)
@@ -56,12 +65,56 @@ def _golub_welsch(d: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Nodes and weights from monic recurrence diagonals (a_i) and (b_i).
 
     d holds a_0..a_{n-1}; e2 holds b_0..b_{n-1} with b_0 the total weight mass.
+    The nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch, 1969),
+    polished by one Newton step on p_n.  The weights are the Christoffel
+    numbers b_0 / sum_k p_k(x)^2 (Gautschi, 2004), with p_0 = 1 and p_k
+    orthonormal up to that factor.  Both passes run the recurrence across all
+    nodes at once, so memory is O(n).  Once the values pass _RESCALE they are
+    divided down node by node and the factors kept in log space, so Laguerre
+    rules, whose polynomials grow like e^(x/2), cannot overflow.
     """
-    if d.size == 1:
+    n = d.size
+    if n == 1:
         return d.copy(), e2[:1].copy()
-    x, v = eigh_tridiagonal(d, np.sqrt(e2[1:]))
-    w = e2[0] * v[0, :] ** 2
-    return x, w
+    sb = np.sqrt(e2)
+    x = eigvalsh_tridiagonal(d, sb[1:])
+    a, s = d.tolist(), sb.tolist()
+    # p_n needs b_n, which is not given; Newton only uses p_n / p_n', so the
+    # last step is left unnormalized.
+    r = (1.0 / sb[1:]).tolist() + [1.0]
+
+    # Newton pass: rows hold p_k and p_k'.
+    v0 = np.zeros((2, n))
+    v1 = np.zeros((2, n))
+    v1[0] = 1.0
+    for k in range(n):
+        v2 = (x - a[k]) * v1
+        v2[1] += v1[0]
+        v2 -= s[k] * v0
+        v2 *= r[k]
+        v0, v1 = v1, v2
+        if np.dot(v1[0], v1[0]) > _RESCALE:
+            m = np.maximum(np.maximum(np.abs(v0[0]), np.abs(v1[0])), 1.0)
+            v0 /= m
+            v1 /= m
+    x -= v1[0] / v1[1]
+
+    # Weight pass at the polished nodes.
+    p0, p1 = np.zeros(n), np.ones(n)
+    total, log_scale = np.ones(n), np.zeros(n)
+    for k in range(n - 1):
+        p2 = (x - a[k]) * p1
+        p2 -= s[k] * p0
+        p2 *= r[k]
+        p0, p1 = p1, p2
+        total += p1 * p1
+        if np.dot(p1, p1) > _RESCALE:
+            m = np.maximum(np.maximum(np.abs(p0), np.abs(p1)), 1.0)
+            p0 /= m
+            p1 /= m
+            total /= m * m
+            log_scale += np.log(m)
+    return x, e2[0] * np.exp(-2.0 * log_scale) / total
 
 
 def _jacobi_coeffs(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -164,6 +217,16 @@ def mehler_inner_rule(theta: float, alpha: float, n: int) -> QuadratureRule:
     w = base.weights * h ** alpha * (1.0 + t) ** -0.5
     phi = np.arccos(np.clip(t, -1.0, 1.0))
     return _freeze(QuadratureRule(phi, w, "mehler-inner", alpha, theta, (0.0, theta)))
+
+
+def ladder_size(n: int) -> int:
+    """The smallest multiple of 32 that is at least n.
+
+    Doubling loops start from a ladder size and doubling keeps them on the
+    ladder, so nearby requests share cached rules instead of each building
+    its own.
+    """
+    return -(-int(n) // 32) * 32
 
 
 def integrate(rule: QuadratureRule, f) -> float:

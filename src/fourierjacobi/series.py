@@ -17,7 +17,7 @@ from scipy.optimize import brentq, minimize_scalar
 from .errors import AccuracyError
 from .specfun import (JacobiParams, h_normalizer_table, jacobi_p_one, jacobi_r,
                       jacobi_r_table)
-from .quadrature import gauss_jacobi_rule, mapped_jacobi_rule
+from .quadrature import gauss_jacobi_rule, ladder_size, mapped_jacobi_rule
 
 __all__ = [
     "StepFunction",
@@ -286,7 +286,7 @@ def _converged_values(pieces, params, kmax, n0=None, rtol=1e-10,
                       nmax=4096) -> np.ndarray:
     if not pieces:
         return np.zeros(kmax + 1)
-    n = n0 if n0 is not None else max(kmax + 32, 48)
+    n = ladder_size(n0 if n0 is not None else max(kmax + 32, 48))
     nmax = max(nmax, 4 * n)
     prev = _integrate_pieces(pieces, params, kmax, n)
     last_err = None
@@ -377,7 +377,7 @@ def coefficient(f, k: int, params: JacobiParams, rtol: float = 1e-10) -> float:
             total += float(jacobi_r(k, params, x) @ (rule.weights * g))
         return total * 2.0 ** (-a - b - 1.0)
 
-    n = k + 32
+    n = ladder_size(k + 32)
     nmax = max(4096, 2 * n)
     prev = one(n)
     while 2 * n <= nmax:

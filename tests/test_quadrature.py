@@ -9,6 +9,25 @@ from scipy.integrate import quad
 
 from fourierjacobi import (
     AccuracyError,
+    CosinePoly,
+    Indicator,
+    JacobiParams,
+    LaguerreExpDamped,
+    LaguerrePolynomial,
+    LaguerreStep,
+    PowerWeight,
+    StepFunction,
+    coefficient,
+    coefficient_series,
+    jacobi_function,
+    kernel_mass_h,
+    laguerre_coefficient_series,
+    laguerre_norm,
+    mehler_limit_r,
+    mehler_r,
+    norm_l,
+    step_identity_check,
+    transform_sweep,
     gauss_jacobi_rule,
     gauss_legendre_rule,
     gauss_laguerre_rule,
@@ -17,6 +36,9 @@ from fourierjacobi import (
     integrate,
     converge_doubling,
 )
+from fourierjacobi import quadrature
+from fourierjacobi.jtransform import _phi_grid
+from fourierjacobi.quadrature import _jacobi_coeffs, ladder_size
 
 
 class TestGaussJacobi:
@@ -165,3 +187,133 @@ class TestConvergeDoubling:
         with pytest.raises(AccuracyError) as exc:
             converge_doubling(lambda n: float(n), 3, nmax=64)
         assert exc.value.achieved is not None
+
+
+# Max |G - I| of the full Gram matrix (K = n - 1) of the eigenvector-based
+# Golub-Welsch rules this package used before, measured with the same check.
+GOLUB_WELSCH_GRAM = {
+    (1056, -0.95, -0.95): 3.756367265850269e-11,
+    (1056, -0.9, 0.0): 8.493182285934653e-12,
+    (1056, 0.0, -0.9): 5.357243240602244e-12,
+    (1056, 0.3, -0.4): 2.462619409608624e-13,
+    (1056, 2.0, 1.0): 1.8418860187052744e-13,
+    (2112, -0.95, -0.95): 8.06397476734149e-11,
+    (2112, -0.9, 0.0): 3.350756334181103e-11,
+    (2112, 0.0, -0.9): 1.8467188634416556e-12,
+    (2112, 0.3, -0.4): 1.771009554285552e-13,
+    (2112, 2.0, 1.0): 5.187465040856765e-13,
+    (4224, -0.95, -0.95): 3.410069817871126e-10,
+    (4224, -0.9, 0.0): 5.017435269615445e-11,
+    (4224, 0.0, -0.9): 3.852484230267689e-11,
+    (4224, 0.3, -0.4): 4.858613511515841e-13,
+    (4224, 2.0, 1.0): 3.0888798463468703e-12,
+}
+
+
+def gram_deviation(n: int, a: float, b: float) -> float:
+    """max |sum_j w_j p_k(x_j) p_l(x_j) - delta_kl| over k, l < n.
+
+    p_k are the orthonormal Jacobi polynomials from the rule's own
+    recurrence coefficients; an exact n-point rule gives the identity.
+    """
+    rule = gauss_jacobi_rule(n, a, b)
+    d, e2 = _jacobi_coeffs(n, a, b)
+    x, sb = rule.nodes, np.sqrt(e2)
+    q = np.empty((n, n))
+    q[0] = 1.0 / sb[0]
+    q[1] = (x - d[0]) * q[0] / sb[1]
+    for k in range(1, n - 1):
+        q[k + 1] = ((x - d[k]) * q[k] - sb[k] * q[k - 1]) / sb[k + 1]
+    q *= np.sqrt(rule.weights)
+    gram = q @ q.T
+    gram[np.diag_indices(n)] -= 1.0
+    return float(np.max(np.abs(gram)))
+
+
+class TestRuleAccuracy:
+    @pytest.mark.parametrize("n,a,b", sorted(GOLUB_WELSCH_GRAM))
+    def test_full_gram(self, n, a, b):
+        """Orthonormality up to degree n - 1 within 2x of Golub-Welsch."""
+        assert gram_deviation(n, a, b) <= 2.0 * GOLUB_WELSCH_GRAM[(n, a, b)]
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_large_laguerre(self, n):
+        """Nodes run past 2000, where e^(x/2)-sized recurrence values overflow
+        unless rescaled; the rule must stay finite and exact on low moments."""
+        rule = gauss_laguerre_rule(n, 0.5)
+        assert np.all(np.isfinite(rule.nodes))
+        assert np.all(np.isfinite(rule.weights))
+        assert np.all(rule.weights >= 0.0)
+        for m in range(6):
+            np.testing.assert_allclose(float(rule.weights @ rule.nodes ** m),
+                                       math.gamma(m + 1.5), rtol=1e-12)
+
+    def test_ladder_size(self):
+        assert [ladder_size(n) for n in (1, 31, 32, 33, 1056, 1057)] == \
+            [32, 32, 32, 64, 1056, 1088]
+
+
+P = JacobiParams(0.3, -0.2)
+UNIT_STEP = LaguerreStep((1.0,), (1.0,))
+
+# Each call runs one doubling loop whose evaluations build one rule each.
+SINGLE_RULE_LOOPS = {
+    "mehler_r": lambda: mehler_r(5, P, 1.0),
+    "mehler_limit_r": lambda: mehler_limit_r(5, -0.4, 1.0),
+    "kernel_mass_h": lambda: kernel_mass_h(0.7, 0.25),
+    "jacobi_function": lambda: jacobi_function(3.0, 1.5, P),
+    "coefficient": lambda: coefficient(StepFunction((1.0,), (1.0, 0.0)), 3, P),
+    "coefficient_series": lambda: coefficient_series(PowerWeight(-0.3), 64, P),
+    "norm_l": lambda: norm_l(CosinePoly((1.0, 0.5)), P),
+    "laguerre_step_series": lambda: laguerre_coefficient_series(UNIT_STEP, 8, 0.5),
+    "laguerre_poly_series": lambda: laguerre_coefficient_series(
+        LaguerrePolynomial((1.0, 2.0)), 8, 0.5),
+    "laguerre_step_norm": lambda: laguerre_norm(UNIT_STEP, 0.5),
+    "laguerre_damped_norm": lambda: laguerre_norm(
+        LaguerreExpDamped((1.0,), 0.5), 0.5),
+    "step_identity_check": lambda: step_identity_check(1.5, 4, 0.5),
+    "phi_grid": lambda: _phi_grid(P, np.array([1.5]), np.array([0.0, 4.0])),
+}
+
+
+@pytest.fixture
+def built_sizes(monkeypatch):
+    """Sizes of every Gauss rule requested, cache hits included, in order."""
+    sizes = []
+    for name in ("_gauss_jacobi_cached", "_gauss_laguerre_cached"):
+        cached = getattr(quadrature, name)
+        monkeypatch.setattr(quadrature, name,
+                            lambda n, *ab, cached=cached:
+                            sizes.append(n) or cached(n, *ab))
+    return sizes
+
+
+class TestDoublingLoops:
+    @pytest.mark.parametrize("name", sorted(SINGLE_RULE_LOOPS))
+    def test_compares_strictly_larger_rules(self, name, built_sizes):
+        """Rounding a size onto the ladder must never make a loop compare a
+        rule with itself and call that convergence."""
+        SINGLE_RULE_LOOPS[name]()
+        assert len(built_sizes) >= 2
+        assert all(n1 > n0 for n0, n1 in zip(built_sizes, built_sizes[1:]))
+
+    def test_transform_sweep_levels(self, built_sizes, monkeypatch):
+        """Each sweep level uses a larger outer rule and larger kernel rules
+        than the level before.  tau * t / pi stays below 2 on this support,
+        so every kernel rule of one level has the same size."""
+        from fourierjacobi import jtransform
+        levels = []
+        sweep_piece = jtransform._sweep_piece
+
+        def recording(*args):
+            start = len(built_sizes)
+            out = sweep_piece(*args)
+            levels.append(built_sizes[start:])
+            return out
+
+        monkeypatch.setattr(jtransform, "_sweep_piece", recording)
+        transform_sweep(Indicator(1.0, 2.0), [0.5, 3.0], P)
+        assert len(levels) >= 2
+        for lower, upper in zip(levels, levels[1:]):
+            assert upper[0] > lower[0]
+            assert min(upper[1:]) > max(lower[1:])

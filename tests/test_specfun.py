@@ -108,7 +108,8 @@ class TestJacobiRecurrence:
            st.floats(-1.0, 1.0))
     def test_bounded_in_region(self, a, frac, k, x):
         """|R_k| <= 1 whenever alpha >= beta > -1 and alpha >= -1/2."""
-        b = -1.0 + (a + 1.0) * max(frac, 1e-3)   # beta in (-1, alpha]
+        # beta in (-1, alpha]; min() keeps beta <= alpha when the product rounds up
+        b = min(a, -1.0 + (a + 1.0) * max(frac, 1e-3))
         params = JacobiParams(a, b)
         assert params.in_s
         assert abs(jacobi_r(k, params, x)) <= 1.0 + 1e-12
