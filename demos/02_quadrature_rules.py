@@ -18,7 +18,6 @@ from fourierjacobi import (
     gauss_laguerre_rule,
     mapped_jacobi_rule,
     mehler_inner_rule,
-    integrate,
 )
 
 # Gauss-Jacobi: integrates f(x) (1-x)^a (1+x)^b over [-1, 1].
@@ -59,5 +58,5 @@ print(f"\ninner rule, alpha = 1/2, f = cos: {inner.apply(np.cos):.12f}"
 from fourierjacobi import converge_doubling
 
 value = converge_doubling(
-    lambda n: integrate(gauss_jacobi_rule(n, 0.0, -0.5), np.exp), n0=8)
+    lambda n: gauss_jacobi_rule(n, 0.0, -0.5).apply(np.exp), n0=8)
 print(f"\nintegral of e^x (1+x)^(-1/2) over [-1,1]: {value:.12f}")

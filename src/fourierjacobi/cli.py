@@ -6,13 +6,12 @@ argparse's own), 3 a quadrature or series failed to reach tolerance.
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from .errors import AccuracyError
-from .specfun import JacobiParams, jacobi_r_table
+from .specfun import JacobiParams
 from .series import (
     StepFunction,
     PowerWeight,
@@ -22,7 +21,6 @@ from .series import (
     counterexample_slope,
     sup_norm_slope,
 )
-from .mehler import mehler_r, mehler_limit_r
 from .laguerre import (
     LaguerreStep,
     LaguerrePolynomial,
@@ -32,7 +30,7 @@ from .laguerre import (
     step_identity_check,
 )
 from .jtransform import Indicator, ExpDecay, transform_sweep
-from .selftest import run_all
+from .selftest import mehler_pathway_discrepancies, run_all
 
 __all__ = ["main", "build_parser"]
 
@@ -175,28 +173,7 @@ def _cmd_opnorm(args) -> int:
 
 
 def _cmd_verify_mehler(args) -> int:
-    thetas = [0.3, 1.0, math.pi / 2, 2.2, 2.9]
-    worst = 0.0
-    for a in (0.0, 0.5, 1.5):
-        for b in (-0.5, 0.0, 0.75):
-            params = JacobiParams(a, b)
-            for theta in thetas:
-                ref = jacobi_r_table(args.kmax, params,
-                                     np.array([math.cos(theta)]))[:, 0]
-                for k in range(args.kmax + 1):
-                    got = mehler_r(k, params, theta).value
-                    worst = max(worst,
-                                abs(got - ref[k]) / max(1.0, abs(ref[k])))
-    worst_lim = 0.0
-    for b in (-0.75, -0.9):
-        params = JacobiParams(-0.5, b)
-        for theta in thetas:
-            ref = jacobi_r_table(args.kmax, params,
-                                 np.array([math.cos(theta)]))[:, 0]
-            for k in range(args.kmax + 1):
-                got = mehler_limit_r(k, b, theta).value
-                worst_lim = max(worst_lim,
-                                abs(got - ref[k]) / max(1.0, abs(ref[k])))
+    worst, worst_lim = mehler_pathway_discrepancies(args.kmax)
     print(f"max discrepancy, singular form: {float(worst)!r}")
     print(f"max discrepancy, limit form: {float(worst_lim)!r}")
     if max(worst, worst_lim) > args.tol:

@@ -17,7 +17,7 @@ from numpy.polynomial.polynomial import polyval
 
 from .errors import AccuracyError
 from .specfun import JacobiParams, _hyp2f1_array
-from .quadrature import ladder_size, mapped_jacobi_rule
+from .quadrature import converge_doubling, ladder_size, mapped_jacobi_rule
 
 __all__ = [
     "Indicator",
@@ -188,16 +188,7 @@ def jacobi_function(tau: float, t: float, params: JacobiParams,
         return float(amp @ np.cos(tau * s))
 
     n0 = ladder_size(int(tau * t / math.pi) + 40)
-    prev = evaluate(n0)
-    n = n0
-    while 2 * n <= max(4096, 4 * n0):
-        n *= 2
-        cur = evaluate(n)
-        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise AccuracyError("kernel quadrature failed to settle",
-                        achieved=abs(cur - prev))
+    return converge_doubling(evaluate, n0, rtol)
 
 
 def jacobi_function_series(tau: float, t: float, params: JacobiParams,
@@ -305,7 +296,7 @@ def transform_sweep(f, taus, params: JacobiParams,
 
     The cosine-combination form of the kernel is built once per outer node
     and reused across the whole frequency grid; both rule sizes double
-    together until the sweep settles.
+    together, at most twice, until the sweep settles.
     """
     _check_params(params)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
@@ -316,7 +307,8 @@ def transform_sweep(f, taus, params: JacobiParams,
     tau_max = float(np.max(taus))
     pieces = _support_pieces(f, params)
 
-    def evaluate(level: int) -> np.ndarray:
+    def evaluate(factor: int) -> np.ndarray:
+        level = factor.bit_length() - 1
         total = np.zeros(taus.size)
         for piece in pieces:
             if piece[0] == "tail":
@@ -343,17 +335,9 @@ def transform_sweep(f, taus, params: JacobiParams,
             total += _sweep_piece(lo, hi, g, taus, params, n_out, level)
         return total
 
-    prev = evaluate(0)
-    cur = evaluate(1)
-    err = float(np.max(np.abs(cur - prev)))
-    if err > rtol * max(1.0, float(np.max(np.abs(cur)))):
-        cur2 = evaluate(2)
-        err = float(np.max(np.abs(cur2 - cur)))
-        if err > rtol * max(1.0, float(np.max(np.abs(cur2)))):
-            raise AccuracyError("transform quadrature failed to settle",
-                                achieved=err)
-        cur = cur2
-    return _transform_prefactor(params) * cur
+    # nmax=4 allows two doublings: size factors 1, 2, 4 are levels 0, 1, 2.
+    return _transform_prefactor(params) * converge_doubling(evaluate, 1, rtol,
+                                                            nmax=4)
 
 
 def transform(f, tau: float, params: JacobiParams, rtol: float = 1e-9) -> float:
@@ -385,15 +369,13 @@ def _phi_grid(params: JacobiParams, ts: np.ndarray, taus: np.ndarray,
         if t < 1e-8:
             out[i] = 1.0
             continue
-        n = ladder_size(int(tau_max * t / math.pi) + 40)
-        s, amp = _cosine_data(float(t), params, n)
-        row = np.cos(np.outer(taus, s)) @ amp
-        s2, amp2 = _cosine_data(float(t), params, 2 * n)
-        row2 = np.cos(np.outer(taus, s2)) @ amp2
-        if float(np.max(np.abs(row2 - row))) > rtol * max(
-                1.0, float(np.max(np.abs(row2)))):
-            raise AccuracyError("kernel grid failed its doubling check")
-        out[i] = row2
+
+        def row(n: int) -> np.ndarray:
+            s, amp = _cosine_data(float(t), params, n)
+            return np.cos(np.outer(taus, s)) @ amp
+
+        out[i] = converge_doubling(
+            row, ladder_size(int(tau_max * t / math.pi) + 40), rtol)
     return out
 
 

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval, polyroots
 
-from .errors import AccuracyError
 from .specfun import laguerre_r, laguerre_r_table
-from .quadrature import gauss_laguerre_rule, ladder_size, mapped_jacobi_rule
+from .quadrature import (converge_doubling, gauss_laguerre_rule, ladder_size,
+                         mapped_jacobi_rule)
 from .series import DecayReport, _fit_loglog, decade_max
 
 __all__ = [
@@ -145,17 +145,7 @@ def _coefficient_values(f, kmax: int, alpha: float,
 
         n0 = ladder_size((kmax + len(coeffs)) // 2 + 8)
 
-    prev = one(n0)
-    n = n0
-    while 2 * n <= max(4096, 2 * n0):
-        n *= 2
-        cur = one(n)
-        err = float(np.max(np.abs(cur - prev)))
-        if err <= rtol * max(1.0, float(np.max(np.abs(cur)))):
-            return cur
-        prev = cur
-    raise AccuracyError("Laguerre coefficient quadrature failed to settle",
-                        achieved=err)
+    return converge_doubling(one, n0, rtol)
 
 
 def laguerre_coefficient(f, k: int, alpha: float) -> float:
@@ -229,16 +219,7 @@ def laguerre_norm(f, alpha: float) -> float:
 
         n0 = ladder_size(max(24, len(coeffs) + 8))
 
-    prev = one(n0)
-    n = n0
-    while 2 * n <= 4096:
-        n *= 2
-        cur = one(n)
-        if abs(cur - prev) <= 1e-11 * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise AccuracyError("Laguerre norm quadrature failed to settle",
-                        achieved=abs(cur - prev))
+    return converge_doubling(one, n0, 1e-11)
 
 
 def step_identity_check(a: float, k: int, alpha: float) -> tuple[float, float]:
@@ -258,19 +239,7 @@ def step_identity_check(a: float, k: int, alpha: float) -> tuple[float, float]:
         x = rule.nodes
         return float(rule.weights @ (laguerre_r(k, alpha, x) * np.exp(-x)))
 
-    n = ladder_size(k + 24)
-    prev = one(n)
-    lhs = None
-    while 2 * n <= max(4096, 4 * (k + 24)):
-        n *= 2
-        cur = one(n)
-        if abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
-            lhs = cur
-            break
-        prev = cur
-    if lhs is None:
-        raise AccuracyError("step identity quadrature failed to settle",
-                            achieved=abs(cur - prev))
+    lhs = converge_doubling(one, ladder_size(k + 24), 1e-12)
     rhs = (math.exp(-a) * a ** (alpha + 1.0)
            * laguerre_r(k - 1, alpha + 1.0, a) / (alpha + 1.0))
     return lhs, rhs

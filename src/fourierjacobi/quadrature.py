@@ -5,8 +5,9 @@ three-term recurrence, polished by one Newton step on the recurrence; weights
 are the Christoffel numbers summed along the same recurrence.  No eigenvector
 is formed, so a rule costs O(n) memory and O(n^2) time.  Rules are cached per
 (n, exponents), and the node/weight arrays are frozen so cached rules cannot
-be mutated by callers.  Doubling loops start from ladder_size(n), a multiple
-of 32, so that the sizes they request repeat and hit that cache.
+be mutated by callers.  converge_doubling is the package's one doubling
+loop; callers start it from ladder_size(n), a multiple of 32, so that the
+sizes they request repeat and hit that cache.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ __all__ = [
     "gauss_legendre_rule",
     "mapped_jacobi_rule",
     "mehler_inner_rule",
-    "integrate",
     "converge_doubling",
     "ladder_size",
 ]
@@ -229,28 +229,27 @@ def ladder_size(n: int) -> int:
     return -(-int(n) // 32) * 32
 
 
-def integrate(rule: QuadratureRule, f) -> float:
-    """Apply a rule to a vectorized integrand (the smooth factor only)."""
-    return rule.apply(f)
-
-
 def converge_doubling(evaluate, n0: int, rtol: float = 1e-10,
-                      nmax: int = 4096) -> float:
-    """Evaluate at increasing rule sizes until two consecutive sizes agree.
+                      nmax: int = 4096):
+    """Evaluate at doubling rule sizes until two consecutive sizes agree.
 
-    evaluate(n) must return the quantity computed with an n-point rule.  The
-    size doubles until |v(2n) - v(n)| <= rtol * max(|v(2n)|, 1); raises
-    AccuracyError if that never happens by nmax.
+    evaluate(n) returns the quantity, a float or an array, computed with
+    n-point rules.  Sizes n0, 2 n0, 4 n0, ... are tried up to
+    max(nmax, 4 n0), so at least two comparisons are made.  The loop stops
+    at the first size 2n with max|v(2n) - v(n)| <= rtol * max(1, max|v(2n)|)
+    and returns v(2n) unchanged.  Otherwise it raises AccuracyError with the
+    last relative difference as `achieved`; a NaN never counts as converged.
     """
     n = max(int(n0), 1)
+    limit = max(nmax, 4 * n)
     prev = evaluate(n)
-    while n <= nmax:
+    while 2 * n <= limit:
         n *= 2
         cur = evaluate(n)
-        if abs(cur - prev) <= rtol * max(abs(cur), 1.0):
+        diff = float(np.max(np.abs(cur - prev)))
+        scale = max(1.0, float(np.max(np.abs(cur))))
+        if diff <= rtol * scale:
             return cur
         prev = cur
-    raise AccuracyError(
-        f"quadrature failed to settle by n = {nmax}",
-        achieved=abs(cur - prev) / max(abs(cur), 1.0),
-    )
+    raise AccuracyError(f"quadrature failed to settle by n = {n}",
+                        achieved=diff / scale)

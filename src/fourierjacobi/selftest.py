@@ -67,30 +67,34 @@ def check_orthonormality() -> CriterionResult:
                    f"max Gram deviation {worst:.3e} (tol 1e-10)", budget=30.0)
 
 
+def mehler_pathway_discrepancies(kmax: int) -> tuple[float, float]:
+    """Worst relative gaps between the integral pathways and the recurrence.
+
+    Sweeps k <= kmax over a fixed grid of angles and parameter pairs and
+    returns (singular form, limit form).
+    """
+    def worst(params, pathway) -> float:
+        out = 0.0
+        for theta in (0.3, 1.0, math.pi / 2, 2.2, 2.9):
+            ref = jacobi_r_table(kmax, params,
+                                 np.array([math.cos(theta)]))[:, 0]
+            for k in range(kmax + 1):
+                got = pathway(k, params, theta).value
+                out = max(out, abs(got - ref[k]) / max(1.0, abs(ref[k])))
+        return out
+
+    singular = max(worst(JacobiParams(a, b), mehler_r)
+                   for a in (0.0, 0.5, 1.5) for b in (-0.5, 0.0, 0.75))
+    limit = max(worst(JacobiParams(-0.5, b),
+                      lambda k, p, theta: mehler_limit_r(k, p.beta, theta))
+                for b in (-0.75, -0.9))
+    return singular, limit
+
+
 def check_mehler_pathways() -> CriterionResult:
     """Integral-representation values against the recurrence, both formulas."""
     t0 = time.perf_counter()
-    thetas = [0.3, 1.0, math.pi / 2, 2.2, 2.9]
-    worst = 0.0
-    for a in (0.0, 0.5, 1.5):
-        for b in (-0.5, 0.0, 0.75):
-            params = JacobiParams(a, b)
-            for theta in thetas:
-                ref = jacobi_r_table(50, params,
-                                     np.array([math.cos(theta)]))[:, 0]
-                for k in range(51):
-                    got = mehler_r(k, params, theta).value
-                    worst = max(worst, abs(got - ref[k]) / max(1.0, abs(ref[k])))
-    worst_lim = 0.0
-    for b in (-0.75, -0.9):
-        params = JacobiParams(-0.5, b)
-        for theta in thetas:
-            ref = jacobi_r_table(50, params,
-                                 np.array([math.cos(theta)]))[:, 0]
-            for k in range(51):
-                got = mehler_limit_r(k, b, theta).value
-                worst_lim = max(worst_lim,
-                                abs(got - ref[k]) / max(1.0, abs(ref[k])))
+    worst, worst_lim = mehler_pathway_discrepancies(50)
     ok = worst <= 1e-8 and worst_lim <= 1e-8
     return _result("mehler-pathways", t0, ok,
                    f"max discrepancy {worst:.3e} (singular form), "

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import AccuracyError
 from .specfun import (JacobiParams, h_normalizer_table, jacobi_p_one, jacobi_r,
                       jacobi_r_table)
-from .quadrature import gauss_jacobi_rule, ladder_size, mapped_jacobi_rule
+from .quadrature import converge_doubling, ladder_size, mapped_jacobi_rule
 
 __all__ = [
     "StepFunction",
@@ -265,49 +264,36 @@ def _sq_pieces(f, params: JacobiParams) -> list[_XPiece]:
             for t0, t1, h in _theta_pieces(f)]
 
 
+def _weighted_nodes(p: _XPiece, params: JacobiParams,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the n-point rule on a piece, and its weights times the rest."""
+    rule = mapped_jacobi_rule(n, p.exp_hi, p.exp_lo, p.lo, p.hi)
+    x = rule.nodes
+    g = np.asarray(p.g(x), dtype=float)
+    if p.w_alpha:
+        g = g * (1.0 - x) ** params.alpha
+    if p.w_beta:
+        g = g * (1.0 + x) ** params.beta
+    return x, rule.weights * g
+
+
 def _integrate_pieces(pieces: list[_XPiece], params: JacobiParams,
                       kmax: int, n: int) -> np.ndarray:
     """Hat-coefficient vector over k = 0..kmax from one fixed rule size."""
-    a, b = params.alpha, params.beta
     total = np.zeros(kmax + 1)
     for p in pieces:
-        rule = mapped_jacobi_rule(n, p.exp_hi, p.exp_lo, p.lo, p.hi)
-        x = rule.nodes
-        g = np.asarray(p.g(x), dtype=float)
-        if p.w_alpha:
-            g = g * (1.0 - x) ** a
-        if p.w_beta:
-            g = g * (1.0 + x) ** b
-        total += jacobi_r_table(kmax, params, x) @ (rule.weights * g)
-    return total * 2.0 ** (-a - b - 1.0)
+        x, u = _weighted_nodes(p, params, n)
+        total += jacobi_r_table(kmax, params, x) @ u
+    return total * 2.0 ** (-params.alpha - params.beta - 1.0)
 
 
-def _converged_values(pieces, params, kmax, n0=None, rtol=1e-10,
-                      nmax=4096) -> np.ndarray:
+def _converged_values(pieces, params, kmax, n0=None,
+                      rtol=1e-10) -> np.ndarray:
     if not pieces:
         return np.zeros(kmax + 1)
     n = ladder_size(n0 if n0 is not None else max(kmax + 32, 48))
-    nmax = max(nmax, 4 * n)
-    prev = _integrate_pieces(pieces, params, kmax, n)
-    last_err = None
-    while 2 * n <= nmax:
-        n *= 2
-        cur = _integrate_pieces(pieces, params, kmax, n)
-        err = float(np.max(np.abs(cur - prev)))
-        scale = max(1.0, float(np.max(np.abs(cur))))
-        if err <= rtol * scale:
-            return cur
-        # A stalled error means the rule is already exact and we are looking
-        # at evaluation roundoff (high-degree recurrence noise near the
-        # endpoints).  Accept it only while it stays negligible against the
-        # dominant coefficient.
-        if last_err is not None and err >= 0.25 * last_err \
-                and err <= 1e-6 * scale:
-            return cur
-        last_err = err
-        prev = cur
-    raise AccuracyError(f"coefficient quadrature failed to settle by n = {nmax}",
-                        achieved=err)
+    return converge_doubling(
+        lambda m: _integrate_pieces(pieces, params, kmax, m), n, rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -365,29 +351,12 @@ def coefficient(f, k: int, params: JacobiParams, rtol: float = 1e-10) -> float:
 
     def one(n: int) -> float:
         total = 0.0
-        a, b = params.alpha, params.beta
         for p in pieces:
-            rule = mapped_jacobi_rule(n, p.exp_hi, p.exp_lo, p.lo, p.hi)
-            x = rule.nodes
-            g = np.asarray(p.g(x), dtype=float)
-            if p.w_alpha:
-                g = g * (1.0 - x) ** a
-            if p.w_beta:
-                g = g * (1.0 + x) ** b
-            total += float(jacobi_r(k, params, x) @ (rule.weights * g))
-        return total * 2.0 ** (-a - b - 1.0)
+            x, u = _weighted_nodes(p, params, n)
+            total += float(jacobi_r(k, params, x) @ u)
+        return total * 2.0 ** (-params.alpha - params.beta - 1.0)
 
-    n = ladder_size(k + 32)
-    nmax = max(4096, 2 * n)
-    prev = one(n)
-    while 2 * n <= nmax:
-        n *= 2
-        cur = one(n)
-        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise AccuracyError("coefficient quadrature failed to settle",
-                        achieved=abs(cur - prev))
+    return converge_doubling(one, ladder_size(k + 32), rtol)
 
 
 def coefficient_series(f, kmax: int, params: JacobiParams,

@@ -128,6 +128,15 @@ class TestNorm:
         ref, _ = quad(integrand, 0.0, 80.0, limit=300)
         np.testing.assert_allclose(laguerre_norm(f, alpha), ref, rtol=1e-9)
 
+    def test_start_above_half_the_cap(self, monkeypatch):
+        """A start size past 2048 (a polynomial of 2041 or more coefficients)
+        must still compare two rule sizes rather than skip the loop."""
+        from fourierjacobi import laguerre
+        monkeypatch.setattr(laguerre, "ladder_size", lambda n: 2080)
+        got = laguerre_norm(LaguerrePolynomial((1.0,)), 0.5)
+        np.testing.assert_allclose(got, math.gamma(1.5) * 2.0 ** 1.5,
+                                   rtol=1e-12)
+
 
 class TestStepIdentity:
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 10.0])

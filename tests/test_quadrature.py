@@ -33,7 +33,6 @@ from fourierjacobi import (
     gauss_laguerre_rule,
     mapped_jacobi_rule,
     mehler_inner_rule,
-    integrate,
     converge_doubling,
 )
 from fourierjacobi import quadrature
@@ -115,7 +114,7 @@ class TestMappedRule:
     def test_plain_interval(self):
         """Zero exponents give ordinary Gauss-Legendre on [lo, hi]."""
         rule = mapped_jacobi_rule(12, 0.0, 0.0, 1.0, 4.0)
-        got = integrate(rule, np.exp)
+        got = rule.apply(np.exp)
         np.testing.assert_allclose(got, math.exp(4.0) - math.exp(1.0),
                                    rtol=1e-13)
         assert np.all((rule.nodes > 1.0) & (rule.nodes < 4.0))
@@ -177,7 +176,7 @@ class TestConvergeDoubling:
     def test_smooth_converges(self):
         def evaluate(n):
             rule = gauss_legendre_rule(n)
-            return integrate(rule, lambda x: np.exp(2.0 * x))
+            return rule.apply(lambda x: np.exp(2.0 * x))
         got = converge_doubling(evaluate, 8)
         np.testing.assert_allclose(got, (math.exp(2) - math.exp(-2)) / 2.0,
                                    rtol=1e-12)
@@ -187,6 +186,39 @@ class TestConvergeDoubling:
         with pytest.raises(AccuracyError) as exc:
             converge_doubling(lambda n: float(n), 3, nmax=64)
         assert exc.value.achieved is not None
+
+    def test_array_values(self):
+        """Vector quantities converge on their largest component difference
+        and come back as the larger evaluation, unchanged."""
+        seen = {}
+
+        def evaluate(n):
+            rule = gauss_legendre_rule(n)
+            seen[n] = np.array([rule.apply(np.exp), rule.apply(np.cos)])
+            return seen[n]
+        got = converge_doubling(evaluate, 4, rtol=1e-12)
+        assert got is seen[max(seen)]
+        np.testing.assert_allclose(got, [math.exp(1) - math.exp(-1),
+                                         2.0 * math.sin(1.0)], rtol=1e-13)
+
+    def test_array_failure_reports_largest_component(self):
+        with pytest.raises(AccuracyError) as exc:
+            converge_doubling(lambda n: np.array([1.0, 1.0 / n]), 2,
+                              rtol=1e-3, nmax=16)
+        assert exc.value.achieved == pytest.approx(1.0 / 16.0)
+
+    def test_start_above_half_the_cap(self):
+        """n0 > nmax / 2 still evaluates two larger sizes."""
+        sizes = []
+        with pytest.raises(AccuracyError):
+            converge_doubling(lambda n: sizes.append(n) or float(n), 100,
+                              nmax=128)
+        assert sizes == [100, 200, 400]
+        assert converge_doubling(lambda n: 1.0, 100, nmax=128) == 1.0
+
+    def test_nan_never_converges(self):
+        with pytest.raises(AccuracyError):
+            converge_doubling(lambda n: math.nan, 8)
 
 
 # Max |G - I| of the full Gram matrix (K = n - 1) of the eigenvector-based

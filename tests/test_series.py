@@ -206,6 +206,18 @@ class TestCoefficientSeries:
         with pytest.raises(ValueError):
             coefficient_series(STEP, 0, CHEB)
 
+    @pytest.mark.parametrize("f,kmax,params,rtol", [
+        (CosinePoly(tuple(1.0 / (m + 1.0) for m in range(25))), 1024,
+         JacobiParams(-0.9, 0.0), 1e-12),
+        (PowerWeight(-0.3), 256, JacobiParams(0.0, -0.5), 1e-14),
+    ])
+    def test_unreachable_rtol_raises(self, f, kmax, params, rtol):
+        """When the last two doublings still differ by more than rtol the
+        series must raise, not return the values of a stalled loop."""
+        with pytest.raises(AccuracyError) as exc:
+            coefficient_series(f, kmax, params, rtol=rtol)
+        assert exc.value.achieved > rtol
+
 
 class TestSynthesize:
     def test_reconstructs_cosine(self):
