@@ -98,7 +98,7 @@ def check_mehler_pathways() -> CriterionResult:
     ok = worst <= 1e-8 and worst_lim <= 1e-8
     return _result("mehler-pathways", t0, ok,
                    f"max discrepancy {worst:.3e} (singular form), "
-                   f"{worst_lim:.3e} (limit form); tol 1e-8", budget=60.0)
+                   f"{worst_lim:.3e} (limit form); tol 1e-8", budget=10.0)
 
 
 def check_decay_dichotomy() -> CriterionResult:

@@ -191,11 +191,14 @@ def _hyp2f1_array(a: float, b: float, c: float, z: np.ndarray,
     term = np.ones_like(z)
     total = np.ones_like(z)
     zmax = float(np.max(z, initial=0.0))
+    # Rounding a product with a scalar is monotone and sign-symmetric, so
+    # max|r z| over the array is exactly |r| max|z|: no reduction per term.
+    zabs = float(np.max(np.abs(z), initial=0.0))
     for n in range(max_terms):
         term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
         total += term
         if n % 4 == 3 or n < 8:
-            q = max(zmax, float(np.max(np.abs((a + n) * (b + n) / ((c + n) * (n + 1.0)) * z))))
+            q = max(zmax, abs((a + n) * (b + n) / ((c + n) * (n + 1.0))) * zabs)
             if q < 1.0:
                 tail = np.abs(term) * q / (1.0 - q)
                 if np.all(tail <= rtol * np.maximum(np.abs(total), 1e-300)):

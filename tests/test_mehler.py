@@ -13,6 +13,7 @@ from fourierjacobi import (
     mehler_limit_r,
     kernel_mass_h,
 )
+from fourierjacobi import mehler
 
 
 class TestMehlerIntegral:
@@ -50,6 +51,8 @@ class TestMehlerIntegral:
             mehler_r(3, JacobiParams(0.5, 0.0), math.pi)
         with pytest.raises(ValueError):
             mehler_r(-1, JacobiParams(0.5, 0.0), 1.0)
+        with pytest.raises(ValueError):
+            mehler_r(2.5, JacobiParams(0.5, 0.0), 1.0)
 
 
 class TestLimitFormula:
@@ -89,6 +92,61 @@ class TestLimitFormula:
             mehler_limit_r(3, -1.0, 1.0)   # needs beta > -1
         with pytest.raises(ValueError):
             mehler_limit_r(3, -0.5, 0.0)
+        with pytest.raises(ValueError):
+            mehler_limit_r(1.5, -0.75, 1.0)
+
+
+# Each pathway with its node cache and the parameters that lead its key.
+PATHWAYS = {
+    "mehler_r": (lambda k, theta: mehler_r(k, JacobiParams(0.5, -0.25), theta),
+                 mehler._mehler_nodes, (0.5, -0.25)),
+    "mehler_limit_r": (lambda k, theta: mehler_limit_r(k, -0.75, theta),
+                       mehler._limit_nodes, (-0.75,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATHWAYS))
+class TestNodeReuse:
+    """Node data depends on (alpha, beta, theta, n) only, so a sweep over
+    degrees builds it once per rule size and every value stays the same."""
+
+    def test_one_hyp2f1_call_per_rule_size(self, name, monkeypatch):
+        pathway, cache, _ = PATHWAYS[name]
+        sizes = []
+        hyp2f1_array = mehler._hyp2f1_array
+
+        def counting(a, b, c, z):
+            sizes.append(z.size)
+            return hyp2f1_array(a, b, c, z)
+
+        cache.cache_clear()
+        monkeypatch.setattr(mehler, "_hyp2f1_array", counting)
+        for k in range(51):
+            pathway(k, 2.2)
+        assert len(sizes) >= 2
+        assert len(sizes) == len(set(sizes))
+
+    def test_values_independent_of_cache_state(self, name):
+        pathway, cache, _ = PATHWAYS[name]
+        degrees = range(51)
+
+        def sweep(ks):
+            values = {k: pathway(k, 1.3).value for k in ks}
+            return np.array([values[k] for k in degrees]).tobytes()
+
+        cache.cache_clear()
+        cold = sweep(degrees)
+        warm = sweep(degrees)
+        cache.cache_clear()
+        reverse = sweep(reversed(degrees))
+        assert cold == warm == reverse
+
+    def test_cached_arrays_are_read_only(self, name):
+        _, cache, params = PATHWAYS[name]
+        for arr in cache(*params, 1.3, 64):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestKernelMass:

@@ -35,7 +35,7 @@ from fourierjacobi import (
     mehler_inner_rule,
     converge_doubling,
 )
-from fourierjacobi import quadrature
+from fourierjacobi import mehler, quadrature
 from fourierjacobi.jtransform import _phi_grid
 from fourierjacobi.quadrature import _jacobi_coeffs, ladder_size
 
@@ -310,7 +310,13 @@ SINGLE_RULE_LOOPS = {
 
 @pytest.fixture
 def built_sizes(monkeypatch):
-    """Sizes of every Gauss rule requested, cache hits included, in order."""
+    """Sizes of every Gauss rule requested, cache hits included, in order.
+
+    The Mehler node caches are emptied first: on a warm cache the Mehler
+    loops request no rule at all.
+    """
+    mehler._mehler_nodes.cache_clear()
+    mehler._limit_nodes.cache_clear()
     sizes = []
     for name in ("_gauss_jacobi_cached", "_gauss_laguerre_cached"):
         cached = getattr(quadrature, name)

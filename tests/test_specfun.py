@@ -27,6 +27,7 @@ from fourierjacobi import (
     h_normalizer,
     h_normalizer_table,
 )
+from fourierjacobi.specfun import _hyp2f1_array
 
 
 class TestJacobiParams:
@@ -204,6 +205,19 @@ class TestHyp2F1:
     def test_trivial_values(self):
         assert hyp2f1(0.7, 0.0, 1.2, 0.53) == 1.0
         assert hyp2f1(0.7, 1.3, 1.2, 0.0) == 1.0
+
+    def test_array_form_accepts_empty_input(self):
+        assert _hyp2f1_array(0.7, 1.3, 1.2, np.array([])).shape == (0,)
+
+    def test_array_form_ratio_bound_is_exact(self):
+        """The array form bounds the term ratio by |r| max|z| in place of
+        max|r z|; rounding a product with a scalar is monotone and
+        sign-symmetric, so the two are equal bit for bit."""
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            r = float(rng.standard_normal() * 10.0 ** rng.integers(-8, 8))
+            z = rng.uniform(-1.0, 1.0, int(rng.integers(1, 200)))
+            assert float(np.max(np.abs(r * z))) == abs(r) * float(np.max(np.abs(z)))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
