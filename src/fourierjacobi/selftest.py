@@ -44,9 +44,9 @@ class CriterionResult:
     seconds: float
 
 
-def _result(name, t0, passed, detail, budget=None):
+def _result(name, t0, passed, detail, budget):
     elapsed = time.perf_counter() - t0
-    if budget is not None and elapsed >= budget:
+    if elapsed >= budget:
         passed = False
         detail += f"; over time budget ({elapsed:.1f}s >= {budget}s)"
     return CriterionResult(name, passed, detail, elapsed)
@@ -121,7 +121,7 @@ def check_decay_dichotomy() -> CriterionResult:
     ok = ok and abs(rep.slope - 0.25) <= 0.05
     parts.append(f"(-0.75,-0.75) growth slope {rep.slope:.4f} (want 0.25±0.05)")
     return _result("riemann-lebesgue-dichotomy", t0, ok, "; ".join(parts),
-                   budget=120.0)
+                   budget=15.0)
 
 
 def check_counterexample_exponent() -> CriterionResult:
@@ -141,7 +141,7 @@ def check_counterexample_exponent() -> CriterionResult:
     ok = ok and rep.divergence_regime and rising
     parts.append("divergence regime decade maxima "
                  + " < ".join(f"{m:.3g}" for m in rep.decade_maxima))
-    return _result("counterexample-exponent", t0, ok, "; ".join(parts))
+    return _result("counterexample-exponent", t0, ok, "; ".join(parts), budget=10.0)
 
 
 def check_right_region_slope() -> CriterionResult:
@@ -154,7 +154,7 @@ def check_right_region_slope() -> CriterionResult:
         rep = sup_norm_slope(JacobiParams(a, b), region="right")
         ok = ok and abs(rep.slope - want) <= 0.1
         parts.append(f"({a},{b}) slope {rep.slope:.4f} (want {want}±0.1)")
-    return _result("right-region-bound", t0, ok, "; ".join(parts))
+    return _result("right-region-bound", t0, ok, "; ".join(parts), budget=10.0)
 
 
 def check_unnormalized_rate() -> CriterionResult:
@@ -166,7 +166,7 @@ def check_unnormalized_rate() -> CriterionResult:
     scaled = np.abs(series.values) / (np.arange(1025) + 1.0)
     ratio = decade_max(scaled, 512, 1024) / decade_max(scaled, 16, 32)
     return _result("unnormalized-rate", t0, ratio < 0.2,
-                   f"scaled decade ratio {ratio:.3e} (tol 0.2)")
+                   f"scaled decade ratio {ratio:.3e} (tol 0.2)", budget=1.0)
 
 
 def check_laguerre() -> CriterionResult:
@@ -188,7 +188,7 @@ def check_laguerre() -> CriterionResult:
     return _result("laguerre", t0, ok,
                    f"identity deviation {worst_id:.3e} (tol 1e-10); "
                    f"bound max {worst_bound:.12f} (tol 1+1e-10); "
-                   f"step decade ratio {ratio:.3e} (tol 0.2)")
+                   f"step decade ratio {ratio:.3e} (tol 0.2)", budget=4.0)
 
 
 def check_transform() -> CriterionResult:
@@ -216,7 +216,7 @@ def check_transform() -> CriterionResult:
     ratio = float(np.max(np.abs(high)) / np.max(np.abs(low)))
     ok = ok and ratio < 0.2
     parts.append(f"high/low frequency ratio {ratio:.3e} (tol 0.2)")
-    return _result("transform", t0, ok, "; ".join(parts))
+    return _result("transform", t0, ok, "; ".join(parts), budget=10.0)
 
 
 def check_fit_sanity() -> CriterionResult:
@@ -227,7 +227,7 @@ def check_fit_sanity() -> CriterionResult:
     rep = decay_fit(series)
     ok = abs(rep.slope + 2.0) <= 1e-6 and rep.r_squared >= 1.0 - 1e-9
     return _result("fit-sanity", t0, ok,
-                   f"slope {rep.slope:.10f}, r^2 {rep.r_squared:.12f}")
+                   f"slope {rep.slope:.10f}, r^2 {rep.r_squared:.12f}", budget=1.0)
 
 
 CRITERIA = [

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .specfun import (JacobiParams, h_normalizer_table, jacobi_p_one, jacobi_r,
-                      jacobi_r_table)
+from .specfun import (JacobiParams, _check_degree, h_normalizer_table, jacobi_p_one,
+                      jacobi_r, jacobi_r_table)
 from .quadrature import converge_doubling, ladder_size, mapped_jacobi_rule
 
 __all__ = [
@@ -419,6 +419,8 @@ def parseval_check(f, params: JacobiParams, kmax: int) -> ParsevalReport:
 # ---------------------------------------------------------------------------
 # decay / growth analysis
 
+_MAX_GRID = 2 ** 22  # sup_norm_r: 32 MiB per grid array; 64 (k+1) fits up to k = 65535
+
 
 @dataclass(frozen=True)
 class DecayReport:
@@ -523,8 +525,9 @@ def sup_norm_r(k: int, params: JacobiParams, region: str = "full",
     """Max of |R_k(cos theta)| over a theta region, sharpened by local search.
 
     region is "full" ([0, pi]) or "right" ([pi/2, pi]).  The grid must hold
-    at least 64 (k+1) points so the oscillation is resolved before refining.
+    64 (k+1) to _MAX_GRID points, so the oscillation is resolved before refining.
     """
+    k = _check_degree(k)
     if region == "full":
         t_lo, t_hi = 0.0, math.pi
     elif region == "right":
@@ -532,8 +535,8 @@ def sup_norm_r(k: int, params: JacobiParams, region: str = "full",
     else:
         raise ValueError(f"unknown region {region!r}")
     npts = 64 * (k + 1) if grid is None else int(grid)
-    if npts < 64 * (k + 1):
-        raise ValueError(f"grid too coarse: need at least {64 * (k + 1)} points")
+    if not 64 * (k + 1) <= npts <= _MAX_GRID:
+        raise ValueError(f"grid of {npts} points outside [{64 * (k + 1)}, {_MAX_GRID}]")
     ts = np.linspace(t_lo, t_hi, npts)
     vals = np.abs(jacobi_r(k, params, np.cos(ts)))
     i = int(np.argmax(vals))

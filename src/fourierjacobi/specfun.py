@@ -1,8 +1,9 @@
 """Special-function kernels: Jacobi and Laguerre polynomials, Gauss 2F1, norm constants.
 
-Polynomials are evaluated by forward three-term recurrence.  The normalized
-variants divide by the value at the right endpoint (x = 1 for Jacobi, x = 0
-for Laguerre) so that every family starts at exactly 1 there.
+Each family has one forward three-term recurrence, shared by its scalar,
+array and table variants.  The normalized variants divide by the value at
+the right endpoint (x = 1 for Jacobi, x = 0 for Laguerre) so that every
+family starts at exactly 1 there.
 """
 
 from dataclasses import dataclass
@@ -64,124 +65,122 @@ def _check_degree(k) -> int:
     return int(k)
 
 
-def _check_x(x):
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + _X_SLACK):
-        raise ValueError("argument outside [-1, 1]")
-    return arr
+def _recurrence(k: int, x, p1, c1, c2, c3, c4, rows=None):
+    """P_k(x) from P_0 = 1, P_1 = p1 and P_m = ((c2 + c3 x) P_{m-1} - c4 P_{m-2}) / c1.
+
+    c1..c4 hold the constants for m = 2..k.  A 0-d x runs on Python floats;
+    an array x runs in place, P_m going to row m % len(rows) of rows: a full
+    table, or two buffers (one freed 2-row block raises malloc's mmap threshold).
+    """
+    steps = zip(c1.tolist(), c2.tolist(), c3.tolist(), c4.tolist())
+    if rows is None and x.ndim == 0:
+        x, p, pm1 = float(x), float(p1), 1.0
+        for d1, d2, d3, d4 in steps:
+            p, pm1 = ((d2 + d3 * x) * p - d4 * pm1) / d1, p
+        return p if k else pm1
+    if rows is None:
+        rows = [np.ones_like(x), p1]
+    else:
+        rows[0], rows[1:2] = 1.0, p1
+    n, pm1, p, tmp = len(rows), rows[0], rows[min(k, 1)], np.empty_like(x)
+    for m, (d1, d2, d3, d4) in enumerate(steps, start=2):
+        nxt = rows[m % n]  # with two buffers this is P_{m-2}, already read
+        np.multiply(d4, pm1, tmp)
+        if d3 == -1.0:  # Laguerre: d2 - x has the bits of d2 + (-1) x, in one pass
+            np.subtract(d2, x, nxt)
+        else:
+            np.multiply(d3, x, nxt)
+            nxt += d2
+        nxt *= p
+        nxt -= tmp
+        nxt /= d1
+        pm1, p = p, nxt
+    return rows[k % n]
+
+
+def _jacobi(k: int, params: JacobiParams, x, rows=None):
+    """P_k(x) by the Jacobi step, for x (0-d or array of floats) in [-1, 1]."""
+    if not np.all(np.abs(x) <= 1.0 + _X_SLACK):  # also rejects NaN
+        raise ValueError("argument outside [-1, 1] or NaN")
+    a, b = params.alpha, params.beta
+    m = np.arange(2.0, k + 1.0)
+    s = 2.0 * m + a + b
+    return _recurrence(k, x, (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0,
+                       2.0 * m * (m + a + b) * (s - 2.0), (s - 1.0) * (a * a - b * b),
+                       (s - 1.0) * s * (s - 2.0), 2.0 * (m + a - 1.0) * (m + b - 1.0) * s, rows)
+
+
+def _laguerre(k: int, alpha: float, x, rows=None):
+    """L_k^alpha(x) by the Laguerre step, for x (0-d or array of floats) >= 0."""
+    if not alpha > -1.0:
+        raise ValueError("Laguerre exponent must be > -1")
+    if not np.all((x >= 0.0) & (x < np.inf)):
+        raise ValueError("Laguerre argument must be finite and nonnegative")
+    m = np.arange(2.0, k + 1.0)
+    return _recurrence(k, x, 1.0 + alpha - x, m, 2.0 * m - 1.0 + alpha,
+                       -np.ones_like(m), m - 1.0 + alpha, rows)
+
+
+def _normalized(vals, one, at_end):
+    """vals / one, with the entries flagged by at_end set to exactly 1."""
+    if isinstance(vals, float):
+        return 1.0 if at_end else vals / one
+    vals /= one
+    vals[..., at_end] = 1.0
+    return vals
+
+
+def _r_table(family, kmax: int, params, a: float, x, end: float) -> np.ndarray:
+    """Rows k = 0..kmax of family(kmax, params, x) divided by binom(k + a, k)."""
+    kmax, arr = _check_degree(kmax), np.atleast_1d(np.asarray(x, dtype=float))
+    tab = np.empty((kmax + 1, arr.size))
+    family(kmax, params, arr, tab)
+    ks = np.arange(kmax + 1, dtype=float)
+    ones = np.exp(gammaln(ks + a + 1.0) - gammaln(ks + 1.0) - lgamma(a + 1.0))
+    return _normalized(tab, ones[:, None], arr == end)
 
 
 def jacobi_p(k: int, params: JacobiParams, x):
     """Jacobi polynomial P_k at x, for x in [-1, 1] (scalar or array)."""
-    k = _check_degree(k)
-    arr = _check_x(x)
-    a, b = params.alpha, params.beta
-    pm1 = np.ones_like(arr)
-    if k == 0:
-        out = pm1
-    else:
-        p = (a + 1.0) + (a + b + 2.0) * (arr - 1.0) / 2.0
-        for m in range(2, k + 1):
-            s = 2.0 * m + a + b
-            c1 = 2.0 * m * (m + a + b) * (s - 2.0)
-            c2 = (s - 1.0) * (a * a - b * b)
-            c3 = (s - 1.0) * s * (s - 2.0)
-            c4 = 2.0 * (m + a - 1.0) * (m + b - 1.0) * s
-            p, pm1 = ((c2 + c3 * arr) * p - c4 * pm1) / c1, p
-        out = p
-    return float(out) if np.isscalar(x) else out
+    return _jacobi(_check_degree(k), params, np.asarray(x, dtype=float))
 
 
 def jacobi_p_one(k: int, params: JacobiParams) -> float:
-    """P_k(1) = binom(k + alpha, k), computed through log-gamma."""
-    k = _check_degree(k)
-    a = params.alpha
-    return exp(lgamma(k + a + 1.0) - lgamma(k + 1.0) - lgamma(a + 1.0))
+    """P_k(1) = binom(k + alpha, k) = L_k^alpha(0)."""
+    return laguerre_l_zero(k, params.alpha)
 
 
 def jacobi_r(k: int, params: JacobiParams, x):
     """Normalized Jacobi polynomial R_k = P_k / P_k(1), with R_k(1) = 1 exactly."""
-    k = _check_degree(k)
-    arr = _check_x(x)
-    vals = jacobi_p(k, params, arr) / jacobi_p_one(k, params)
-    vals = np.where(arr == 1.0, 1.0, vals)
-    return float(vals) if np.isscalar(x) else vals
+    k, arr = _check_degree(k), np.asarray(x, dtype=float)
+    return _normalized(_jacobi(k, params, arr), jacobi_p_one(k, params), arr == 1.0)
 
 
 def jacobi_r_table(kmax: int, params: JacobiParams, x: np.ndarray) -> np.ndarray:
     """R_k(x) for every k = 0..kmax as a (kmax+1, len(x)) array."""
-    kmax = _check_degree(kmax)
-    arr = np.atleast_1d(_check_x(x))
-    a, b = params.alpha, params.beta
-    tab = np.empty((kmax + 1, arr.size))
-    tab[0] = 1.0
-    if kmax >= 1:
-        tab[1] = (a + 1.0) + (a + b + 2.0) * (arr - 1.0) / 2.0
-    for m in range(2, kmax + 1):
-        s = 2.0 * m + a + b
-        c1 = 2.0 * m * (m + a + b) * (s - 2.0)
-        c2 = (s - 1.0) * (a * a - b * b)
-        c3 = (s - 1.0) * s * (s - 2.0)
-        c4 = 2.0 * (m + a - 1.0) * (m + b - 1.0) * s
-        tab[m] = ((c2 + c3 * arr) * tab[m - 1] - c4 * tab[m - 2]) / c1
-    ks = np.arange(kmax + 1, dtype=float)
-    ones = np.exp(gammaln(ks + a + 1.0) - gammaln(ks + 1.0) - lgamma(a + 1.0))
-    tab /= ones[:, None]
-    tab[:, arr == 1.0] = 1.0
-    return tab
+    return _r_table(_jacobi, kmax, params, params.alpha, x, 1.0)
 
 
 def laguerre_l(k: int, alpha: float, x):
     """Generalized Laguerre polynomial L_k^alpha at x >= 0 (scalar or array)."""
-    k = _check_degree(k)
-    if alpha <= -1.0:
-        raise ValueError("Laguerre exponent must be > -1")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("Laguerre argument must be nonnegative")
-    pm1 = np.ones_like(arr)
-    if k == 0:
-        out = pm1
-    else:
-        p = 1.0 + alpha - arr
-        for m in range(2, k + 1):
-            p, pm1 = ((2.0 * m - 1.0 + alpha - arr) * p - (m - 1.0 + alpha) * pm1) / m, p
-        out = p
-    return float(out) if np.isscalar(x) else out
+    return _laguerre(_check_degree(k), alpha, np.asarray(x, dtype=float))
 
 
 def laguerre_l_zero(k: int, alpha: float) -> float:
-    """L_k^alpha(0) = binom(k + alpha, k)."""
+    """L_k^alpha(0) = binom(k + alpha, k), computed through log-gamma."""
     k = _check_degree(k)
     return exp(lgamma(k + alpha + 1.0) - lgamma(k + 1.0) - lgamma(alpha + 1.0))
 
 
 def laguerre_r(k: int, alpha: float, x):
     """Normalized Laguerre polynomial R_k = L_k / L_k(0), with R_k(0) = 1 exactly."""
-    arr = np.asarray(x, dtype=float)
-    vals = laguerre_l(k, alpha, arr) / laguerre_l_zero(k, alpha)
-    vals = np.where(arr == 0.0, 1.0, vals)
-    return float(vals) if np.isscalar(x) else vals
+    k, arr = _check_degree(k), np.asarray(x, dtype=float)
+    return _normalized(_laguerre(k, alpha, arr), laguerre_l_zero(k, alpha), arr == 0.0)
 
 
 def laguerre_r_table(kmax: int, alpha: float, x: np.ndarray) -> np.ndarray:
     """R_k^alpha(x) for every k = 0..kmax as a (kmax+1, len(x)) array."""
-    kmax = _check_degree(kmax)
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(arr < 0.0):
-        raise ValueError("Laguerre argument must be nonnegative")
-    tab = np.empty((kmax + 1, arr.size))
-    tab[0] = 1.0
-    if kmax >= 1:
-        tab[1] = 1.0 + alpha - arr
-    for m in range(2, kmax + 1):
-        tab[m] = ((2.0 * m - 1.0 + alpha - arr) * tab[m - 1]
-                  - (m - 1.0 + alpha) * tab[m - 2]) / m
-    ks = np.arange(kmax + 1, dtype=float)
-    zeros = np.exp(gammaln(ks + alpha + 1.0) - gammaln(ks + 1.0) - lgamma(alpha + 1.0))
-    tab /= zeros[:, None]
-    tab[:, arr == 0.0] = 1.0
-    return tab
+    return _r_table(_laguerre, kmax, alpha, alpha, x, 0.0)
 
 
 def _hyp2f1_array(a: float, b: float, c: float, z: np.ndarray,

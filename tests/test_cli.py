@@ -1,12 +1,30 @@
-"""End-to-end runs of the command-line interface."""
+"""End-to-end runs of the command-line interface.
+
+The README examples are pinned byte for byte against README_CLI_GOLDEN.
+Each runs as `python -m fourierjacobi.cli` with single-threaded BLAS: the
+coefficient sums are matrix-vector products, whose last bits depend on the
+BLAS thread count.  After an intended output change, refreeze with
+`PYTHONPATH=src python tests/test_cli.py --freeze` and review the diff.
+"""
 
 import json
 import math
+import os
+import re
+import shlex
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fourierjacobi
 from fourierjacobi.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_CLI_GOLDEN = Path(__file__).resolve().parent / "readme_cli_golden.json"
 
 
 def run(capsys, *argv):
@@ -167,3 +185,39 @@ class TestSelftest:
         assert code == 0
         assert out.startswith("PASS fit-sanity")
         assert "1/1 criteria passed" in out
+
+
+def readme_commands() -> list[str]:
+    """The `fourierjacobi ...` lines of README's "Command line" block."""
+    text = README.read_text().split("## Command line", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = re.sub(r"\\\n\s*", "", block)  # join continued lines
+    return [line for line in block.splitlines() if line.startswith("fourierjacobi ")]
+
+
+def run_readme_command(command: str) -> dict:
+    src = str(Path(fourierjacobi.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "fourierjacobi.cli",
+                           *shlex.split(command)[1:]],
+                          env=env, capture_output=True, text=True, timeout=300)
+    return {"command": command, "exit": proc.returncode, "stdout": proc.stdout,
+            "stderr": proc.stderr}
+
+
+class TestReadmeGolden:
+    def test_examples_match_frozen_output(self):
+        golden = {g["command"]: g for g in json.loads(README_CLI_GOLDEN.read_text())}
+        commands = readme_commands()
+        assert len(commands) >= 9
+        assert sorted(commands) == sorted(golden), "README examples and golden differ"
+        with ThreadPoolExecutor(2) as pool:
+            for command, got in zip(commands, pool.map(run_readme_command, commands)):
+                assert got == golden[command], command
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--freeze"]:
+    frozen = [run_readme_command(command) for command in readme_commands()]
+    README_CLI_GOLDEN.write_text(json.dumps(frozen, indent=1) + "\n")

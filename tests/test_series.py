@@ -30,6 +30,7 @@ from fourierjacobi import (
     h_normalizer,
     jacobi_p_one,
 )
+import fourierjacobi.series as series_module
 
 CHEB = JacobiParams(-0.5, -0.5)
 STEP = StepFunction((math.pi / 3, math.pi / 2), (0.0, 1.0, 0.0))
@@ -345,6 +346,29 @@ class TestSupNorm:
     def test_grid_resolution_enforced(self):
         with pytest.raises(ValueError):
             sup_norm_r(10, CHEB, grid=100)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="degree"):
+            sup_norm_r(-1, CHEB)
+
+    def test_grid_cap_checked_before_allocating(self, monkeypatch):
+        """An oversized grid raises before any array is built; the largest
+        allowed one gets past the check.  np.linspace is replaced, so a
+        broken check fails here instead of allocating gigabytes."""
+        class Built(Exception):
+            pass
+
+        def no_grid(*args, **kwargs):
+            raise Built
+        monkeypatch.setattr(series_module.np, "linspace", no_grid)
+        with pytest.raises(ValueError, match="points outside"):
+            sup_norm_r(3, CHEB, grid=10**9)
+        with pytest.raises(ValueError, match="points outside"):
+            sup_norm_r(3, CHEB, grid=series_module._MAX_GRID + 1)
+        with pytest.raises(Built):
+            sup_norm_r(3, CHEB, grid=series_module._MAX_GRID)
+        with pytest.raises(Built):  # default grid at the top of the slope ladder
+            sup_norm_r(1024, CHEB)
 
     def test_slope_report_window(self):
         ks = (16, 24, 32, 48, 64, 96, 128, 192)

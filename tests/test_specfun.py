@@ -6,6 +6,7 @@ cases (Chebyshev / Legendre points).
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from fourierjacobi import (
     h_normalizer,
     h_normalizer_table,
 )
+from fourierjacobi import specfun
+from fourierjacobi.series import sup_norm_slope
 from fourierjacobi.specfun import _hyp2f1_array
 
 
@@ -162,6 +165,132 @@ class TestLaguerre:
         for k in (0, 4, 9):
             np.testing.assert_allclose(tab[k], laguerre_r(k, 0.5, xs),
                                        rtol=1e-12, atol=1e-13)
+
+
+class TestSingleRecurrence:
+    """Each family has one recurrence behind its scalar (Python floats),
+    array and table (in place) paths, so all three give the same bits.
+
+    The SciPy oracles are independent recurrences.  Both lose digits as an
+    exponent approaches -1 (at -0.999 they differ by 5e-6 of scale), so the
+    stated tolerance is 1e-10 of max(1, |R_k|) for Jacobi and 1e-9 for
+    Laguerre on [0, 50], divided by (1 + min(exponents, 0))^2.  Exponents
+    stop at -0.999: within rounding of -1 a Jacobi step constant vanishes.
+    """
+
+    EXPONENT = st.floats(-0.999, 3.0)
+
+    @staticmethod
+    def bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    @staticmethod
+    def former_jacobi(k, a, b, x):
+        """The loop the shared recurrence replaced, kept as the bitwise reference."""
+        p, pm1 = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0, np.ones_like(x)
+        for m in range(2, k + 1):
+            s = 2.0 * m + a + b
+            c1 = 2.0 * m * (m + a + b) * (s - 2.0)
+            c2 = (s - 1.0) * (a * a - b * b)
+            c3 = (s - 1.0) * s * (s - 2.0)
+            c4 = 2.0 * (m + a - 1.0) * (m + b - 1.0) * s
+            p, pm1 = ((c2 + c3 * x) * p - c4 * pm1) / c1, p
+        return p if k else pm1
+
+    @staticmethod
+    def former_laguerre(k, alpha, x):
+        p, pm1 = 1.0 + alpha - x, np.ones_like(x)
+        for m in range(2, k + 1):
+            p, pm1 = ((2.0 * m - 1.0 + alpha - x) * p - (m - 1.0 + alpha) * pm1) / m, p
+        return p if k else pm1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 300), EXPONENT, EXPONENT,
+           st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))
+    def test_jacobi_paths_bit_identical(self, k, a, b, xs):
+        params = JacobiParams(a, b)
+        arr = np.array(xs)
+        rows = np.empty((k + 1, arr.size))
+        row = specfun._jacobi(k, params, arr, rows)
+        assert np.shares_memory(row, rows[k])
+        scalar = [jacobi_p(k, params, x) for x in xs]
+        assert all(type(v) is float for v in scalar)
+        assert self.bits(scalar) == self.bits(jacobi_p(k, params, arr)) == self.bits(row)
+        assert self.bits(scalar) == self.bits(self.former_jacobi(k, a, b, arr))
+        r_scalar = [jacobi_r(k, params, x) for x in xs]
+        assert self.bits(r_scalar) == self.bits(jacobi_r(k, params, arr))
+        # Table rows divide by a gammaln binomial, the others by lgamma's.
+        np.testing.assert_allclose(jacobi_r_table(k, params, arr)[k], r_scalar,
+                                   rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 300), EXPONENT,
+           st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6))
+    def test_laguerre_paths_bit_identical(self, k, alpha, xs):
+        arr = np.array(xs)
+        rows = np.empty((k + 1, arr.size))
+        row = specfun._laguerre(k, alpha, arr, rows)
+        assert np.shares_memory(row, rows[k])
+        scalar = [laguerre_l(k, alpha, x) for x in xs]
+        assert all(type(v) is float for v in scalar)
+        assert self.bits(scalar) == self.bits(laguerre_l(k, alpha, arr)) == self.bits(row)
+        assert self.bits(scalar) == self.bits(self.former_laguerre(k, alpha, arr))
+        r_scalar = [laguerre_r(k, alpha, x) for x in xs]
+        assert self.bits(r_scalar) == self.bits(laguerre_r(k, alpha, arr))
+        np.testing.assert_allclose(laguerre_r_table(k, alpha, arr)[k], r_scalar,
+                                   rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 300), EXPONENT, EXPONENT,
+           st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))
+    def test_jacobi_against_scipy(self, k, a, b, xs):
+        arr = np.array(xs)
+        ref = sp.eval_jacobi(k, a, b, arr) / sp.binom(k + a, k)
+        got = jacobi_r(k, JacobiParams(a, b), arr)
+        tol = 1e-10 / (1.0 + min(a, b, 0.0)) ** 2
+        assert np.all(np.abs(got - ref) <= tol * np.maximum(1.0, np.abs(ref)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 300), EXPONENT,
+           st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6))
+    def test_laguerre_against_scipy(self, k, alpha, xs):
+        arr = np.array(xs)
+        ref = sp.eval_genlaguerre(k, alpha, arr) / sp.binom(k + alpha, k)
+        got = laguerre_r(k, alpha, arr)
+        tol = 1e-9 / (1.0 + min(alpha, 0.0)) ** 2
+        assert np.all(np.abs(got - ref) <= tol * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("a, b, region, slope", [
+        (-0.75, -0.75, "full", "0.251521510761152"),
+        (0.5, -0.25, "right", "-0.7513680551173912"),
+        (1.0, 0.0, "right", "-1.0000000000000104"),
+    ])
+    def test_sup_norm_slope_frozen(self, a, b, region, slope):
+        """The selftest growth slopes, frozen before the recurrence rewrite."""
+        assert repr(sup_norm_slope(JacobiParams(a, b), region=region).slope) == slope
+
+
+class TestNonFiniteArguments:
+    """NaN and infinities raise instead of returning NaN rows."""
+
+    P = JacobiParams(0.5, -0.25)
+    ENTRY_POINTS = {
+        "jacobi_p": partial(jacobi_p, 3, P),
+        "jacobi_r": partial(jacobi_r, 3, P),
+        "jacobi_r_table": partial(jacobi_r_table, 3, P),
+        "laguerre_l": partial(laguerre_l, 3, 0.5),
+        "laguerre_r": partial(laguerre_r, 3, 0.5),
+        "laguerre_r_table": partial(laguerre_r_table, 3, 0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected(self, name, bad):
+        call = self.ENTRY_POINTS[name]
+        with pytest.raises(ValueError):
+            call(bad)
+        with pytest.raises(ValueError):
+            call(np.array([0.5, bad, 0.25]))
 
 
 class TestHyp2F1:
