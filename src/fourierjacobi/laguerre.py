@@ -14,7 +14,7 @@ from numpy.polynomial.polynomial import polyval, polyroots
 from .specfun import laguerre_r, laguerre_r_table
 from .quadrature import (converge_doubling, gauss_laguerre_rule, ladder_size,
                          mapped_jacobi_rule)
-from .series import DecayReport, _fit_loglog, decade_max
+from .series import DecayReport, _decay_report
 
 __all__ = [
     "LaguerreStep",
@@ -280,11 +280,4 @@ def laguerre_decay(f, kmax: int, alpha: float,
     """Decay-exponent fit of the coefficient magnitudes, for alpha >= 0."""
     if alpha < 0.0:
         raise ValueError("the decay statement needs alpha >= 0")
-    vals = laguerre_coefficient_series(f, kmax, alpha)
-    if window is None:
-        window = (max(kmax // 8, 1), kmax)
-    k0, k1 = window
-    slope, intercept, r2, skipped = _fit_loglog(
-        np.arange(k0, k1 + 1, dtype=float), vals[k0:k1 + 1])
-    tail = decade_max(vals, max(k0, k1 // 2), k1)
-    return DecayReport((k0, k1), slope, intercept, r2, tail, skipped)
+    return _decay_report(laguerre_coefficient_series(f, kmax, alpha), window)

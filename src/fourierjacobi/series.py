@@ -4,7 +4,8 @@ The expansion weight is w(theta) = (sin theta/2)^(2a+1) (cos theta/2)^(2b+1).
 Every integral is transformed to x = cos(theta), where the weight becomes
 2^(-a-b-1) (1-x)^a (1+x)^b dx and Gauss-Jacobi rules absorb the endpoint
 singularities exactly.  Piecewise inputs are integrated piece by piece with
-mapped rules; a node-doubling guard backs every reported number.
+mapped rules; a node-doubling guard backs every reported number.  Sup norms
+of R_k are maxima over its exact critical set.
 """
 
 import json
@@ -12,11 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .specfun import (JacobiParams, _check_degree, h_normalizer_table, jacobi_p_one,
                       jacobi_r, jacobi_r_table)
-from .quadrature import converge_doubling, ladder_size, mapped_jacobi_rule
+from .quadrature import (converge_doubling, gauss_jacobi_rule, ladder_size,
+                         mapped_jacobi_rule)
 
 __all__ = [
     "StepFunction",
@@ -210,6 +211,17 @@ def _analysis_pieces(f, params: JacobiParams) -> list[_XPiece]:
     return [_x_piece(t0, t1, h, params) for t0, t1, h in _theta_pieces(f)]
 
 
+def _bisect(h, a: float, b: float) -> float:
+    """A zero of h in [a, b], where h(a) and h(b) differ in sign, to the last bit."""
+    positive_at_a = float(h(a)) > 0.0
+    while a < (m := 0.5 * (a + b)) < b:
+        if (float(h(m)) > 0.0) == positive_at_a:
+            a = m
+        else:
+            b = m
+    return m
+
+
 def _sign_change_cuts(h, t0: float, t1: float, samples: int) -> list[float]:
     """Interior zeros of h on (t0, t1), located by sampling plus bisection."""
     ts = np.linspace(t0, t1, samples)
@@ -223,7 +235,7 @@ def _sign_change_cuts(h, t0: float, t1: float, samples: int) -> list[float]:
         if va == 0.0:
             roots.append(float(a))
         elif va * vb < 0.0:
-            roots.append(float(brentq(lambda t: float(np.asarray(h(t))), a, b)))
+            roots.append(_bisect(h, float(a), float(b)))
     return sorted(set(r for r in roots if t0 < r < t1))
 
 
@@ -419,9 +431,6 @@ def parseval_check(f, params: JacobiParams, kmax: int) -> ParsevalReport:
 # ---------------------------------------------------------------------------
 # decay / growth analysis
 
-_MAX_GRID = 2 ** 22  # sup_norm_r: 32 MiB per grid array; 64 (k+1) fits up to k = 65535
-
-
 @dataclass(frozen=True)
 class DecayReport:
     """Least-squares slope of log|values| against log(k+1) over a window."""
@@ -466,21 +475,27 @@ def _fit_loglog(ks: np.ndarray, vals: np.ndarray) -> tuple[float, float, float, 
     return float(slope), float(intercept), r2, skipped
 
 
-def decay_fit(series: CoefficientSeries,
-              window: tuple[int, int] | None = None) -> DecayReport:
-    """Fit the decay (or growth) exponent of |coefficients| over a degree window."""
+def _decay_report(values: np.ndarray,
+                  window: tuple[int, int] | None) -> DecayReport:
+    """Log-log fit of |values[k]| over a checked window, by default (kmax/8, kmax)."""
+    kmax = len(values) - 1
     if window is None:
-        window = (max(series.kmax // 8, 1), series.kmax)
+        window = (max(kmax // 8, 1), kmax)
     k0, k1 = int(window[0]), int(window[1])
-    if not 0 <= k0 < k1 <= series.kmax:
+    if not 0 <= k0 < k1 <= kmax:
         raise ValueError(f"window {window} outside the series range")
     if k1 < 2 * k0:
         raise ValueError("window must span at least one doubling (k1 >= 2 k0)")
     ks = np.arange(k0, k1 + 1)
-    vals = np.asarray(series.values[k0:k1 + 1])
-    slope, intercept, r2, skipped = _fit_loglog(ks, vals)
-    tail = decade_max(series.values, max(k0, k1 // 2), k1)
+    slope, intercept, r2, skipped = _fit_loglog(ks, np.asarray(values[k0:k1 + 1]))
+    tail = decade_max(values, max(k0, k1 // 2), k1)
     return DecayReport((k0, k1), slope, intercept, r2, tail, skipped)
+
+
+def decay_fit(series: CoefficientSeries,
+              window: tuple[int, int] | None = None) -> DecayReport:
+    """Fit the decay (or growth) exponent of |coefficients| over a degree window."""
+    return _decay_report(series.values, window)
 
 
 @dataclass(frozen=True)
@@ -520,36 +535,25 @@ def counterexample_slope(params: JacobiParams, rho: float,
                                 series)
 
 
-def sup_norm_r(k: int, params: JacobiParams, region: str = "full",
-               grid: int | None = None) -> float:
-    """Max of |R_k(cos theta)| over a theta region, sharpened by local search.
+def sup_norm_r(k: int, params: JacobiParams, region: str = "full") -> float:
+    """Max of |R_k(cos theta)| over a theta region, from its exact critical set.
 
-    region is "full" ([0, pi]) or "right" ([pi/2, pi]).  The grid must hold
-    64 (k+1) to _MAX_GRID points, so the oscillation is resolved before refining.
+    region is "full" ([0, pi], x in [-1, 1]) or "right" ([pi/2, pi], x in [-1, 0]).
+    The extrema lie at the region ends or at the zeros of R_k', proportional to
+    P_(k-1)^(alpha+1, beta+1) (DLMF 18.9.15): the nodes of that Gauss-Jacobi
+    rule of k-1 points.  Degrees above 65535 are refused.
     """
     k = _check_degree(k)
-    if region == "full":
-        t_lo, t_hi = 0.0, math.pi
-    elif region == "right":
-        t_lo, t_hi = math.pi / 2.0, math.pi
-    else:
+    if k > 65535:
+        raise ValueError(f"degree {k} above the sup-norm limit 65535")
+    if region not in ("full", "right"):
         raise ValueError(f"unknown region {region!r}")
-    npts = 64 * (k + 1) if grid is None else int(grid)
-    if not 64 * (k + 1) <= npts <= _MAX_GRID:
-        raise ValueError(f"grid of {npts} points outside [{64 * (k + 1)}, {_MAX_GRID}]")
-    ts = np.linspace(t_lo, t_hi, npts)
-    vals = np.abs(jacobi_r(k, params, np.cos(ts)))
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, npts - 1)]
-    if hi > lo:
-        res = minimize_scalar(
-            lambda t: -abs(jacobi_r(k, params, math.cos(t))),
-            bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12})
-        best = max(best, float(-res.fun))
-    return best
+    x_hi = 1.0 if region == "full" else 0.0
+    x = np.array([-1.0, x_hi])
+    if k >= 2:  # the rule's nodes lie strictly inside (-1, 1)
+        nodes = gauss_jacobi_rule(k - 1, params.alpha + 1.0, params.beta + 1.0).nodes
+        x = np.concatenate((x, nodes[nodes < x_hi]))
+    return float(np.max(np.abs(jacobi_r(k, params, x))))
 
 
 def sup_norm_slope(params: JacobiParams, ks=None,

@@ -105,8 +105,11 @@ def _jacobi(k: int, params: JacobiParams, x, rows=None):
     a, b = params.alpha, params.beta
     m = np.arange(2.0, k + 1.0)
     s = 2.0 * m + a + b
+    c1 = 2.0 * m * (m + a + b) * (s - 2.0)
+    if not np.all(c1):
+        raise ValueError("alpha + beta within rounding of -2: the Jacobi step divides by 0")
     return _recurrence(k, x, (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0,
-                       2.0 * m * (m + a + b) * (s - 2.0), (s - 1.0) * (a * a - b * b),
+                       c1, (s - 1.0) * (a * a - b * b),
                        (s - 1.0) * s * (s - 2.0), 2.0 * (m + a - 1.0) * (m + b - 1.0) * s, rows)
 
 

@@ -1,6 +1,9 @@
 """Coefficients, norms, synthesis, Parseval, and the slope analyzers."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from fourierjacobi import (
     sup_norm_slope,
     h_normalizer,
     jacobi_p_one,
+    jacobi_r,
 )
 import fourierjacobi.series as series_module
 
@@ -154,6 +158,11 @@ class TestNorm:
         got = norm_l(CosinePoly((0.0, 1.0)), CHEB)
         ref, _ = quad(lambda t: abs(math.cos(t)), 0.0, math.pi)
         np.testing.assert_allclose(got, ref, rtol=1e-10)
+
+    def test_sign_change_cut_to_the_last_bit(self):
+        """The bisection that places cuts runs to adjacent doubles."""
+        (cut,) = series_module._sign_change_cuts(np.cos, 0.0, math.pi, 256)
+        assert abs(cut - math.pi / 2.0) <= math.ulp(math.pi / 2.0)
 
     def test_grid_sampled_norm(self):
         f = GridSampled((0.8, 1.5, 2.2), (0.0, 2.0, 0.0))
@@ -324,6 +333,18 @@ class TestCounterexample:
             counterexample_slope(JacobiParams(0.0, -0.5), -0.6, kmax=512)
 
 
+def test_package_does_not_import_scipy_optimize():
+    """Sups and sign-change cuts need no scipy.optimize; a fresh interpreter
+    shows whether any module of the package pulls it in."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(series_module.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fourierjacobi; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "False"
+
+
 class TestSupNorm:
     def test_region_s_attains_one(self):
         """Inside the bounded region the sup is 1, attained at theta = 0."""
@@ -343,32 +364,49 @@ class TestSupNorm:
         assert sup_norm_r(32, params, region="right") \
             <= sup_norm_r(32, params) + 1e-15
 
-    def test_grid_resolution_enforced(self):
-        with pytest.raises(ValueError):
-            sup_norm_r(10, CHEB, grid=100)
-
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError, match="degree"):
             sup_norm_r(-1, CHEB)
 
-    def test_grid_cap_checked_before_allocating(self, monkeypatch):
-        """An oversized grid raises before any array is built; the largest
-        allowed one gets past the check.  np.linspace is replaced, so a
-        broken check fails here instead of allocating gigabytes."""
+    def test_degree_cap_checked_before_building(self, monkeypatch):
+        """Degrees above 65535 raise before any rule is built; 65535 gets past
+        the check.  gauss_jacobi_rule is replaced, so a broken cap fails here
+        instead of building a huge rule."""
         class Built(Exception):
             pass
 
-        def no_grid(*args, **kwargs):
+        def no_rule(*args, **kwargs):
             raise Built
-        monkeypatch.setattr(series_module.np, "linspace", no_grid)
-        with pytest.raises(ValueError, match="points outside"):
-            sup_norm_r(3, CHEB, grid=10**9)
-        with pytest.raises(ValueError, match="points outside"):
-            sup_norm_r(3, CHEB, grid=series_module._MAX_GRID + 1)
+        monkeypatch.setattr(series_module, "gauss_jacobi_rule", no_rule)
+        for k in (65536, 10**9):
+            with pytest.raises(ValueError, match="degree"):
+                sup_norm_r(k, CHEB)
         with pytest.raises(Built):
-            sup_norm_r(3, CHEB, grid=series_module._MAX_GRID)
-        with pytest.raises(Built):  # default grid at the top of the slope ladder
-            sup_norm_r(1024, CHEB)
+            sup_norm_r(65535, CHEB)
+
+    @pytest.mark.parametrize("a, b, k, want", [
+        (-0.75, -0.75, 128, 5.782823090064851),
+        (-0.8, -0.8, 128, 9.012951913280409),
+        (-0.9, -0.95, 181, 31.975033792496728),
+        (-0.75, -0.75, 1024, 9.729648135491529),
+    ])
+    def test_near_tie_against_mpmath(self, a, b, k, want):
+        """Two interior maxima nearly tie here.  References: 40-digit mpmath,
+        Newton on R_k' from every critical point within 1e-6 of the max."""
+        np.testing.assert_allclose(sup_norm_r(k, JacobiParams(a, b)), want,
+                                   rtol=1e-11)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-0.95, 2.0, exclude_min=True),
+           st.floats(-0.95, 2.0, exclude_min=True),
+           st.integers(0, 200), st.sampled_from(["full", "right"]))
+    def test_not_below_dense_grid(self, a, b, k, region):
+        params = JacobiParams(a, b)
+        t_lo, x_hi = (0.0, 1.0) if region == "full" else (math.pi / 2.0, 0.0)
+        # cos(pi/2) rounds to 6e-17, just outside the right region
+        x = np.minimum(np.cos(np.linspace(t_lo, math.pi, 64 * (k + 1) + 1)), x_hi)
+        dense = float(np.max(np.abs(jacobi_r(k, params, x))))
+        assert sup_norm_r(k, params, region) >= dense - 1e-13 * max(1.0, dense)
 
     def test_slope_report_window(self):
         ks = (16, 24, 32, 48, 64, 96, 128, 192)

@@ -261,12 +261,13 @@ class TestSingleRecurrence:
         assert np.all(np.abs(got - ref) <= tol * np.maximum(1.0, np.abs(ref)))
 
     @pytest.mark.parametrize("a, b, region, slope", [
-        (-0.75, -0.75, "full", "0.251521510761152"),
+        (-0.75, -0.75, "full", "0.25153376891560436"),
         (0.5, -0.25, "right", "-0.7513680551173912"),
         (1.0, 0.0, "right", "-1.0000000000000104"),
     ])
     def test_sup_norm_slope_frozen(self, a, b, region, slope):
-        """The selftest growth slopes, frozen before the recurrence rewrite."""
+        """The selftest growth slopes, frozen before the recurrence rewrite;
+        (-0.75, -0.75) refrozen when sups moved to the exact critical set."""
         assert repr(sup_norm_slope(JacobiParams(a, b), region=region).slope) == slope
 
 
@@ -291,6 +292,31 @@ class TestNonFiniteArguments:
             call(bad)
         with pytest.raises(ValueError):
             call(np.array([0.5, bad, 0.25]))
+
+
+class TestExponentSumNearMinusTwo:
+    """With alpha + beta within rounding of -2 the Jacobi step constant is 0."""
+
+    P = JacobiParams(-0.9999999999999998, -0.9999999999999998)
+
+    def test_scalar(self):
+        for fn in (jacobi_p, jacobi_r):
+            with pytest.raises(ValueError, match="rounding of -2"):
+                fn(2, self.P, 0.0)
+
+    def test_array(self):
+        for fn in (jacobi_p, jacobi_r):
+            with pytest.raises(ValueError, match="rounding of -2"):
+                fn(2, self.P, np.array([0.0, 0.5]))
+
+    def test_table(self):
+        with pytest.raises(ValueError, match="rounding of -2"):
+            jacobi_r_table(3, self.P, np.array([0.0, 0.5]))
+
+    def test_low_degrees_still_evaluate(self):
+        """Degrees 0 and 1 take no step and stay finite."""
+        np.testing.assert_array_equal(
+            np.isfinite(jacobi_r_table(1, self.P, np.array([-1.0, 0.0, 1.0]))), True)
 
 
 class TestHyp2F1:
