@@ -16,6 +16,7 @@ from .specfun import JacobiParams, jacobi_r_table, h_normalizer_table
 from .quadrature import gauss_jacobi_rule
 from .series import (
     StepFunction,
+    PowerWeight,
     CosinePoly,
     CoefficientSeries,
     coefficient_series,
@@ -23,6 +24,8 @@ from .series import (
     decade_max,
     counterexample_slope,
     sup_norm_slope,
+    _analysis_pieces,
+    _converged_values,
 )
 from .mehler import mehler_r, mehler_limit_r
 from .laguerre import (
@@ -101,22 +104,35 @@ def check_mehler_pathways() -> CriterionResult:
                    f"{worst_lim:.3e} (limit form); tol 1e-8", budget=10.0)
 
 
+def closed_form_gap(f, params: JacobiParams, kmax: int = 256) -> float:
+    """Worst gap between the closed-form series of f and its quadrature series,
+    relative to max(1, max|hat|): the second pathway keeps the evidence
+    independent of the closed form."""
+    exact = coefficient_series(f, kmax, params).values
+    quad = _converged_values(_analysis_pieces(f, params), params, kmax)
+    return float(np.max(np.abs(exact - quad))) / max(1.0, float(np.max(np.abs(exact))))
+
+
 def check_decay_dichotomy() -> CriterionResult:
     """Coefficient tails shrink inside S; sup|R_k| grows outside."""
     t0 = time.perf_counter()
     step = StepFunction((math.pi / 3, math.pi / 2), (0.0, 1.0, 0.0))
     cospoly = CosinePoly(tuple(1.0 / (m + 1.0) for m in range(25)))
+    pairs = [(-0.5, -0.5), (0.0, 0.0), (0.5, -0.25), (2.0, 1.0)]
     parts = []
     ok = True
     for f, label in [(step, "step"), (cospoly, "cospoly")]:
         worst_ratio = 0.0
-        for a, b in [(-0.5, -0.5), (0.0, 0.0), (0.5, -0.25), (2.0, 1.0)]:
+        for a, b in pairs:
             series = coefficient_series(f, 1024, JacobiParams(a, b))
             low = decade_max(series.values, 16, 32)
             high = decade_max(series.values, 512, 1024)
             worst_ratio = max(worst_ratio, high / low)
         ok = ok and worst_ratio < 0.2
         parts.append(f"{label} worst tail/low ratio {worst_ratio:.3e}")
+    gap = max(closed_form_gap(step, JacobiParams(a, b)) for a, b in pairs)
+    ok = ok and gap <= 1e-9
+    parts.append(f"step closed form vs quadrature {gap:.3e} of scale (tol 1e-9)")
     rep = sup_norm_slope(JacobiParams(-0.75, -0.75), region="full")
     ok = ok and abs(rep.slope - 0.25) <= 0.05
     parts.append(f"(-0.75,-0.75) growth slope {rep.slope:.4f} (want 0.25±0.05)")
@@ -141,6 +157,11 @@ def check_counterexample_exponent() -> CriterionResult:
     ok = ok and rep.divergence_regime and rising
     parts.append("divergence regime decade maxima "
                  + " < ".join(f"{m:.3g}" for m in rep.decade_maxima))
+    gap = max(closed_form_gap(PowerWeight(rho), JacobiParams(a, b))
+              for a, b, rho in [(0.0, -0.5, -0.3), (0.5, 0.0, -0.6),
+                                (1.0, 0.25, -0.9), (-0.9, 0.0, -0.8)])
+    ok = ok and gap <= 1e-9
+    parts.append(f"closed form vs quadrature {gap:.3e} of scale (tol 1e-9)")
     return _result("counterexample-exponent", t0, ok, "; ".join(parts), budget=10.0)
 
 

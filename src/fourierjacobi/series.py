@@ -3,9 +3,10 @@
 The expansion weight is w(theta) = (sin theta/2)^(2a+1) (cos theta/2)^(2b+1).
 Every integral is transformed to x = cos(theta), where the weight becomes
 2^(-a-b-1) (1-x)^a (1+x)^b dx and Gauss-Jacobi rules absorb the endpoint
-singularities exactly.  Piecewise inputs are integrated piece by piece with
-mapped rules; a node-doubling guard backs every reported number.  Sup norms
-of R_k are maxima over its exact critical set.
+singularities exactly.  Step functions and the power weight have their
+coefficients in closed form.  Other inputs are integrated piece by piece with
+mapped rules, doubling the rule size until two sizes agree.  Sup norms of
+R_k are maxima over its exact critical set.
 """
 
 import json
@@ -13,9 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import beta as beta_function, betainc
 
-from .specfun import (JacobiParams, _check_degree, h_normalizer_table, jacobi_p_one,
-                      jacobi_r, jacobi_r_table)
+from .specfun import (JacobiParams, _binomial_ratios, _check_degree, _jacobi_p_table,
+                      h_normalizer_table, jacobi_p_one, jacobi_r, jacobi_r_table)
 from .quadrature import (converge_doubling, gauss_jacobi_rule, ladder_size,
                          mapped_jacobi_rule)
 
@@ -308,6 +310,72 @@ def _converged_values(pieces, params, kmax, n0=None,
         lambda m: _integrate_pieces(pieces, params, kmax, m), n, rtol)
 
 
+def _step_values(f: StepFunction, params: JacobiParams, kmax: int) -> np.ndarray:
+    """Hat coefficients of a step function for k = 0..kmax, in closed form.
+
+    With u = cos^2(theta/2) the weight is u^b (1-u)^a du, so hat(0) sums
+    regularized incomplete beta masses of the pieces.  For k >= 1,
+    -(1-x)^(a+1) (1+x)^(b+1) P_(k-1)^(a+1,b+1)(x) / (2k) is an antiderivative
+    of (1-x)^a (1+x)^b P_k(x) (DLMF 18.9.16), so summing by parts leaves its
+    jumps dv_j at the breakpoints t_j:
+        hat(k) = -sum_j dv_j sin^(2a+2)(t_j/2) cos^(2b+2)(t_j/2)
+                 P_(k-1)^(a+1,b+1)(cos t_j) / ((a+1) binom(k+a, k-1)).
+    1 - x and 1 + x come from the half angles, so that a breakpoint near 0
+    or pi keeps its mass.
+    """
+    a, b = params.alpha, params.beta
+    half = 0.5 * np.array((0.0, *f.breakpoints, math.pi))
+    sin_h, cos_h = np.sin(half), np.cos(half)
+    cos_h[-1] = 0.0  # cos(pi/2) rounds to 6e-17
+    # Regularized masses of [0, t] and of [t, pi].  Each piece takes the
+    # difference of whichever is smaller, so a thin piece at an end does not
+    # cancel against the whole mass.
+    head = betainc(a + 1.0, b + 1.0, sin_h ** 2).tolist()
+    tail = betainc(b + 1.0, a + 1.0, cos_h ** 2).tolist()
+    masses = [h1 - h0 if h1 <= t0 else t0 - t1
+              for h0, h1, t0, t1 in zip(head, head[1:], tail, tail[1:])]
+    out = np.zeros(kmax + 1)
+    out[0] = beta_function(a + 1.0, b + 1.0) * sum(v * m for v, m in zip(f.values, masses))
+    if kmax >= 1:
+        jumps = (-np.diff(f.values) * sin_h[1:-1] ** (2.0 * a + 2.0)
+                 * cos_h[1:-1] ** (2.0 * b + 2.0)).tolist()
+        # Unnormalized rows and a running-product binomial: the log-gamma
+        # normalizer of R_k tables is up to 5e-13 relative off by k = 300.
+        rows = _jacobi_p_table(kmax - 1, JacobiParams(a + 1.0, b + 1.0),
+                               np.cos(f.breakpoints))
+        # Column by column in breakpoint order: the bits of hat(k) do not
+        # depend on kmax or on a BLAS thread count.
+        for j, w in enumerate(jumps):
+            out[1:] += rows[:, j] * w
+        out[1:] /= (a + 1.0) * _binomial_ratios(kmax - 1, a + 1.0, 0.0)
+    return out
+
+
+def _power_values(rho: float, params: JacobiParams, kmax: int) -> np.ndarray:
+    """Hat coefficients of (1 + cos theta)^rho for k = 0..kmax, in closed form.
+
+    hat(0) = 2^rho B(a+1, b+rho+1) is a Beta integral, and the Rodrigues
+    formula integrated by parts k times (cf. DLMF 18.17) gives
+    hat(k) = hat(k-1) (rho+1-k) / (a+b+rho+1+k).
+    """
+    a, b = params.alpha, params.beta
+    if b + rho <= -1.0:
+        raise ValueError("need beta + rho > -1 for an integrable weight")
+    head = 2.0 ** rho * math.exp(math.lgamma(a + 1.0) + math.lgamma(b + rho + 1.0)
+                                 - math.lgamma(a + b + rho + 2.0))
+    ks = np.arange(1.0, kmax + 1.0)
+    return np.cumprod(np.concatenate(([head], (rho + 1.0 - ks) / (a + b + rho + 1.0 + ks))))
+
+
+def _exact_values(f, params: JacobiParams, kmax: int) -> np.ndarray | None:
+    """Closed-form hat coefficients for k = 0..kmax, or None when f has none."""
+    if isinstance(f, StepFunction):
+        return _step_values(f, params, kmax)
+    if isinstance(f, PowerWeight):
+        return _power_values(f.rho, params, kmax)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # public coefficient surface
 
@@ -354,9 +422,16 @@ class CoefficientSeries:
 
 
 def coefficient(f, k: int, params: JacobiParams, rtol: float = 1e-10) -> float:
-    """k-th hat coefficient: the weighted integral of f against R_k."""
+    """k-th hat coefficient: the weighted integral of f against R_k.
+
+    Step functions and the power weight take the closed forms of
+    coefficient_series, with the same bits as its entry k.
+    """
     if k < 0:
         raise ValueError("degree must be nonnegative")
+    exact = _exact_values(f, params, k)
+    if exact is not None:
+        return float(exact[k])
     pieces = _analysis_pieces(f, params)
     if not pieces:
         return 0.0
@@ -374,11 +449,21 @@ def coefficient(f, k: int, params: JacobiParams, rtol: float = 1e-10) -> float:
 def coefficient_series(f, kmax: int, params: JacobiParams,
                        normalization: str = "hat",
                        rtol: float = 1e-10) -> CoefficientSeries:
-    """All hat coefficients up to kmax in one sweep of the recurrence."""
+    """All hat coefficients up to kmax in one sweep of the recurrence.
+
+    Step functions and the power weight are summed in closed form (see
+    _step_values and _power_values), exact up to rounding: against 40-digit
+    mpmath they agree to within about 1e-14 of max(1, max|hat|) at kmax 1024.
+    Every other input is integrated with Gauss rules, doubling the rule size
+    until two sizes agree to rtol relative to max(1, max|hat|); rtol governs
+    only this quadrature pathway.
+    """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    vals = _converged_values(_analysis_pieces(f, params), params, kmax,
-                             rtol=rtol)
+    vals = _exact_values(f, params, kmax)
+    if vals is None:
+        vals = _converged_values(_analysis_pieces(f, params), params, kmax,
+                                 rtol=rtol)
     if normalization == "unnormalized":
         ones = np.array([jacobi_p_one(k, params) for k in range(kmax + 1)])
         vals = vals * ones

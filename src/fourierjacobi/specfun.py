@@ -3,7 +3,9 @@
 Each family has one forward three-term recurrence, shared by its scalar,
 array and table variants.  The normalized variants divide by the value at
 the right endpoint (x = 1 for Jacobi, x = 0 for Laguerre) so that every
-family starts at exactly 1 there.
+family starts at exactly 1 there.  At x = -1, where the first Jacobi step
+cancels and the recurrence amplifies it, the Jacobi variants take the
+closed-form endpoint value instead.
 """
 
 from dataclasses import dataclass
@@ -133,6 +135,37 @@ def _normalized(vals, one, at_end):
     return vals
 
 
+def _pinned_at_minus_one(vals, x, ends):
+    """vals with the entries at x = -1 set to ends(): a value, or a column of a table."""
+    at = x == -1.0
+    if not np.any(at):
+        return vals
+    if isinstance(vals, float):
+        return float(ends())
+    vals[..., at] = ends()
+    return vals
+
+
+def _binomial_ratios(kmax: int, top: float, bottom: float) -> np.ndarray:
+    """binom(k + top, k) / binom(k + bottom, k) for every k = 0..kmax.
+
+    A running product of (m + top) / (m + bottom), within about sqrt(k) ulps:
+    exp of log-gamma differences loses about 1e-12 relative by k = 1024.
+    """
+    m = np.arange(1.0, kmax + 1.0)
+    return np.cumprod(np.concatenate(([1.0], (m + top) / (m + bottom))))
+
+
+def _at_minus_one(kmax: int, top: float, bottom: float) -> np.ndarray:
+    """(-1)^k binom(k + top, k) / binom(k + bottom, k) for every k = 0..kmax.
+
+    P_k^(a,b)(-1) is this with (top, bottom) = (b, 0), and R_k^(a,b)(-1) with (b, a).
+    """
+    vals = _binomial_ratios(kmax, top, bottom)
+    vals[1::2] *= -1.0
+    return vals
+
+
 def _r_table(family, kmax: int, params, a: float, x, end: float) -> np.ndarray:
     """Rows k = 0..kmax of family(kmax, params, x) divided by binom(k + a, k)."""
     kmax, arr = _check_degree(kmax), np.atleast_1d(np.asarray(x, dtype=float))
@@ -144,8 +177,21 @@ def _r_table(family, kmax: int, params, a: float, x, end: float) -> np.ndarray:
 
 
 def jacobi_p(k: int, params: JacobiParams, x):
-    """Jacobi polynomial P_k at x, for x in [-1, 1] (scalar or array)."""
-    return _jacobi(_check_degree(k), params, np.asarray(x, dtype=float))
+    """Jacobi polynomial P_k at x, for x in [-1, 1] (scalar or array).
+
+    P_k(-1) = (-1)^k binom(k + beta, k) is exact up to rounding.
+    """
+    k, arr = _check_degree(k), np.asarray(x, dtype=float)
+    return _pinned_at_minus_one(_jacobi(k, params, arr), arr,
+                                lambda: _at_minus_one(k, params.beta, 0.0)[k])
+
+
+def _jacobi_p_table(kmax: int, params: JacobiParams, x: np.ndarray) -> np.ndarray:
+    """P_k(x) for every k = 0..kmax as a (kmax+1, len(x)) array, exact at x = -1."""
+    kmax, arr = _check_degree(kmax), np.atleast_1d(np.asarray(x, dtype=float))
+    tab = np.empty((kmax + 1, arr.size))
+    _jacobi(kmax, params, arr, tab)
+    return _pinned_at_minus_one(tab, arr, lambda: _at_minus_one(kmax, params.beta, 0.0)[:, None])
 
 
 def jacobi_p_one(k: int, params: JacobiParams) -> float:
@@ -154,14 +200,22 @@ def jacobi_p_one(k: int, params: JacobiParams) -> float:
 
 
 def jacobi_r(k: int, params: JacobiParams, x):
-    """Normalized Jacobi polynomial R_k = P_k / P_k(1), with R_k(1) = 1 exactly."""
+    """Normalized Jacobi polynomial R_k = P_k / P_k(1), with R_k(1) = 1 exactly.
+
+    R_k(-1) = (-1)^k binom(k + beta, k) / binom(k + alpha, k) is exact up to
+    rounding.
+    """
     k, arr = _check_degree(k), np.asarray(x, dtype=float)
-    return _normalized(_jacobi(k, params, arr), jacobi_p_one(k, params), arr == 1.0)
+    vals = _normalized(_jacobi(k, params, arr), jacobi_p_one(k, params), arr == 1.0)
+    return _pinned_at_minus_one(vals, arr,
+                                lambda: _at_minus_one(k, params.beta, params.alpha)[k])
 
 
 def jacobi_r_table(kmax: int, params: JacobiParams, x: np.ndarray) -> np.ndarray:
-    """R_k(x) for every k = 0..kmax as a (kmax+1, len(x)) array."""
-    return _r_table(_jacobi, kmax, params, params.alpha, x, 1.0)
+    """R_k(x) for every k = 0..kmax as a (kmax+1, len(x)) array, exact at x = +-1."""
+    return _pinned_at_minus_one(_r_table(_jacobi, kmax, params, params.alpha, x, 1.0),
+                                np.atleast_1d(np.asarray(x, dtype=float)),
+                                lambda: _at_minus_one(kmax, params.beta, params.alpha)[:, None])
 
 
 def laguerre_l(k: int, alpha: float, x):

@@ -2,8 +2,10 @@
 
 The README examples are pinned byte for byte against README_CLI_GOLDEN.
 Each runs as `python -m fourierjacobi.cli` with single-threaded BLAS: the
-coefficient sums are matrix-vector products, whose last bits depend on the
-BLAS thread count.  After an intended output change, refreeze with
+quadrature coefficient sums are matrix-vector products, whose last bits
+depend on the BLAS thread count.  The step-function and power-weight
+examples use no such product and are also run at the default thread count.
+After an intended output change, refreeze with
 `PYTHONPATH=src python tests/test_cli.py --freeze` and review the diff.
 """
 
@@ -195,11 +197,17 @@ def readme_commands() -> list[str]:
     return [line for line in block.splitlines() if line.startswith("fourierjacobi ")]
 
 
-def run_readme_command(command: str) -> dict:
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_readme_command(command: str, single_thread: bool = True) -> dict:
+    """Run one README example; without single_thread the BLAS thread
+    variables are removed, so BLAS picks its default thread count."""
     src = str(Path(fourierjacobi.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if single_thread:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "fourierjacobi.cli",
                            *shlex.split(command)[1:]],
                           env=env, capture_output=True, text=True, timeout=300)
@@ -215,6 +223,19 @@ class TestReadmeGolden:
         assert sorted(commands) == sorted(golden), "README examples and golden differ"
         with ThreadPoolExecutor(2) as pool:
             for command, got in zip(commands, pool.map(run_readme_command, commands)):
+                assert got == golden[command], command
+
+    def test_closed_form_examples_at_default_blas_threads(self):
+        """coeffs, decay and counterexample print the same bytes whatever the
+        BLAS thread count: their series are closed forms, summed in a fixed
+        order."""
+        golden = {g["command"]: g for g in json.loads(README_CLI_GOLDEN.read_text())}
+        commands = [c for c in readme_commands()
+                    if c.split()[1] in ("coeffs", "decay", "counterexample")]
+        assert len(commands) == 3
+        with ThreadPoolExecutor(2) as pool:
+            runs = pool.map(lambda c: run_readme_command(c, single_thread=False), commands)
+            for command, got in zip(commands, runs):
                 assert got == golden[command], command
 
 

@@ -294,8 +294,8 @@ SINGLE_RULE_LOOPS = {
     "mehler_limit_r": lambda: mehler_limit_r(5, -0.4, 1.0),
     "kernel_mass_h": lambda: kernel_mass_h(0.7, 0.25),
     "jacobi_function": lambda: jacobi_function(3.0, 1.5, P),
-    "coefficient": lambda: coefficient(StepFunction((1.0,), (1.0, 0.0)), 3, P),
-    "coefficient_series": lambda: coefficient_series(PowerWeight(-0.3), 64, P),
+    "coefficient": lambda: coefficient(CosinePoly((0.5, 1.0, 0.25)), 3, P),
+    "coefficient_series": lambda: coefficient_series(np.cos, 64, P),
     "norm_l": lambda: norm_l(CosinePoly((1.0, 0.5)), P),
     "laguerre_step_series": lambda: laguerre_coefficient_series(UNIT_STEP, 8, 0.5),
     "laguerre_poly_series": lambda: laguerre_coefficient_series(
@@ -334,6 +334,14 @@ class TestDoublingLoops:
         SINGLE_RULE_LOOPS[name]()
         assert len(built_sizes) >= 2
         assert all(n1 > n0 for n0, n1 in zip(built_sizes, built_sizes[1:]))
+
+    @pytest.mark.parametrize("f", [StepFunction((1.0, 2.5), (0.5, 1.0, -2.0)),
+                                   PowerWeight(-0.3)])
+    def test_closed_forms_request_no_rule(self, f, built_sizes):
+        """Step functions and the power weight are summed in closed form."""
+        coefficient_series(f, 512, P)
+        coefficient(f, 7, P)
+        assert built_sizes == []
 
     def test_transform_sweep_levels(self, built_sizes, monkeypatch):
         """Each sweep level uses a larger outer rule and larger kernel rules

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 from scipy.integrate import quad
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fourierjacobi import (
     AccuracyError,
@@ -35,6 +35,7 @@ from fourierjacobi import (
     jacobi_r,
 )
 import fourierjacobi.series as series_module
+from fourierjacobi.selftest import closed_form_gap
 
 CHEB = JacobiParams(-0.5, -0.5)
 STEP = StepFunction((math.pi / 3, math.pi / 2), (0.0, 1.0, 0.0))
@@ -219,7 +220,7 @@ class TestCoefficientSeries:
     @pytest.mark.parametrize("f,kmax,params,rtol", [
         (CosinePoly(tuple(1.0 / (m + 1.0) for m in range(25))), 1024,
          JacobiParams(-0.9, 0.0), 1e-12),
-        (PowerWeight(-0.3), 256, JacobiParams(0.0, -0.5), 1e-14),
+        (CosinePoly((1.0, 0.5, 0.25)), 256, JacobiParams(-0.5, -0.9), 1e-14),
     ])
     def test_unreachable_rtol_raises(self, f, kmax, params, rtol):
         """When the last two doublings still differ by more than rtol the
@@ -227,6 +228,70 @@ class TestCoefficientSeries:
         with pytest.raises(AccuracyError) as exc:
             coefficient_series(f, kmax, params, rtol=rtol)
         assert exc.value.achieved > rtol
+
+
+MULTI = StepFunction((0.3, 1.1, 2.0, 2.9), (0.5, -1.0, 2.0, 0.25, 1.0))
+NEAR_ZERO = StepFunction((1e-9,), (1.0, 0.0))
+
+
+class TestClosedForms:
+    """Step functions and the power weight are summed in closed form."""
+
+    @pytest.mark.parametrize("f, a, b, want", [
+        (STEP, -0.5, -0.5, (0.5235987755982989, 0.1339745962155614,
+                            0.001381181404284195, 0.003382911733532845)),
+        (STEP, 2.0, 1.0, (0.021809895833333332, 0.007486979166666667,
+                          3.231681043167334e-08, -1.1265538530173305e-09)),
+        (STEP, -0.9, 0.0, (0.6248242824068329, -1.8639642670368946,
+                           -0.1645162958476281, 0.3543999413059842)),
+        (MULTI, 0.5, -0.25, (0.7973796423155787, 0.03407967124416884,
+                             3.450196019212391e-05, 1.0937443873826082e-05)),
+        (MULTI, -0.9, 0.0, (3.323954942617413, -4.296931076663654,
+                            -1.7272789958170878, 0.6452485646721657)),
+        (NEAR_ZERO, 0.5, -0.25, (8.333333333333336e-29, 8.333333333333334e-29,
+                                 8.333333333333327e-29, 8.33333333333328e-29)),
+    ])
+    def test_step_against_mpmath(self, f, a, b, want):
+        """hat(k) at k = 0, 1, 97, 256.  References: 40-digit mpmath betainc
+        and jacobi in the same closed forms, for the float breakpoints; the
+        forms themselves are checked against quadrature below.  The mass of a
+        piece [0, 1e-9] is kept to rounding although cos(1e-9) rounds to 1."""
+        vals = coefficient_series(f, 256, JacobiParams(a, b)).values
+        got = vals[[0, 1, 97, 256]]
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_power_weight_against_mpmath(self):
+        """hat(k) of (1 + cos theta)^-0.8 at (-0.9, 0), k = 0, 1, 512, 1024:
+        the Beta integral and the degree ratio in 40-digit mpmath."""
+        vals = coefficient_series(PowerWeight(-0.8), 1024, JacobiParams(-0.9, 0.0)).values
+        want = [8.385137008864785, -22.360365356972768, 487.55848339005854,
+                689.494956498145]
+        np.testing.assert_allclose(vals[[0, 1, 512, 1024]], want, rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-0.95, 2.0, exclude_min=True), st.floats(-0.95, 2.0, exclude_min=True),
+           st.lists(st.floats(0.05, math.pi - 0.05), min_size=1, max_size=4, unique=True),
+           st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5))
+    def test_step_matches_quadrature(self, a, b, cuts, values):
+        cuts = sorted(cuts)
+        assume(all(t1 - t0 > 1e-3 for t0, t1 in zip(cuts, cuts[1:])))
+        f = StepFunction(tuple(cuts), tuple(values[:len(cuts) + 1]))
+        assert closed_form_gap(f, JacobiParams(a, b), 64) <= 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-0.95, 2.0, exclude_min=True), st.floats(-0.95, 2.0, exclude_min=True),
+           st.floats(-0.9, 1.5))
+    def test_power_weight_matches_quadrature(self, a, b, rho):
+        assume(b + rho > -0.9)
+        assert closed_form_gap(PowerWeight(rho), JacobiParams(a, b), 64) <= 1e-9
+
+    @pytest.mark.parametrize("f", [MULTI, PowerWeight(-0.3)])
+    def test_coefficient_is_series_entry(self, f):
+        """coefficient(f, k) has the bits of coefficient_series(f, kmax)[k]."""
+        params = JacobiParams(0.5, -0.25)
+        series = coefficient_series(f, 300, params).values
+        for k in (0, 1, 2, 77, 300):
+            assert coefficient(f, k, params) == series[k]
 
 
 class TestSynthesize:

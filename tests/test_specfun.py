@@ -215,8 +215,11 @@ class TestSingleRecurrence:
         assert np.shares_memory(row, rows[k])
         scalar = [jacobi_p(k, params, x) for x in xs]
         assert all(type(v) is float for v in scalar)
-        assert self.bits(scalar) == self.bits(jacobi_p(k, params, arr)) == self.bits(row)
-        assert self.bits(scalar) == self.bits(self.former_jacobi(k, a, b, arr))
+        assert self.bits(scalar) == self.bits(jacobi_p(k, params, arr))
+        # x = -1 takes the closed form instead (TestMinusOneEndpoint).
+        rec = arr != -1.0
+        assert self.bits(np.array(scalar)[rec]) == self.bits(row[rec]) \
+            == self.bits(self.former_jacobi(k, a, b, arr)[rec])
         r_scalar = [jacobi_r(k, params, x) for x in xs]
         assert self.bits(r_scalar) == self.bits(jacobi_r(k, params, arr))
         # Table rows divide by a gammaln binomial, the others by lgamma's.
@@ -262,12 +265,14 @@ class TestSingleRecurrence:
 
     @pytest.mark.parametrize("a, b, region, slope", [
         (-0.75, -0.75, "full", "0.25153376891560436"),
-        (0.5, -0.25, "right", "-0.7513680551173912"),
-        (1.0, 0.0, "right", "-1.0000000000000104"),
+        (0.5, -0.25, "right", "-0.7513680551172258"),
+        (1.0, 0.0, "right", "-0.9999999999999991"),
     ])
     def test_sup_norm_slope_frozen(self, a, b, region, slope):
         """The selftest growth slopes, frozen before the recurrence rewrite;
-        (-0.75, -0.75) refrozen when sups moved to the exact critical set."""
+        (-0.75, -0.75) refrozen when sups moved to the exact critical set, and
+        the right-region pair when R_k(-1), their sup at every degree, became
+        closed form (40-digit mpmath fits: -0.75136805511722694, -1)."""
         assert repr(sup_norm_slope(JacobiParams(a, b), region=region).slope) == slope
 
 
@@ -292,6 +297,41 @@ class TestNonFiniteArguments:
             call(bad)
         with pytest.raises(ValueError):
             call(np.array([0.5, bad, 0.25]))
+
+
+class TestMinusOneEndpoint:
+    """R_k(-1) and P_k(-1) are closed form, on every Jacobi path."""
+
+    @pytest.mark.parametrize("a, b, k, r_want, p_want", [
+        (0.1, 0.6, 1024, 34.085433025362875, 71.66076815663894),
+        (-0.6, 0.3, 1024, 1265.8319128992543, 8.915637266804755),
+        (0.5, -0.25, 1024, 0.003993350483314777, 0.14424522907963397),
+        (0.1, 0.6, 181, -14.358051753328457, -25.389521736142704),
+        (-0.99999999999876, -0.99999999998886, 24, 8.98379443134654, 4.641657428980101e-13),
+    ])
+    def test_against_mpmath(self, a, b, k, r_want, p_want):
+        """References: (-1)^k binom(k + b, k) / binom(k + a, k) and
+        (-1)^k binom(k + b, k) in 40-digit mpmath.  The forward recurrence was
+        4.4e-11 relative off at (0.1, 0.6) and returned 1.4e9 for the last
+        case, where P_1 cancels at x = -1."""
+        params = JacobiParams(a, b)
+        r = jacobi_r(k, params, -1.0)
+        assert type(r) is float
+        assert r == jacobi_r(k, params, np.array([0.5, -1.0]))[1]
+        assert r == jacobi_r_table(k, params, np.array([-1.0, 0.5]))[k, 0]
+        assert abs(r - r_want) <= 2e-14 * abs(r_want)
+        p = jacobi_p(k, params, -1.0)
+        assert type(p) is float
+        assert p == jacobi_p(k, params, np.array([[-1.0], [0.5]]))[0, 0]
+        assert abs(p - p_want) <= 1e-13 * abs(p_want)
+
+    def test_table_column(self):
+        """Every row of a table takes its own degree's endpoint value."""
+        params = JacobiParams(0.3, -0.7)
+        tab = jacobi_r_table(40, params, np.array([0.2, -1.0]))
+        want = [sp.binom(k - 0.7, k) / sp.binom(k + 0.3, k) * (-1) ** k for k in range(41)]
+        np.testing.assert_allclose(tab[:, 1], want, rtol=1e-13)
+        np.testing.assert_array_equal(tab[:, 0], jacobi_r_table(40, params, np.array([0.2]))[:, 0])
 
 
 class TestExponentSumNearMinusTwo:
