@@ -427,8 +427,7 @@ def coefficient(f, k: int, params: JacobiParams, rtol: float = 1e-10) -> float:
     Step functions and the power weight take the closed forms of
     coefficient_series, with the same bits as its entry k.
     """
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
+    k = _check_degree(k)
     exact = _exact_values(f, params, k)
     if exact is not None:
         return float(exact[k])
@@ -458,7 +457,7 @@ def coefficient_series(f, kmax: int, params: JacobiParams,
     until two sizes agree to rtol relative to max(1, max|hat|); rtol governs
     only this quadrature pathway.
     """
-    if kmax < 1:
+    if _check_degree(kmax) < 1:
         raise ValueError("kmax must be at least 1")
     vals = _exact_values(f, params, kmax)
     if vals is None:

@@ -166,11 +166,17 @@ def _at_minus_one(kmax: int, top: float, bottom: float) -> np.ndarray:
     return vals
 
 
-def _r_table(family, kmax: int, params, a: float, x, end: float) -> np.ndarray:
-    """Rows k = 0..kmax of family(kmax, params, x) divided by binom(k + a, k)."""
+def _p_table(family, kmax: int, params, x) -> tuple[np.ndarray, np.ndarray]:
+    """Rows k = 0..kmax of family(kmax, params, x), and x as a 1-d array."""
     kmax, arr = _check_degree(kmax), np.atleast_1d(np.asarray(x, dtype=float))
     tab = np.empty((kmax + 1, arr.size))
     family(kmax, params, arr, tab)
+    return tab, arr
+
+
+def _r_table(family, kmax: int, params, a: float, x, end: float) -> np.ndarray:
+    """Rows k = 0..kmax of family(kmax, params, x) divided by binom(k + a, k)."""
+    tab, arr = _p_table(family, kmax, params, x)
     ks = np.arange(kmax + 1, dtype=float)
     ones = np.exp(gammaln(ks + a + 1.0) - gammaln(ks + 1.0) - lgamma(a + 1.0))
     return _normalized(tab, ones[:, None], arr == end)
@@ -188,9 +194,7 @@ def jacobi_p(k: int, params: JacobiParams, x):
 
 def _jacobi_p_table(kmax: int, params: JacobiParams, x: np.ndarray) -> np.ndarray:
     """P_k(x) for every k = 0..kmax as a (kmax+1, len(x)) array, exact at x = -1."""
-    kmax, arr = _check_degree(kmax), np.atleast_1d(np.asarray(x, dtype=float))
-    tab = np.empty((kmax + 1, arr.size))
-    _jacobi(kmax, params, arr, tab)
+    tab, arr = _p_table(_jacobi, kmax, params, x)
     return _pinned_at_minus_one(tab, arr, lambda: _at_minus_one(kmax, params.beta, 0.0)[:, None])
 
 

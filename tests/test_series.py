@@ -216,6 +216,14 @@ class TestCoefficientSeries:
             CoefficientSeries(CHEB, 3, np.zeros(4), normalization="bogus")
         with pytest.raises(ValueError):
             coefficient_series(STEP, 0, CHEB)
+        # Closed-form and quadrature inputs reject a bad degree alike.
+        grid = GridSampled(tuple(np.linspace(0.5, 2.5, 9)), tuple(np.ones(9)))
+        for f in (STEP, PowerWeight(-0.3), grid):
+            for bad in (2.5, -1):
+                with pytest.raises(ValueError, match="degree"):
+                    coefficient(f, bad, CHEB)
+            with pytest.raises(ValueError, match="degree"):
+                coefficient_series(f, 16.0, CHEB)
 
     @pytest.mark.parametrize("f,kmax,params,rtol", [
         (CosinePoly(tuple(1.0 / (m + 1.0) for m in range(25))), 1024,
