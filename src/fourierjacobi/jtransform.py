@@ -156,9 +156,6 @@ def _cosine_data(t: float, params: JacobiParams,
     psi = -np.expm1(-2.0 * (t + s)) * (-np.expm1(-2.0 * d)) / (2.0 * d)
     q = np.exp(_log_cosh(s) - lc_t)
     z = 0.5 * (1.0 - q)
-    if float(np.min(z)) < 0.0 or float(np.max(z)) >= 1.0:
-        raise AccuracyError("hypergeometric argument left [0, 1) at a node",
-                            achieved=float(np.max(z)))
     f21 = _hyp2f1_array(a + b, a - b, a + 0.5, z)
     lp = ((1.5 - a) * log(2.0) + lgamma(a + 1.0) - lgamma(a + 0.5)
           - lgamma(0.5) - 2.0 * a * float(_log_sinh(t)) - (a + b) * lc_t

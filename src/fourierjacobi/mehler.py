@@ -17,7 +17,6 @@ from math import lgamma, exp, cos, sin
 
 import numpy as np
 
-from .errors import AccuracyError
 from .specfun import JacobiParams, PolyValue, _check_degree, _hyp2f1_array
 from .quadrature import (mehler_inner_rule, mapped_jacobi_rule, converge_doubling,
                          ladder_size)
@@ -38,13 +37,6 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-def _check_f_argument(z: np.ndarray):
-    """The 2F1 argument must stay inside [0, 1) at every node."""
-    if z.size and (float(np.min(z)) < 0.0 or float(np.max(z)) >= 1.0):
-        raise AccuracyError("hypergeometric argument left [0, 1) at a node",
-                            achieved=float(np.max(z)))
-
-
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """The arrays, read-only, since cached node data is shared by every caller."""
     for arr in arrays:
@@ -61,7 +53,6 @@ def _mehler_nodes(alpha: float, beta: float, theta: float, n: int):
     rule = mehler_inner_rule(theta, alpha, n)
     t = np.cos(rule.nodes)
     z = (t - cos(theta)) / (1.0 + t)
-    _check_f_argument(z)
     f21 = _hyp2f1_array((alpha + beta + 1.0) / 2.0, (alpha + beta) / 2.0,
                         alpha + 0.5, z)
     pw = (1.0 + t) ** (-(alpha + beta) / 2.0)
@@ -77,7 +68,6 @@ def _limit_nodes(beta: float, theta: float, n: int):
     rule = mapped_jacobi_rule(n, 0.0, 0.0, 0.0, theta)
     phi = rule.nodes
     z = (np.cos(phi) - cos(theta)) / (1.0 + np.cos(phi))
-    _check_f_argument(z)
     f21 = _hyp2f1_array(beta / 2.0 + 1.25, beta / 2.0 + 0.75, 2.0, z)
     pw = np.cos(phi / 2.0) ** (-beta - 1.5)
     return _frozen(phi, rule.weights, pw, f21)
@@ -116,7 +106,7 @@ def mehler_limit_r(k: int, beta: float, theta: float,
     """R_k(cos theta) at alpha = -1/2 through the limit formula, for beta < 0.
 
     The leading cosine term is exact; the correction integral has a smooth
-    integrand (its 2F1 series still converges at argument 1 since beta < 0)
+    integrand (2F1 is finite at argument 1 since beta < 0)
     and is handled by a plain mapped Gauss rule with doubling.
     """
     k = _check_degree(k)

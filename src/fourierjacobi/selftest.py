@@ -101,7 +101,7 @@ def check_mehler_pathways() -> CriterionResult:
     ok = worst <= 1e-8 and worst_lim <= 1e-8
     return _result("mehler-pathways", t0, ok,
                    f"max discrepancy {worst:.3e} (singular form), "
-                   f"{worst_lim:.3e} (limit form); tol 1e-8", budget=10.0)
+                   f"{worst_lim:.3e} (limit form); tol 1e-8", budget=2.0)
 
 
 def closed_form_gap(f, params: JacobiParams, kmax: int = 256) -> float:
@@ -237,7 +237,7 @@ def check_transform() -> CriterionResult:
     ratio = float(np.max(np.abs(high)) / np.max(np.abs(low)))
     ok = ok and ratio < 0.2
     parts.append(f"high/low frequency ratio {ratio:.3e} (tol 0.2)")
-    return _result("transform", t0, ok, "; ".join(parts), budget=10.0)
+    return _result("transform", t0, ok, "; ".join(parts), budget=8.0)
 
 
 def check_fit_sanity() -> CriterionResult:

@@ -471,8 +471,20 @@ def coefficient_series(f, kmax: int, params: JacobiParams,
     return CoefficientSeries(params, kmax, vals, normalization)
 
 
+def _step_integral(f: StepFunction, params: JacobiParams, g) -> float:
+    """The weighted integral of g(f), as hat(0) of a step in closed form.
+
+    hat(0) takes each piece's mass from the half angles, so a breakpoint
+    next to 0 or pi, where the quadrature pieces would be empty, keeps it.
+    """
+    values = tuple(g(v) for v in f.values)
+    return float(_step_values(StepFunction(f.breakpoints, values), params, 0)[0])
+
+
 def norm_l(f, params: JacobiParams) -> float:
     """Weighted L1 norm of f: the integral of |f| against the expansion weight."""
+    if isinstance(f, StepFunction):
+        return _step_integral(f, params, abs)
     pieces = _abs_pieces(f, params)
     return float(_converged_values(pieces, params, 0, n0=64)[0])
 
@@ -507,8 +519,11 @@ def parseval_check(f, params: JacobiParams, kmax: int) -> ParsevalReport:
     series = coefficient_series(f, kmax, params)
     h = h_normalizer_table(kmax, params)
     partial = float(h @ series.values ** 2)
-    norm_sq = float(_converged_values(_sq_pieces(f, params), params, 0,
-                                      n0=64)[0])
+    if isinstance(f, StepFunction):
+        norm_sq = _step_integral(f, params, lambda v: v * v)
+    else:
+        norm_sq = float(_converged_values(_sq_pieces(f, params), params, 0,
+                                          n0=64)[0])
     return ParsevalReport(kmax, partial, norm_sq, norm_sq - partial)
 
 

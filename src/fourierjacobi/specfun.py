@@ -6,13 +6,16 @@ the right endpoint (x = 1 for Jacobi, x = 0 for Laguerre) so that every
 family starts at exactly 1 there.  At x = -1, where the first Jacobi step
 cancels and the recurrence amplifies it, the Jacobi variants take the
 closed-form endpoint value instead.
+
+Gauss 2F1 is SciPy's ufunc, kept to the arguments the integral formulas
+need: [0, 1) for arrays, and z = 1 through the Gauss sum when c - a - b > 0.
 """
 
 from dataclasses import dataclass
 from math import lgamma, exp
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
+from scipy.special import gammaln, gammasgn, hyp2f1 as _scipy_hyp2f1
 
 from .errors import AccuracyError
 
@@ -244,40 +247,25 @@ def laguerre_r_table(kmax: int, alpha: float, x: np.ndarray) -> np.ndarray:
     return _r_table(_laguerre, kmax, alpha, alpha, x, 0.0)
 
 
-def _hyp2f1_array(a: float, b: float, c: float, z: np.ndarray,
-                  rtol: float = 1e-14, max_terms: int = 100_000) -> np.ndarray:
-    """Gauss series summed simultaneously over an array of arguments in [0, 1)."""
+def _hyp2f1_array(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
+    """2F1(a, b; c; z) elementwise over an array of arguments in [0, 1).
+
+    SciPy's ufunc, which takes z near 1 through the connection formulas of
+    DLMF 15.8, log cases (c - a - b an integer) included.
+    """
     z = np.asarray(z, dtype=float)
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    zmax = float(np.max(z, initial=0.0))
-    # Rounding a product with a scalar is monotone and sign-symmetric, so
-    # max|r z| over the array is exactly |r| max|z|: no reduction per term.
-    zabs = float(np.max(np.abs(z), initial=0.0))
-    for n in range(max_terms):
-        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
-        total += term
-        if n % 4 == 3 or n < 8:
-            q = max(zmax, abs((a + n) * (b + n) / ((c + n) * (n + 1.0))) * zabs)
-            if q < 1.0:
-                tail = np.abs(term) * q / (1.0 - q)
-                if np.all(tail <= rtol * np.maximum(np.abs(total), 1e-300)):
-                    return total
-            if not np.any(term):
-                return total
-    raise AccuracyError(
-        "2F1 series did not converge within %d terms" % max_terms,
-        achieved=float(np.max(np.abs(term))),
-    )
+    if z.size and not (float(np.min(z)) >= 0.0 and float(np.max(z)) < 1.0):
+        raise AccuracyError("hypergeometric argument left [0, 1) at a node",
+                            achieved=float(np.max(z)))
+    return _scipy_hyp2f1(a, b, c, z)
 
 
-def hyp2f1(a: float, b: float, c: float, z: float,
-           rtol: float = 1e-14, max_terms: int = 100_000) -> float:
-    """Gauss hypergeometric 2F1(a, b; c; z) by direct series.
+def hyp2f1(a: float, b: float, c: float, z: float) -> float:
+    """Gauss hypergeometric 2F1(a, b; c; z) by SciPy's ufunc.
 
     Valid for z in [0, 1); z = 1 is accepted when c - a - b > 0, where the
-    series still converges (with an algebraic rather than geometric tail).
-    Returns exactly 1.0 when z = 0 or when a or b is zero.
+    Gauss sum gives the value.  Returns exactly 1.0 when z = 0 or when a or
+    b is zero.
     """
     if c <= 0.0 and c == int(c):
         raise ValueError("2F1 parameter c must not be a nonpositive integer")
@@ -289,12 +277,10 @@ def hyp2f1(a: float, b: float, c: float, z: float,
         s = c - a - b
         if s <= 0.0:
             raise ValueError("2F1 series diverges at z = 1 unless c - a - b > 0")
-        # The algebraic tail makes term-by-term summation useless here; the
-        # Gauss evaluation is exact.
         sign = (gammasgn(c) * gammasgn(s) * gammasgn(c - a) * gammasgn(c - b))
         return sign * exp(gammaln(c) + gammaln(s)
                           - gammaln(c - a) - gammaln(c - b))
-    return float(_hyp2f1_array(a, b, c, np.array([z]), rtol=rtol, max_terms=max_terms)[0])
+    return float(_hyp2f1_array(a, b, c, np.array([z]))[0])
 
 
 def h_normalizer(k: int, params: JacobiParams) -> float:

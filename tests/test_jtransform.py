@@ -18,6 +18,8 @@ from fourierjacobi import (
     transform_sweep,
     envelope_check,
 )
+from fourierjacobi import jtransform
+from fourierjacobi.quadrature import QuadratureRule
 
 # High-precision reference values for phi_tau(t), computed once with an
 # arbitrary-precision hypergeometric series and frozen here.  Keys are
@@ -123,6 +125,15 @@ class TestJacobiFunction:
                 continue
             got = jacobi_function_series(tau, t, JacobiParams(a, b))
             np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-11)
+
+    @pytest.mark.parametrize("params", [JacobiParams(0.5, 0.0), JacobiParams(-0.5, 0.25)])
+    def test_argument_outside_unit_interval_raises(self, params, monkeypatch):
+        """A node past t puts the 2F1 argument below 0, and the 2F1 wrapper
+        refuses it in both kernel forms."""
+        past = QuadratureRule(np.array([1.5]), np.array([1.0]), "bad", 0.0, 0.0, (0.0, 1.5))
+        monkeypatch.setattr(jtransform, "mapped_jacobi_rule", lambda *args: past)
+        with pytest.raises(AccuracyError, match=r"left \[0, 1\)"):
+            jacobi_function(2.0, 1.0, params)
 
     def test_domain_errors(self):
         params = JacobiParams(0.5, 0.0)

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from fourierjacobi import (
+    AccuracyError,
     JacobiParams,
     jacobi_r,
     mehler_r,
@@ -14,6 +15,7 @@ from fourierjacobi import (
     kernel_mass_h,
 )
 from fourierjacobi import mehler
+from fourierjacobi.quadrature import QuadratureRule
 
 
 class TestMehlerIntegral:
@@ -147,6 +149,20 @@ class TestNodeReuse:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+@pytest.mark.parametrize("name", sorted(PATHWAYS))
+def test_argument_outside_unit_interval_raises(name, monkeypatch):
+    """A node past theta puts the 2F1 argument below 0, and the 2F1 wrapper
+    refuses it on both pathways."""
+    pathway, cache, _ = PATHWAYS[name]
+    past = QuadratureRule(np.array([2.5]), np.array([1.0]), "bad", 0.0, 0.0, (0.0, 2.5))
+    monkeypatch.setattr(mehler, "mehler_inner_rule", lambda *args: past)
+    monkeypatch.setattr(mehler, "mapped_jacobi_rule", lambda *args: past)
+    cache.cache_clear()
+    with pytest.raises(AccuracyError, match=r"left \[0, 1\)"):
+        pathway(3, 2.2)
+    cache.cache_clear()
 
 
 class TestKernelMass:

@@ -145,6 +145,23 @@ class TestNorm:
         np.testing.assert_allclose(norm_l(STEP, CHEB), math.pi / 6.0,
                                    rtol=1e-12)
 
+    # 40-digit mpmath: 2^(-a-b-1) times the integral over the step's support of
+    # (2 sin^2(t/2))^a (2 cos^2(t/2))^b sin t dt, at (a, b) = (0.5, -0.25).
+    @pytest.mark.parametrize("f, mass", [
+        (StepFunction((1e-9,), (1.0, 0.0)), 8.333333333333334889643953e-29),
+        (STEP, 0.1722155970459874001038242),
+    ])
+    def test_step_norms_against_mpmath(self, f, mass):
+        """Step norms are closed-form masses, so a breakpoint at 1e-9, whose
+        quadrature piece cos(1e-9) = 1 would be empty, keeps its mass."""
+        params = JacobiParams(0.5, -0.25)
+        scaled = StepFunction(f.breakpoints, tuple(-2.0 * v for v in f.values))
+        np.testing.assert_allclose(norm_l(f, params), mass, rtol=1e-13)
+        np.testing.assert_allclose(norm_l(scaled, params), 2.0 * mass, rtol=1e-13)
+        for g, want in ((f, mass), (scaled, 4.0 * mass)):
+            np.testing.assert_allclose(parseval_check(g, params, 8).norm_sq, want,
+                                       rtol=1e-13)
+
     def test_constant_mass(self):
         params = JacobiParams(0.5, 1.0)
         np.testing.assert_allclose(norm_l(CosinePoly((1.0,)), params),

@@ -394,8 +394,55 @@ class TestHyp2F1:
     def test_unit_argument_continuous_with_series(self):
         """The closed form at z=1 continues where the series leaves off."""
         a, b, c = 0.3, 0.4, 2.5   # comfortable tail: c-a-b = 1.8
-        near = hyp2f1(a, b, c, 1.0 - 1e-3, rtol=1e-9)
+        near = hyp2f1(a, b, c, 1.0 - 1e-3)
         np.testing.assert_allclose(hyp2f1(a, b, c, 1.0), near, rtol=1e-3)
+
+    # 40-digit mpmath values at z = 0.3, 0.9, 0.985 and 1 - 1e-9 for the
+    # parameter families the integral pathways call, with the parameters
+    # formed as the callers form them.  c - a - b is 0 for the first and
+    # fourth family and 1 for the last (log cases); the series would need
+    # more than 1e5 terms at 1 - 1e-9.
+    FAMILIES = {
+        "mehler singular (0.5, 0)": (
+            ((0.5 + 0.0 + 1.0) / 2.0, (0.5 + 0.0) / 2.0, 0.5 + 0.5),
+            (1.067958034329354306114, 1.468223828302126914342,
+             1.884548898220749567889, 5.600451170775703039303)),
+        "mehler singular (0.5, 0.75)": (
+            ((0.5 + 0.75 + 1.0) / 2.0, (0.5 + 0.75) / 2.0, 0.5 + 0.5),
+            (1.286365546044286639146, 5.244290737273605609582,
+             21.33839383432243011668, 5100882.309865050382781)),
+        "mehler limit -0.9": (
+            (-0.9 / 2.0 + 1.25, -0.9 / 2.0 + 0.75, 2.0),
+            (1.041051540746421427874, 1.196940666791188068432,
+             1.257334206417868079917, 1.280893665797323701646)),
+        "transform singular (0.5, 0)": (
+            (0.5 + 0.0, 0.5 - 0.0, 0.5 + 0.5),
+            (1.091095910362781562262, 1.641264414342370799801,
+             2.225332483983119183912, 7.478962801238460263283)),
+        "transform limit 0.3": (
+            (0.5 + 0.3, 0.5 - 0.3, 2.0),
+            (1.027082751179756948941, 1.123993353034637033571,
+             1.157805185559354132664, 1.169361600886656605968)),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_pathway_families_against_mpmath(self, family):
+        (a, b, c), want = self.FAMILIES[family]
+        z = np.array([0.3, 0.9, 0.985, 1.0 - 1e-9])
+        np.testing.assert_allclose(_hyp2f1_array(a, b, c, z), want, rtol=2e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-2.0, 3.0), st.floats(-2.0, 3.0), st.floats(0.3, 4.0),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=16))
+    def test_array_form_matches_scalar_bit_for_bit(self, a, b, c, zs):
+        got = _hyp2f1_array(a, b, c, np.array(zs))
+        want = [hyp2f1(a, b, c, z) for z in zs]
+        np.testing.assert_array_equal(got, want)
+
+    def test_array_form_refuses_arguments_outside_unit_interval(self):
+        for z in ([0.5, -1e-300], [0.5, 1.0], [math.nan]):
+            with pytest.raises(AccuracyError, match=r"left \[0, 1\)"):
+                _hyp2f1_array(0.7, 1.3, 1.2, np.array(z))
 
     def test_trivial_values(self):
         assert hyp2f1(0.7, 0.0, 1.2, 0.53) == 1.0
