@@ -4,12 +4,15 @@ The kernel phi_tau(t) is produced from its cosine-kernel integral
 representation (an algebraic endpoint singularity absorbed by a weighted
 rule), with a separate printed formula at alpha = -1/2.  Both reduce phi to
 a finite cosine combination phi(tau) = sum_j A_j cos(tau S_j) whose nodes and
-amplitudes do not depend on tau, which makes frequency sweeps cheap.  All
-hyperbolic prefactors are assembled in log space so large t cannot overflow.
+amplitudes do not depend on tau, which makes frequency sweeps cheap.  This is
+the (S, A) form of the Mehler integrals, and mehler's evaluator and doubling
+helper sum it here too.  All hyperbolic prefactors are assembled in log space
+so large t cannot overflow.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from math import lgamma, log
 
 import numpy as np
@@ -18,6 +21,7 @@ from numpy.polynomial.polynomial import polyval
 from .errors import AccuracyError
 from .specfun import JacobiParams, _hyp2f1_array
 from .quadrature import converge_doubling, ladder_size, mapped_jacobi_rule
+from .mehler import _converge_cosine, _cosine_sum
 
 __all__ = [
     "Indicator",
@@ -137,11 +141,11 @@ def _cosine_data(t: float, params: JacobiParams,
     a, b = params.alpha, params.beta
     lc_t = float(_log_cosh(t))
     if a == -0.5:
-        rule = mapped_jacobi_rule(n, 0.0, 0.0, 0.0, t)
-        s = rule.nodes
         scale = 0.25 - b * b
         if scale == 0.0:
             return np.array([t]), np.array([math.exp(-(b + 0.5) * lc_t)])
+        rule = mapped_jacobi_rule(n, 0.0, 0.0, 0.0, t)
+        s = rule.nodes
         q = np.exp(_log_cosh(s) - lc_t)
         z = 0.5 * (1.0 - q)
         f21 = _hyp2f1_array(0.5 + b, 0.5 - b, 2.0, z)
@@ -164,6 +168,20 @@ def _cosine_data(t: float, params: JacobiParams,
     return s, amp
 
 
+def _phi_grid(params: JacobiParams, ts: np.ndarray, taus: np.ndarray,
+              rtol: float = 1e-8) -> np.ndarray:
+    """phi values on a (t, tau) product grid, shared data per t."""
+    tau_max = float(np.max(taus)) if taus.size else 0.0
+    out = np.empty((ts.size, taus.size))
+    for i, t in enumerate(ts):
+        if t < 1e-8:
+            out[i] = 1.0
+            continue
+        out[i] = _converge_cosine(partial(_cosine_data, float(t), params), taus,
+                                  ladder_size(int(tau_max * t / math.pi) + 40), rtol)
+    return out
+
+
 def jacobi_function(tau: float, t: float, params: JacobiParams,
                     rtol: float = 1e-9) -> float:
     """The kernel phi_tau(t), a uniformly bounded cosine-like eigenfunction.
@@ -177,15 +195,8 @@ def jacobi_function(tau: float, t: float, params: JacobiParams,
         raise ValueError("frequency must be nonnegative")
     if t < 0.0:
         raise ValueError("argument must be nonnegative")
-    if t < 1e-8:
-        return 1.0
-
-    def evaluate(n: int) -> float:
-        s, amp = _cosine_data(t, params, n)
-        return float(amp @ np.cos(tau * s))
-
-    n0 = ladder_size(int(tau * t / math.pi) + 40)
-    return converge_doubling(evaluate, n0, rtol)
+    return float(_phi_grid(params, np.array([float(t)]), np.array([float(tau)]),
+                           rtol)[0, 0])
 
 
 def jacobi_function_series(tau: float, t: float, params: JacobiParams,
@@ -282,8 +293,7 @@ def _sweep_piece(lo: float, hi: float, g, taus: np.ndarray,
         if ui == 0.0:
             continue
         n_in = ladder_size(int(tau_max * ti / math.pi) + 40) << level
-        s, amp = _cosine_data(float(ti), params, n_in)
-        out += ui * (np.cos(np.outer(taus, s)) @ amp)
+        out += ui * _cosine_sum(*_cosine_data(float(ti), params, n_in), taus)
     return out
 
 
@@ -355,25 +365,6 @@ class EnvelopeReport:
     slack: float           # verification allows slack * c_star
     worst_ratio: float     # max |phi| / (c_star (1+t) e^(-rho t)) when verifying
     verified: bool
-
-
-def _phi_grid(params: JacobiParams, ts: np.ndarray, taus: np.ndarray,
-              rtol: float = 1e-8) -> np.ndarray:
-    """phi values on a (t, tau) product grid, shared data per t."""
-    tau_max = float(np.max(taus)) if taus.size else 0.0
-    out = np.empty((ts.size, taus.size))
-    for i, t in enumerate(ts):
-        if t < 1e-8:
-            out[i] = 1.0
-            continue
-
-        def row(n: int) -> np.ndarray:
-            s, amp = _cosine_data(float(t), params, n)
-            return np.cos(np.outer(taus, s)) @ amp
-
-        out[i] = converge_doubling(
-            row, ladder_size(int(tau_max * t / math.pi) + 40), rtol)
-    return out
 
 
 def envelope_check(params: JacobiParams, t_grid=None, tau_grid=None,

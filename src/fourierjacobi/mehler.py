@@ -5,14 +5,15 @@ endpoint singularity for alpha > -1/2, and its alpha -> -1/2 limit, which has
 a separate non-integral leading term.  Both serve as cross-checks against the
 recurrence values, so nothing here is shared with the recurrence code path.
 
-Each formula is a sum over rule nodes of a degree-independent amplitude times
-cos(lambda_k phi).  The node data (nodes, weights, power factor and 2F1
-values) is built once per parameter set, angle and rule size and reused for
-every degree k; only the cosine factor is formed per degree.
+Both formulas, like the kernel of the continuous transform in jtransform
+(the hyperbolic form of the same integral), reduce to nodes S and amplitudes
+A with value(lambda) = A @ cos(lambda S), where lambda = k + (alpha+beta+1)/2.
+The kernel data is built once per parameter set, angle and rule size and
+reused for every degree k; only the cosine factor is formed per degree.
 """
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lgamma, exp, cos, sin
 
 import numpy as np
@@ -25,9 +26,9 @@ __all__ = ["mehler_r", "mehler_limit_r", "kernel_mass_h"]
 
 _THETA_MIN = 1e-6
 
-# Node data kept per (parameters, theta, rule size).  A sweep over degrees at
-# one angle touches only a few sizes, so this holds many angles' worth.
-_NODE_CACHE_SIZE = 128
+# Kernel data kept per (parameters, theta, rule size).  A sweep over degrees
+# at one angle touches only a few sizes, so this holds many angles' worth.
+_KERNEL_CACHE_SIZE = 128
 
 
 def _check_theta(theta: float) -> float:
@@ -37,40 +38,61 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, read-only, since cached node data is shared by every caller."""
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
+def _cosine_sum(s: np.ndarray, amp: np.ndarray, lams) -> np.ndarray:
+    """A @ cos(lambda S) at every lambda in lams."""
+    return np.cos(np.outer(lams, s)) @ amp
 
 
-@lru_cache(maxsize=_NODE_CACHE_SIZE)
-def _mehler_nodes(alpha: float, beta: float, theta: float, n: int):
-    """Degree-independent node data of the singular form on n nodes.
+def _converge_cosine(kernel, lams, n0: int, rtol: float) -> np.ndarray:
+    """A @ cos(lambda S) at every lambda in lams, with (S, A) = kernel(n) on
+    doubling rule sizes n from n0 until two sizes agree."""
+    return converge_doubling(lambda n: _cosine_sum(*kernel(n), lams), n0, rtol)
 
-    Returns (phi, weights, (1 + cos phi)^(-(alpha + beta)/2), 2F1 values).
+
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _kernel_data(alpha: float, beta: float, theta: float,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes S and amplitudes A with R_k(cos theta) = A @ cos(lambda_k S) on n nodes.
+
+    For alpha > -1/2 this encodes the singular-kernel integral; at
+    alpha = -1/2 the exact leading cosine is node 0 and the correction nodes
+    follow, with none when 1/4 - beta^2 is 0.  The arrays are read-only,
+    since every caller shares them.
     """
-    rule = mehler_inner_rule(theta, alpha, n)
-    t = np.cos(rule.nodes)
-    z = (t - cos(theta)) / (1.0 + t)
-    f21 = _hyp2f1_array((alpha + beta + 1.0) / 2.0, (alpha + beta) / 2.0,
-                        alpha + 0.5, z)
-    pw = (1.0 + t) ** (-(alpha + beta) / 2.0)
-    return _frozen(rule.nodes, rule.weights, pw, f21)
+    c = cos(theta)
+    if alpha == -0.5:
+        s, amp = np.array([theta]), np.array([cos(theta / 2.0) ** (-beta - 0.5)])
+        scale = 0.25 * (beta * beta - 0.25) * sin(theta / 2.0)
+        if scale != 0.0:
+            rule = mapped_jacobi_rule(n, 0.0, 0.0, 0.0, theta)
+            t = np.cos(rule.nodes)
+            f21 = _hyp2f1_array(beta / 2.0 + 1.25, beta / 2.0 + 0.75, 2.0,
+                                (t - c) / (1.0 + t))
+            pw = np.cos(rule.nodes / 2.0) ** (-beta - 1.5)
+            s = np.concatenate((s, rule.nodes))
+            amp = np.concatenate((amp, scale * rule.weights * pw * f21))
+    else:
+        rule = mehler_inner_rule(theta, alpha, n)
+        t = np.cos(rule.nodes)
+        f21 = _hyp2f1_array((alpha + beta + 1.0) / 2.0, (alpha + beta) / 2.0,
+                            alpha + 0.5, (t - c) / (1.0 + t))
+        pref = (2.0 ** ((alpha + beta + 1.0) / 2.0)
+                * exp(lgamma(alpha + 1.0) - lgamma(0.5) - lgamma(alpha + 0.5))
+                * (1.0 - c) ** -alpha)
+        s = rule.nodes
+        amp = pref * rule.weights * (1.0 + t) ** (-(alpha + beta) / 2.0) * f21
+    s.setflags(write=False)
+    amp.setflags(write=False)
+    return s, amp
 
 
-@lru_cache(maxsize=_NODE_CACHE_SIZE)
-def _limit_nodes(beta: float, theta: float, n: int):
-    """Degree-independent node data of the limit form's correction on n nodes.
-
-    Returns (phi, weights, cos(phi/2)^(-beta - 3/2), 2F1 values).
-    """
-    rule = mapped_jacobi_rule(n, 0.0, 0.0, 0.0, theta)
-    phi = rule.nodes
-    z = (np.cos(phi) - cos(theta)) / (1.0 + np.cos(phi))
-    f21 = _hyp2f1_array(beta / 2.0 + 1.25, beta / 2.0 + 0.75, 2.0, z)
-    pw = np.cos(phi / 2.0) ** (-beta - 1.5)
-    return _frozen(phi, rule.weights, pw, f21)
+def _pathway_value(k: int, alpha: float, beta: float, theta: float,
+                   rtol: float, pathway: str) -> PolyValue:
+    lam = k + (alpha + beta + 1.0) / 2.0
+    # Rounding up adds 16 on average, so starts still average k + 48 points.
+    value = _converge_cosine(partial(_kernel_data, alpha, beta, theta), [lam],
+                             ladder_size(k + 32), rtol)
+    return PolyValue(k, float(value[0]), pathway)
 
 
 def mehler_r(k: int, params: JacobiParams, theta: float,
@@ -85,20 +107,7 @@ def mehler_r(k: int, params: JacobiParams, theta: float,
     a, b = float(params.alpha), float(params.beta)
     if a <= -0.5:
         raise ValueError("integral pathway needs alpha > -1/2")
-    theta = _check_theta(theta)
-    c = cos(theta)
-    lam = k + (a + b + 1.0) / 2.0
-    pref = (2.0 ** ((a + b + 1.0) / 2.0)
-            * exp(lgamma(a + 1.0) - lgamma(0.5) - lgamma(a + 0.5))
-            * (1.0 - c) ** -a)
-
-    def evaluate(n: int) -> float:
-        phi, weights, pw, f21 = _mehler_nodes(a, b, theta, n)
-        return pref * float(weights @ (np.cos(lam * phi) * pw * f21))
-
-    # Rounding up adds 16 on average, so starts still average k + 48 points.
-    value = converge_doubling(evaluate, n0=ladder_size(k + 32), rtol=rtol)
-    return PolyValue(k, value, "mehler-integral")
+    return _pathway_value(k, a, b, _check_theta(theta), rtol, "mehler-integral")
 
 
 def mehler_limit_r(k: int, beta: float, theta: float,
@@ -112,19 +121,8 @@ def mehler_limit_r(k: int, beta: float, theta: float,
     k = _check_degree(k)
     if not -1.0 < beta < 0.0:
         raise ValueError("limit formula needs beta in (-1, 0)")
-    beta = float(beta)
-    theta = _check_theta(theta)
-    nu = k + beta / 2.0 + 0.25
-    first = cos(theta / 2.0) ** (-beta - 0.5) * cos(nu * theta)
-
-    def correction(n: int) -> float:
-        phi, weights, pw, f21 = _limit_nodes(beta, theta, n)
-        return float(weights @ (pw * np.cos(nu * phi) * f21))
-
-    integral = converge_doubling(correction, n0=ladder_size(k + 32),
-                                  rtol=rtol)
-    value = first + 0.25 * (beta * beta - 0.25) * sin(theta / 2.0) * integral
-    return PolyValue(k, value, "limit-formula")
+    return _pathway_value(k, -0.5, float(beta), _check_theta(theta), rtol,
+                          "limit-formula")
 
 
 def kernel_mass_h(theta: float, alpha: float) -> float:

@@ -367,13 +367,14 @@ def _power_values(rho: float, params: JacobiParams, kmax: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([head], (rho + 1.0 - ks) / (a + b + rho + 1.0 + ks))))
 
 
-def _exact_values(f, params: JacobiParams, kmax: int) -> np.ndarray | None:
-    """Closed-form hat coefficients for k = 0..kmax, or None when f has none."""
+def _hat_values(f, params: JacobiParams, kmax: int, rtol: float) -> np.ndarray:
+    """Hat coefficients for k = 0..kmax: in closed form for step functions and
+    the power weight, else by the doubling quadrature to rtol."""
     if isinstance(f, StepFunction):
         return _step_values(f, params, kmax)
     if isinstance(f, PowerWeight):
         return _power_values(f.rho, params, kmax)
-    return None
+    return _converged_values(_analysis_pieces(f, params), params, kmax, rtol=rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -424,25 +425,12 @@ class CoefficientSeries:
 def coefficient(f, k: int, params: JacobiParams, rtol: float = 1e-10) -> float:
     """k-th hat coefficient: the weighted integral of f against R_k.
 
-    Step functions and the power weight take the closed forms of
-    coefficient_series, with the same bits as its entry k.
+    Entry k of the same sweep coefficient_series(f, k) takes, so it has the
+    bits of that series' entry k: in closed form for step functions and the
+    power weight, by the doubling quadrature otherwise.
     """
     k = _check_degree(k)
-    exact = _exact_values(f, params, k)
-    if exact is not None:
-        return float(exact[k])
-    pieces = _analysis_pieces(f, params)
-    if not pieces:
-        return 0.0
-
-    def one(n: int) -> float:
-        total = 0.0
-        for p in pieces:
-            x, u = _weighted_nodes(p, params, n)
-            total += float(jacobi_r(k, params, x) @ u)
-        return total * 2.0 ** (-params.alpha - params.beta - 1.0)
-
-    return converge_doubling(one, ladder_size(k + 32), rtol)
+    return float(_hat_values(f, params, k, rtol)[k])
 
 
 def coefficient_series(f, kmax: int, params: JacobiParams,
@@ -459,10 +447,7 @@ def coefficient_series(f, kmax: int, params: JacobiParams,
     """
     if _check_degree(kmax) < 1:
         raise ValueError("kmax must be at least 1")
-    vals = _exact_values(f, params, kmax)
-    if vals is None:
-        vals = _converged_values(_analysis_pieces(f, params), params, kmax,
-                                 rtol=rtol)
+    vals = _hat_values(f, params, kmax, rtol)
     if normalization == "unnormalized":
         ones = np.array([jacobi_p_one(k, params) for k in range(kmax + 1)])
         vals = vals * ones

@@ -14,7 +14,9 @@ from fourierjacobi import (
     mehler_limit_r,
     kernel_mass_h,
 )
-from fourierjacobi import mehler
+from fourierjacobi import mehler, jtransform
+from fourierjacobi.jtransform import (Indicator, envelope_check, jacobi_function,
+                                      transform_sweep)
 from fourierjacobi.quadrature import QuadratureRule
 
 
@@ -98,22 +100,22 @@ class TestLimitFormula:
             mehler_limit_r(1.5, -0.75, 1.0)
 
 
-# Each pathway with its node cache and the parameters that lead its key.
+# Each pathway with the parameters that lead its key in the kernel cache.
 PATHWAYS = {
     "mehler_r": (lambda k, theta: mehler_r(k, JacobiParams(0.5, -0.25), theta),
-                 mehler._mehler_nodes, (0.5, -0.25)),
+                 (0.5, -0.25)),
     "mehler_limit_r": (lambda k, theta: mehler_limit_r(k, -0.75, theta),
-                       mehler._limit_nodes, (-0.75,)),
+                       (-0.5, -0.75)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PATHWAYS))
 class TestNodeReuse:
-    """Node data depends on (alpha, beta, theta, n) only, so a sweep over
+    """Kernel data depends on (alpha, beta, theta, n) only, so a sweep over
     degrees builds it once per rule size and every value stays the same."""
 
     def test_one_hyp2f1_call_per_rule_size(self, name, monkeypatch):
-        pathway, cache, _ = PATHWAYS[name]
+        pathway, _ = PATHWAYS[name]
         sizes = []
         hyp2f1_array = mehler._hyp2f1_array
 
@@ -121,7 +123,7 @@ class TestNodeReuse:
             sizes.append(z.size)
             return hyp2f1_array(a, b, c, z)
 
-        cache.cache_clear()
+        mehler._kernel_data.cache_clear()
         monkeypatch.setattr(mehler, "_hyp2f1_array", counting)
         for k in range(51):
             pathway(k, 2.2)
@@ -129,23 +131,23 @@ class TestNodeReuse:
         assert len(sizes) == len(set(sizes))
 
     def test_values_independent_of_cache_state(self, name):
-        pathway, cache, _ = PATHWAYS[name]
+        pathway, _ = PATHWAYS[name]
         degrees = range(51)
 
         def sweep(ks):
             values = {k: pathway(k, 1.3).value for k in ks}
             return np.array([values[k] for k in degrees]).tobytes()
 
-        cache.cache_clear()
+        mehler._kernel_data.cache_clear()
         cold = sweep(degrees)
         warm = sweep(degrees)
-        cache.cache_clear()
+        mehler._kernel_data.cache_clear()
         reverse = sweep(reversed(degrees))
         assert cold == warm == reverse
 
     def test_cached_arrays_are_read_only(self, name):
-        _, cache, params = PATHWAYS[name]
-        for arr in cache(*params, 1.3, 64):
+        _, params = PATHWAYS[name]
+        for arr in mehler._kernel_data(*params, 1.3, 64):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -155,14 +157,46 @@ class TestNodeReuse:
 def test_argument_outside_unit_interval_raises(name, monkeypatch):
     """A node past theta puts the 2F1 argument below 0, and the 2F1 wrapper
     refuses it on both pathways."""
-    pathway, cache, _ = PATHWAYS[name]
+    pathway, _ = PATHWAYS[name]
     past = QuadratureRule(np.array([2.5]), np.array([1.0]), "bad", 0.0, 0.0, (0.0, 2.5))
     monkeypatch.setattr(mehler, "mehler_inner_rule", lambda *args: past)
     monkeypatch.setattr(mehler, "mapped_jacobi_rule", lambda *args: past)
-    cache.cache_clear()
+    mehler._kernel_data.cache_clear()
     with pytest.raises(AccuracyError, match=r"left \[0, 1\)"):
         pathway(3, 2.2)
-    cache.cache_clear()
+    mehler._kernel_data.cache_clear()
+
+
+KERNEL_P = JacobiParams(0.5, 0.0)
+
+# Every entry point that sums a cosine kernel, on small inputs.
+KERNEL_SUMS = {
+    "mehler_r": lambda: mehler_r(3, JacobiParams(0.5, -0.25), 1.2),
+    "mehler_limit_r": lambda: mehler_limit_r(3, -0.75, 1.2),
+    "jacobi_function": lambda: jacobi_function(2.0, 1.0, KERNEL_P),
+    "transform_sweep": lambda: transform_sweep(Indicator(1.0, 2.0), [0.5, 3.0],
+                                               KERNEL_P),
+    "envelope_check": lambda: envelope_check(KERNEL_P, np.linspace(0.0, 2.0, 3),
+                                             np.linspace(0.0, 4.0, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SUMS))
+def test_kernel_sums_share_one_evaluator(name, monkeypatch):
+    """The Mehler pathways and the transform kernel all form A @ cos(lambda S)
+    in mehler._cosine_sum."""
+    calls = []
+    cosine_sum = mehler._cosine_sum
+
+    def counting(s, amp, lams):
+        calls.append(1)
+        return cosine_sum(s, amp, lams)
+
+    for module in (mehler, jtransform):
+        monkeypatch.setattr(module, "_cosine_sum", counting)
+    mehler._kernel_data.cache_clear()
+    KERNEL_SUMS[name]()
+    assert calls
 
 
 class TestKernelMass:

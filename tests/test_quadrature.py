@@ -312,11 +312,10 @@ SINGLE_RULE_LOOPS = {
 def built_sizes(monkeypatch):
     """Sizes of every Gauss rule requested, cache hits included, in order.
 
-    The Mehler node caches are emptied first: on a warm cache the Mehler
+    The Mehler kernel cache is emptied first: on a warm cache the Mehler
     loops request no rule at all.
     """
-    mehler._mehler_nodes.cache_clear()
-    mehler._limit_nodes.cache_clear()
+    mehler._kernel_data.cache_clear()
     sizes = []
     for name in ("_gauss_jacobi_cached", "_gauss_laguerre_cached"):
         cached = getattr(quadrature, name)
@@ -341,6 +340,14 @@ class TestDoublingLoops:
         """Step functions and the power weight are summed in closed form."""
         coefficient_series(f, 512, P)
         coefficient(f, 7, P)
+        assert built_sizes == []
+
+    @pytest.mark.parametrize("theta", [0.3, 1.5, 2.9])
+    def test_chebyshev_limit_requests_no_rule(self, theta, built_sizes):
+        """At beta = -1/2 the limit form has no correction nodes: R_k is the
+        leading cosine alone."""
+        for k in (0, 1, 7, 50):
+            assert mehler_limit_r(k, -0.5, theta).value == math.cos(k * theta)
         assert built_sizes == []
 
     def test_transform_sweep_levels(self, built_sizes, monkeypatch):
