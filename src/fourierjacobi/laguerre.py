@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval, polyroots
 
-from .specfun import laguerre_r, laguerre_r_table
+from .specfun import _laguerre_r_sums, laguerre_r, laguerre_r_table
 from .quadrature import (converge_doubling, gauss_laguerre_rule, ladder_size,
                          mapped_jacobi_rule)
 from .series import DecayReport, _decay_report
@@ -111,27 +111,35 @@ def _poly_parts(f) -> tuple[tuple[float, ...], float]:
 
 def _coefficient_values(f, kmax: int, alpha: float,
                         rtol: float = 1e-10) -> np.ndarray:
-    """hat(k) for k = 0..kmax against the x^a e^(-x) weight."""
+    """hat(k) for k = 0..kmax against the x^a e^(-x) weight.
+
+    Each pass sums R_k against the weighted nodes degree by degree
+    (specfun._laguerre_r_sums), over the nodes of all pieces at once.
+    """
     alpha = _check_alpha(alpha)
 
     if isinstance(f, LaguerreStep):
         edges = (0.0, *f.breakpoints)
+        pieces = [(lo, hi, v) for lo, hi, v in zip(edges, edges[1:], f.values)
+                  if v != 0.0]
+        if not pieces:
+            return np.zeros(kmax + 1)
 
         def one(n: int) -> np.ndarray:
-            total = np.zeros(kmax + 1)
-            for lo, hi, v in zip(edges, edges[1:], f.values):
-                if v == 0.0:
-                    continue
+            xs, us = [], []
+            for lo, hi, v in pieces:
                 exp_lo = alpha if lo == 0.0 else 0.0
                 rule = mapped_jacobi_rule(n, 0.0, exp_lo, lo, hi)
                 x = rule.nodes
                 g = v * np.exp(-x)
                 if lo != 0.0:
                     g = g * x ** alpha
-                total += laguerre_r_table(kmax, alpha, x) @ (rule.weights * g)
-            return total
+                xs.append(x)
+                us.append(rule.weights * g)
+            return _laguerre_r_sums(kmax, alpha, np.concatenate(xs), np.concatenate(us))
 
-        n0 = ladder_size(kmax + 24)
+        # Exact for R_k times a polynomial of degree below 64, as in series.
+        n0 = ladder_size((kmax + 1) // 2 + 32)
     else:
         coeffs, rate = _poly_parts(f)
         scale = (1.0 + rate) ** (-(alpha + 1.0))
@@ -140,8 +148,7 @@ def _coefficient_values(f, kmax: int, alpha: float,
             rule = gauss_laguerre_rule(n, alpha)
             x = rule.nodes / (1.0 + rate)
             g = polyval(x, coeffs)
-            return scale * (laguerre_r_table(kmax, alpha, x)
-                            @ (rule.weights * g))
+            return scale * _laguerre_r_sums(kmax, alpha, x, rule.weights * g)
 
         n0 = ladder_size((kmax + len(coeffs)) // 2 + 8)
 

@@ -67,7 +67,7 @@ def check_orthonormality() -> CriterionResult:
         target = np.diag(1.0 / h_normalizer_table(50, params))
         worst = max(worst, float(np.max(np.abs(gram - target))))
     return _result("orthonormality", t0, worst <= 1e-10,
-                   f"max Gram deviation {worst:.3e} (tol 1e-10)", budget=30.0)
+                   f"max Gram deviation {worst:.3e} (tol 1e-10)", budget=0.15)
 
 
 def mehler_pathway_discrepancies(kmax: int) -> tuple[float, float]:
@@ -137,7 +137,7 @@ def check_decay_dichotomy() -> CriterionResult:
     ok = ok and abs(rep.slope - 0.25) <= 0.05
     parts.append(f"(-0.75,-0.75) growth slope {rep.slope:.4f} (want 0.25±0.05)")
     return _result("riemann-lebesgue-dichotomy", t0, ok, "; ".join(parts),
-                   budget=15.0)
+                   budget=5.0)
 
 
 def check_counterexample_exponent() -> CriterionResult:

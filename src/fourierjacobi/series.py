@@ -3,10 +3,11 @@
 The expansion weight is w(theta) = (sin theta/2)^(2a+1) (cos theta/2)^(2b+1).
 Every integral is transformed to x = cos(theta), where the weight becomes
 2^(-a-b-1) (1-x)^a (1+x)^b dx and Gauss-Jacobi rules absorb the endpoint
-singularities exactly.  Step functions and the power weight have their
-coefficients in closed form.  Other inputs are integrated piece by piece with
-mapped rules, doubling the rule size until two sizes agree.  Sup norms of
-R_k are maxima over its exact critical set.
+singularities exactly.  Step functions, the power weight and the constant
+end pieces of a grid have their coefficients in closed form.  Other inputs
+are integrated piece by piece with mapped rules, doubling the rule size from
+the size that is exact for R_k times a polynomial of degree below 64 until
+two sizes agree.  Sup norms of R_k are maxima over its exact critical set.
 """
 
 import json
@@ -17,7 +18,8 @@ import numpy as np
 from scipy.special import beta as beta_function, betainc
 
 from .specfun import (JacobiParams, _binomial_ratios, _check_degree, _jacobi_p_table,
-                      h_normalizer_table, jacobi_p_one, jacobi_r, jacobi_r_table)
+                      _jacobi_r_sums, h_normalizer_table, jacobi_p_one, jacobi_r,
+                      jacobi_r_table)
 from .quadrature import (converge_doubling, gauss_jacobi_rule, ladder_size,
                          mapped_jacobi_rule)
 
@@ -116,7 +118,8 @@ class CosinePoly:
 class GridSampled:
     """Piecewise-linear interpolant of samples at angles inside (0, pi).
 
-    Outside the sampled range the end values extend as constants.
+    Outside the sampled range the end values extend as constants.  Those end
+    pieces are summed in closed form, as a step function (see _grid_ends).
     """
 
     abscissae: tuple[float, ...]
@@ -178,7 +181,8 @@ def _theta_pieces(f) -> list[tuple[float, float, object]]:
     """Split f into theta-intervals on which it is smooth.
 
     Entries are (t0, t1, h) where h is either a float (constant piece) or a
-    vectorized callable; exactly-zero constant pieces are dropped.
+    vectorized callable; exactly-zero constant pieces are dropped.  A grid
+    gives its linear interior pieces only: its constant ends are _grid_ends.
     """
     if isinstance(f, StepFunction):
         cuts = (0.0, *f.breakpoints, math.pi)
@@ -186,22 +190,24 @@ def _theta_pieces(f) -> list[tuple[float, float, object]]:
                 if v != 0.0]
     if isinstance(f, GridSampled):
         ts, ys = f.abscissae, f.ordinates
-        out: list[tuple[float, float, object]] = []
-        if ys[0] != 0.0:
-            out.append((0.0, ts[0], ys[0]))
-        for t0, t1, y0, y1 in zip(ts, ts[1:], ys, ys[1:]):
-            if y0 == 0.0 and y1 == 0.0:
-                continue
-            slope = (y1 - y0) / (t1 - t0)
-            out.append((t0, t1,
-                        lambda th, y0=y0, t0=t0, slope=slope:
-                        y0 + slope * (np.asarray(th) - t0)))
-        if ys[-1] != 0.0:
-            out.append((ts[-1], math.pi, ys[-1]))
-        return out
+        return [(t0, t1, lambda th, y0=y0, t0=t0, slope=(y1 - y0) / (t1 - t0):
+                 y0 + slope * (np.asarray(th) - t0))
+                for t0, t1, y0, y1 in zip(ts, ts[1:], ys, ys[1:])
+                if y0 != 0.0 or y1 != 0.0]
     if not callable(f):
         raise TypeError(f"not a usable function spec: {f!r}")
     return [(0.0, math.pi, f)]
+
+
+def _grid_ends(f: GridSampled) -> StepFunction:
+    """The constant end pieces [0, t_0] and [t_last, pi] of a grid, as a step.
+
+    An end whose x interval rounds to empty is left out: the interior piece
+    next to it then reaches x = +-1 in _x_piece and carries that mass.
+    """
+    t0, t1 = f.abscissae[0], f.abscissae[-1]
+    return StepFunction((t0, t1), (f.ordinates[0] if np.cos(t0) < 1.0 else 0.0, 0.0,
+                                   f.ordinates[-1] if np.cos(t1) > -1.0 else 0.0))
 
 
 def _analysis_pieces(f, params: JacobiParams) -> list[_XPiece]:
@@ -242,14 +248,11 @@ def _sign_change_cuts(h, t0: float, t1: float, samples: int) -> list[float]:
 
 
 def _abs_pieces(f, params: JacobiParams) -> list[_XPiece]:
-    """Pieces of |f|, subdividing smooth pieces at their sign changes."""
+    """Pieces of |f| for a grid or a callable, subdivided at sign changes."""
     if isinstance(f, PowerWeight):
         return _analysis_pieces(f, params)  # already positive
     out = []
     for t0, t1, h in _theta_pieces(f):
-        if isinstance(h, float):
-            out.append(_x_piece(t0, t1, abs(h), params))
-            continue
         if isinstance(f, GridSampled):
             cuts = _sign_change_cuts(h, t0, t1, 3)
         else:
@@ -266,15 +269,13 @@ def _abs_pieces(f, params: JacobiParams) -> list[_XPiece]:
 
 
 def _sq_pieces(f, params: JacobiParams) -> list[_XPiece]:
+    """Pieces of f^2 for a grid, a callable or the power weight."""
     if isinstance(f, PowerWeight):
         if params.beta + 2.0 * f.rho <= -1.0:
             raise ValueError("need beta + 2 rho > -1 for a square-integrable weight")
         return [_XPiece(-1.0, 1.0, _const(1.0), params.alpha,
                         params.beta + 2.0 * f.rho, False, False)]
-    return [_x_piece(t0, t1,
-                     h * h if isinstance(h, float)
-                     else (lambda th, h=h: np.asarray(h(th)) ** 2),
-                     params)
+    return [_x_piece(t0, t1, lambda th, h=h: np.asarray(h(th)) ** 2, params)
             for t0, t1, h in _theta_pieces(f)]
 
 
@@ -293,19 +294,27 @@ def _weighted_nodes(p: _XPiece, params: JacobiParams,
 
 def _integrate_pieces(pieces: list[_XPiece], params: JacobiParams,
                       kmax: int, n: int) -> np.ndarray:
-    """Hat-coefficient vector over k = 0..kmax from one fixed rule size."""
-    total = np.zeros(kmax + 1)
-    for p in pieces:
-        x, u = _weighted_nodes(p, params, n)
-        total += jacobi_r_table(kmax, params, x) @ u
-    return total * 2.0 ** (-params.alpha - params.beta - 1.0)
+    """Hat-coefficient vector over k = 0..kmax from one fixed rule size.
+
+    One recurrence runs over the nodes of all pieces and sums R_k against
+    their weights degree by degree, so no (kmax+1) x n table is built.
+    """
+    x, u = zip(*(_weighted_nodes(p, params, n) for p in pieces))
+    return (_jacobi_r_sums(kmax, params, np.concatenate(x), np.concatenate(u))
+            * 2.0 ** (-params.alpha - params.beta - 1.0))
 
 
 def _converged_values(pieces, params, kmax, n0=None,
                       rtol=1e-10) -> np.ndarray:
+    """Hat coefficients of the pieces for k = 0..kmax, by doubling to rtol.
+
+    The first size n is the ladder size at or above (kmax + 1) // 2 + 32, so
+    its rule is exact for R_k times any polynomial of degree below 64: the
+    first comparison, n against 2n, already settles a polynomial input.
+    """
     if not pieces:
         return np.zeros(kmax + 1)
-    n = ladder_size(n0 if n0 is not None else max(kmax + 32, 48))
+    n = ladder_size(n0 if n0 is not None else (kmax + 1) // 2 + 32)
     return converge_doubling(
         lambda m: _integrate_pieces(pieces, params, kmax, m), n, rtol)
 
@@ -368,13 +377,17 @@ def _power_values(rho: float, params: JacobiParams, kmax: int) -> np.ndarray:
 
 
 def _hat_values(f, params: JacobiParams, kmax: int, rtol: float) -> np.ndarray:
-    """Hat coefficients for k = 0..kmax: in closed form for step functions and
-    the power weight, else by the doubling quadrature to rtol."""
+    """Hat coefficients for k = 0..kmax: in closed form for step functions,
+    the power weight and a grid's constant ends, else by the doubling
+    quadrature to rtol."""
     if isinstance(f, StepFunction):
         return _step_values(f, params, kmax)
     if isinstance(f, PowerWeight):
         return _power_values(f.rho, params, kmax)
-    return _converged_values(_analysis_pieces(f, params), params, kmax, rtol=rtol)
+    vals = _converged_values(_analysis_pieces(f, params), params, kmax, rtol=rtol)
+    if isinstance(f, GridSampled):
+        vals = _step_values(_grid_ends(f), params, kmax) + vals
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +479,20 @@ def _step_integral(f: StepFunction, params: JacobiParams, g) -> float:
     return float(_step_values(StepFunction(f.breakpoints, values), params, 0)[0])
 
 
+def _integral(f, params: JacobiParams, g, pieces) -> float:
+    """The weighted integral of g(f): in closed form for a step function and
+    for a grid's constant ends, by quadrature over pieces(f, params) else."""
+    if isinstance(f, StepFunction):
+        return _step_integral(f, params, g)
+    total = float(_converged_values(pieces(f, params), params, 0, n0=64)[0])
+    if isinstance(f, GridSampled):
+        total += _step_integral(_grid_ends(f), params, g)
+    return total
+
+
 def norm_l(f, params: JacobiParams) -> float:
     """Weighted L1 norm of f: the integral of |f| against the expansion weight."""
-    if isinstance(f, StepFunction):
-        return _step_integral(f, params, abs)
-    pieces = _abs_pieces(f, params)
-    return float(_converged_values(pieces, params, 0, n0=64)[0])
+    return _integral(f, params, abs, _abs_pieces)
 
 
 def synthesize(series: CoefficientSeries, theta):
@@ -504,11 +525,7 @@ def parseval_check(f, params: JacobiParams, kmax: int) -> ParsevalReport:
     series = coefficient_series(f, kmax, params)
     h = h_normalizer_table(kmax, params)
     partial = float(h @ series.values ** 2)
-    if isinstance(f, StepFunction):
-        norm_sq = _step_integral(f, params, lambda v: v * v)
-    else:
-        norm_sq = float(_converged_values(_sq_pieces(f, params), params, 0,
-                                          n0=64)[0])
+    norm_sq = _integral(f, params, lambda v: v * v, _sq_pieces)
     return ParsevalReport(kmax, partial, norm_sq, norm_sq - partial)
 
 

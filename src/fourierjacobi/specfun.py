@@ -1,9 +1,10 @@
 """Special-function kernels: Jacobi and Laguerre polynomials, Gauss 2F1, norm constants.
 
 Each family has one forward three-term recurrence, shared by its scalar,
-array and table variants.  The normalized variants divide by the value at
-the right endpoint (x = 1 for Jacobi, x = 0 for Laguerre) so that every
-family starts at exactly 1 there.  At x = -1, where the first Jacobi step
+array and table variants and by the weighted sums sum_j R_k(x_j) u_j that
+the coefficient quadrature takes without a table.  The normalized variants
+divide by the value at the right endpoint (x = 1 for Jacobi, x = 0 for
+Laguerre) so that every family starts at exactly 1 there.  At x = -1, where the first Jacobi step
 cancels and the recurrence amplifies it, the Jacobi variants take the
 closed-form endpoint value instead.
 
@@ -70,12 +71,16 @@ def _check_degree(k) -> int:
     return int(k)
 
 
-def _recurrence(k: int, x, p1, c1, c2, c3, c4, rows=None):
+def _recurrence(k: int, x, p1, c1, c2, c3, c4, rows=None, weights=None):
     """P_k(x) from P_0 = 1, P_1 = p1 and P_m = ((c2 + c3 x) P_{m-1} - c4 P_{m-2}) / c1.
 
     c1..c4 hold the constants for m = 2..k.  A 0-d x runs on Python floats;
     an array x runs in place, P_m going to row m % len(rows) of rows: a full
     table, or two buffers (one freed 2-row block raises malloc's mmap threshold).
+    With weights (an array like x), the sums sum_j P_m(x_j) weights_j for
+    m = 0..k are returned instead: each row is reduced by numpy's pairwise sum
+    as soon as it is made, so only the two buffers are kept and no BLAS
+    product is taken.
     """
     steps = zip(c1.tolist(), c2.tolist(), c3.tolist(), c4.tolist())
     if rows is None and x.ndim == 0:
@@ -88,6 +93,11 @@ def _recurrence(k: int, x, p1, c1, c2, c3, c4, rows=None):
     else:
         rows[0], rows[1:2] = 1.0, p1
     n, pm1, p, tmp = len(rows), rows[0], rows[min(k, 1)], np.empty_like(x)
+    if weights is not None:
+        sums = np.empty(k + 1)
+        sums[0] = weights.sum()
+        if k:
+            sums[1] = np.multiply(p1, weights, tmp).sum()
     for m, (d1, d2, d3, d4) in enumerate(steps, start=2):
         nxt = rows[m % n]  # with two buffers this is P_{m-2}, already read
         np.multiply(d4, pm1, tmp)
@@ -100,10 +110,12 @@ def _recurrence(k: int, x, p1, c1, c2, c3, c4, rows=None):
         nxt -= tmp
         nxt /= d1
         pm1, p = p, nxt
-    return rows[k % n]
+        if weights is not None:
+            sums[m] = np.multiply(nxt, weights, tmp).sum()
+    return rows[k % n] if weights is None else sums
 
 
-def _jacobi(k: int, params: JacobiParams, x, rows=None):
+def _jacobi(k: int, params: JacobiParams, x, rows=None, weights=None):
     """P_k(x) by the Jacobi step, for x (0-d or array of floats) in [-1, 1]."""
     if not np.all(np.abs(x) <= 1.0 + _X_SLACK):  # also rejects NaN
         raise ValueError("argument outside [-1, 1] or NaN")
@@ -115,10 +127,11 @@ def _jacobi(k: int, params: JacobiParams, x, rows=None):
         raise ValueError("alpha + beta within rounding of -2: the Jacobi step divides by 0")
     return _recurrence(k, x, (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0,
                        c1, (s - 1.0) * (a * a - b * b),
-                       (s - 1.0) * s * (s - 2.0), 2.0 * (m + a - 1.0) * (m + b - 1.0) * s, rows)
+                       (s - 1.0) * s * (s - 2.0), 2.0 * (m + a - 1.0) * (m + b - 1.0) * s,
+                       rows, weights)
 
 
-def _laguerre(k: int, alpha: float, x, rows=None):
+def _laguerre(k: int, alpha: float, x, rows=None, weights=None):
     """L_k^alpha(x) by the Laguerre step, for x (0-d or array of floats) >= 0."""
     if not alpha > -1.0:
         raise ValueError("Laguerre exponent must be > -1")
@@ -126,7 +139,7 @@ def _laguerre(k: int, alpha: float, x, rows=None):
         raise ValueError("Laguerre argument must be finite and nonnegative")
     m = np.arange(2.0, k + 1.0)
     return _recurrence(k, x, 1.0 + alpha - x, m, 2.0 * m - 1.0 + alpha,
-                       -np.ones_like(m), m - 1.0 + alpha, rows)
+                       -np.ones_like(m), m - 1.0 + alpha, rows, weights)
 
 
 def _normalized(vals, one, at_end):
@@ -183,6 +196,36 @@ def _r_table(family, kmax: int, params, a: float, x, end: float) -> np.ndarray:
     ks = np.arange(kmax + 1, dtype=float)
     ones = np.exp(gammaln(ks + a + 1.0) - gammaln(ks + 1.0) - lgamma(a + 1.0))
     return _normalized(tab, ones[:, None], arr == end)
+
+
+def _r_sums(family, kmax: int, params, a: float, x, u, end: float) -> np.ndarray:
+    """sum_j R_k(x_j) u_j for every k = 0..kmax, with R_k = family / binom(k + a, k).
+
+    The recurrence reduces each row against u as it goes (see _recurrence),
+    so memory is O(len(x)) and the bits do not depend on the BLAS thread
+    count.  The binomial is the running product; nodes at `end`, where
+    R_k = 1, add their weights exactly.
+    """
+    kmax = _check_degree(kmax)
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    at = x == end
+    sums = family(kmax, params, x[~at], weights=u[~at])
+    return sums / _binomial_ratios(kmax, a, 0.0) + u[at].sum()
+
+
+def _jacobi_r_sums(kmax: int, params: JacobiParams, x, u) -> np.ndarray:
+    """jacobi_r_table(kmax, params, x) @ u without the table, exact at x = +-1."""
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    at = x == -1.0
+    sums = _r_sums(_jacobi, kmax, params, params.alpha, x[~at], u[~at], 1.0)
+    if np.any(at):
+        sums += _at_minus_one(kmax, params.beta, params.alpha) * u[at].sum()
+    return sums
+
+
+def _laguerre_r_sums(kmax: int, alpha: float, x, u) -> np.ndarray:
+    """laguerre_r_table(kmax, alpha, x) @ u without the table."""
+    return _r_sums(_laguerre, kmax, alpha, alpha, x, u, 0.0)
 
 
 def jacobi_p(k: int, params: JacobiParams, x):

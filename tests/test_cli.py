@@ -2,9 +2,9 @@
 
 The README examples are pinned byte for byte against README_CLI_GOLDEN.
 Each runs as `python -m fourierjacobi.cli` with single-threaded BLAS: the
-quadrature coefficient sums are matrix-vector products, whose last bits
-depend on the BLAS thread count.  The step-function and power-weight
-examples use no such product and are also run at the default thread count.
+cosine sums of `verify-mehler` and `transform` are matrix-vector products,
+whose last bits depend on the BLAS thread count.  The coefficient examples
+use no such product and are also run at the default thread count.
 After an intended output change, refreeze with
 `PYTHONPATH=src python tests/test_cli.py --freeze` and review the diff.
 """
@@ -200,17 +200,24 @@ def readme_commands() -> list[str]:
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_readme_command(command: str, single_thread: bool = True) -> dict:
-    """Run one README example; without single_thread the BLAS thread
-    variables are removed, so BLAS picks its default thread count."""
+def package_env(single_thread: bool = True) -> dict:
+    """Environment for a subprocess that imports this package; without
+    single_thread the BLAS thread variables are removed, so BLAS picks its
+    default thread count."""
     src = str(Path(fourierjacobi.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     if single_thread:
         env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def run_readme_command(command: str, single_thread: bool = True) -> dict:
+    """Run one README example (see package_env for single_thread)."""
     proc = subprocess.run([sys.executable, "-m", "fourierjacobi.cli",
                            *shlex.split(command)[1:]],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=package_env(single_thread), capture_output=True, text=True,
+                          timeout=300)
     return {"command": command, "exit": proc.returncode, "stdout": proc.stdout,
             "stderr": proc.stderr}
 
@@ -237,6 +244,30 @@ class TestReadmeGolden:
             runs = pool.map(lambda c: run_readme_command(c, single_thread=False), commands)
             for command, got in zip(commands, runs):
                 assert got == golden[command], command
+
+    def test_laguerre_coeffs_at_default_blas_threads(self):
+        """The Laguerre quadrature sums R_k degree by degree with numpy's
+        pairwise sum, not a BLAS product."""
+        golden = {g["command"]: g for g in json.loads(README_CLI_GOLDEN.read_text())}
+        [command] = [c for c in readme_commands() if c.split()[1:3] == ["laguerre", "coeffs"]]
+        assert run_readme_command(command, single_thread=False) == golden[command]
+
+
+QUADRATURE_SERIES = """
+from fourierjacobi import CosinePoly, GridSampled, JacobiParams, coefficient_series
+params = JacobiParams(0.5, -0.25)
+for f in (CosinePoly((0.5, 1.0, 0.25, -0.125)), GridSampled((0.6, 1.2, 1.8), (0.0, 1.0, 0.5))):
+    print(coefficient_series(f, 512, params).to_csv())
+"""
+
+
+def test_quadrature_series_bytes_do_not_depend_on_blas_threads():
+    runs = [subprocess.run([sys.executable, "-c", QUADRATURE_SERIES],
+                           env=package_env(single), capture_output=True, text=True,
+                           timeout=300)
+            for single in (True, False)]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--freeze"]:

@@ -342,6 +342,17 @@ class TestDoublingLoops:
         coefficient(f, 7, P)
         assert built_sizes == []
 
+    def test_coefficient_quadrature_starts_at_the_exact_size(self, built_sizes):
+        """At kmax 1024 the first rule has (1025 // 2) + 32 -> 544 nodes, exact
+        for R_k times a polynomial of degree below 64, so a degree-24 cosine
+        polynomial settles at the first comparison."""
+        f = CosinePoly(tuple(1.0 / (m + 1.0) for m in range(25)))
+        coefficient_series(f, 1024, JacobiParams(0.5, -0.25))
+        assert built_sizes == [544, 1088]
+        built_sizes.clear()
+        laguerre_coefficient_series(UNIT_STEP, 1024, 0.5)
+        assert built_sizes[0] == 544
+
     @pytest.mark.parametrize("theta", [0.3, 1.5, 2.9])
     def test_chebyshev_limit_requests_no_rule(self, theta, built_sizes):
         """At beta = -1/2 the limit form has no correction nodes: R_k is the

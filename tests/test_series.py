@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from fourierjacobi import (
     jacobi_p_one,
     jacobi_r,
 )
+import fourierjacobi.laguerre as laguerre_module
 import fourierjacobi.series as series_module
 from fourierjacobi.selftest import closed_form_gap
 
@@ -524,3 +526,73 @@ class TestGridSampledSeries:
                           points=[0.6, 1.2, 1.8])
             np.testing.assert_allclose(coefficient(f, k, params), ref,
                                        rtol=1e-8, atol=1e-12)
+
+    def test_end_next_to_zero(self):
+        """The constant end [0, 1e-9] is empty in x; it is summed in closed
+        form, and the interior piece next to it reaches x = 1."""
+        f = GridSampled((1e-9, 1.0), (1.0, 0.0))
+        params = JacobiParams(0.5, -0.25)
+        series = coefficient_series(f, 64, params)
+        np.testing.assert_allclose(norm_l(f, params), series.values[0], rtol=1e-12)
+        assert 0.0 <= parseval_check(f, params, 64).rel_gap < 1e-4
+
+    @pytest.mark.parametrize("a,b", [(0.5, -0.25), (-0.5, -0.5), (2.0, 1.0)])
+    def test_constant_grid_is_the_weight_mass(self, a, b):
+        f = GridSampled((1e-9, 2.0), (1.0, 1.0))
+        params = JacobiParams(a, b)
+        mass = sp.beta(a + 1.0, b + 1.0)
+        values = coefficient_series(f, 256, params).values
+        scale = max(1.0, mass)
+        assert abs(values[0] - mass) <= 1e-10 * scale
+        assert np.max(np.abs(values[1:])) <= 1e-10 * scale
+        assert abs(parseval_check(f, params, 64).rel_gap) <= 1e-10
+        assert abs(norm_l(f, params) - mass) <= 1e-10 * scale
+
+    def test_requests_legendre_rules_only(self, monkeypatch):
+        """Only the linear interior pieces go through quadrature."""
+        exponents = set()
+        rule = series_module.mapped_jacobi_rule
+
+        def recording(n, a, b, lo, hi):
+            exponents.add((a, b))
+            return rule(n, a, b, lo, hi)
+
+        monkeypatch.setattr(series_module, "mapped_jacobi_rule", recording)
+        f = GridSampled((0.3, 1.2, 2.9), (2.0, -1.0, 0.5))
+        coefficient_series(f, 128, JacobiParams(0.5, -0.25))
+        assert exponents == {(0.0, 0.0)}
+
+
+class TestTableFree:
+    """Coefficient quadrature sums R_k degree by degree, so it builds no
+    (kmax+1) x n table of R_k."""
+
+    @pytest.fixture
+    def no_tables(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an R_k table was built")
+
+        monkeypatch.setattr(series_module, "jacobi_r_table", refuse)
+        monkeypatch.setattr(laguerre_module, "laguerre_r_table", refuse)
+
+    @pytest.mark.parametrize("f", [CosinePoly((0.5, 1.0, 0.25)),
+                                   GridSampled((0.6, 1.2, 1.8), (0.0, 1.0, 0.5)),
+                                   np.cos])
+    def test_series_without_tables(self, f, no_tables):
+        coefficient_series(f, 128, JacobiParams(0.5, -0.25))
+
+    @pytest.mark.parametrize("f", [laguerre_module.LaguerreStep((1.0, 2.0), (1.0, -0.5)),
+                                   laguerre_module.LaguerrePolynomial((1.0, 2.0))])
+    def test_laguerre_series_without_tables(self, f, no_tables):
+        laguerre_module.laguerre_coefficient_series(f, 64, 0.5)
+
+    def test_memory_is_linear_in_the_rule_size(self):
+        """kmax 4096 compares rules of 2080 and 4160 nodes; a table of R_k
+        at the larger one alone would take 130 MiB."""
+        tracemalloc.start()
+        try:
+            coefficient_series(CosinePoly((0.5, 1.0, 0.25)), 4096, JacobiParams(0.5, -0.25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20

@@ -276,6 +276,49 @@ class TestSingleRecurrence:
         assert repr(sup_norm_slope(JacobiParams(a, b), region=region).slope) == slope
 
 
+class TestTableFreeSums:
+    """The coefficient quadrature sums R_k against weights without a table:
+    each row is reduced as the recurrence makes it and divided by a
+    running-product binomial.  It must match the table's matrix-vector
+    product row by row; the table's log-gamma normalizer accounts for most
+    of the gap."""
+
+    EXPONENT = st.floats(-0.9, 3.0)
+
+    @staticmethod
+    def assert_rows_match(sums, tab, u):
+        bound = 1e-11 * (np.abs(tab) @ np.abs(u))
+        assert np.all(np.abs(sums - tab @ u) <= bound)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 1024), EXPONENT, EXPONENT,
+           st.lists(st.floats(-1.0, 1.0), max_size=8), st.integers(0, 2 ** 32 - 1))
+    def test_jacobi_sums_match_table(self, kmax, a, b, xs, seed):
+        params = JacobiParams(a, b)
+        x = np.array([-1.0, *xs, 1.0])
+        u = np.random.default_rng(seed).normal(size=x.size)
+        self.assert_rows_match(specfun._jacobi_r_sums(kmax, params, x, u),
+                               jacobi_r_table(kmax, params, x), u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 1024), EXPONENT,
+           st.lists(st.floats(0.0, 100.0), max_size=8), st.integers(0, 2 ** 32 - 1))
+    def test_laguerre_sums_match_table(self, kmax, alpha, xs, seed):
+        x = np.array([0.0, *xs])
+        u = np.random.default_rng(seed).normal(size=x.size)
+        self.assert_rows_match(specfun._laguerre_r_sums(kmax, alpha, x, u),
+                               laguerre_r_table(kmax, alpha, x), u)
+
+    def test_endpoint_nodes_add_exact_values(self):
+        """R_k(1) = 1 and R_k(-1) are closed forms, so nodes there add exactly."""
+        params = JacobiParams(0.5, -0.25)
+        sums = specfun._jacobi_r_sums(6, params, np.array([1.0, -1.0]), np.array([2.0, 3.0]))
+        ends = jacobi_r_table(6, params, np.array([1.0, -1.0]))
+        np.testing.assert_array_equal(sums, 2.0 * ends[:, 0] + 3.0 * ends[:, 1])
+        np.testing.assert_array_equal(
+            specfun._laguerre_r_sums(6, 0.5, np.array([0.0]), np.array([2.0])), 2.0)
+
+
 class TestNonFiniteArguments:
     """NaN and infinities raise instead of returning NaN rows."""
 
