@@ -23,7 +23,6 @@ from .series import (
 )
 from .laguerre import (
     LaguerreStep,
-    LaguerrePolynomial,
     LaguerreExpDamped,
     laguerre_coefficient_series,
     laguerre_bound_profile,
@@ -78,7 +77,7 @@ def _parse_laguerre_function(text: str):
         values = tuple(float(i % 2 == 1) for i in range(len(breaks)))
         return LaguerreStep(tuple(breaks), values)
     if kind == "poly":
-        return LaguerrePolynomial(tuple(_floats(rest)))
+        return LaguerreExpDamped(tuple(_floats(rest)))
     if kind == "damped":
         rate_text, _, coeff_text = rest.partition(":")
         return LaguerreExpDamped(tuple(_floats(coeff_text)), float(rate_text))
@@ -126,11 +125,9 @@ def _cmd_coeffs(args) -> int:
     f = _parse_circle_function(args.function)
     series = coefficient_series(f, args.kmax, params,
                                 normalization=args.normalization)
-    if args.format == "csv":
-        _write_text(series.to_csv(), args.out)
-    else:
-        _write_text(json.dumps(series.to_json_dict(), indent=2) + "\n",
-                    args.out)
+    _emit_pairs(range(len(series.values)), series.values, "k,value", args.format,
+                args.out, {"alpha": params.alpha, "beta": params.beta,
+                           "kmax": series.kmax, "normalization": series.normalization})
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .errors import AccuracyError
-from .specfun import JacobiParams, _hyp2f1_array
+from .specfun import JacobiParams, _check_finite, _hyp2f1_array
 from .quadrature import converge_doubling, ladder_size, mapped_jacobi_rule
 from .mehler import _converge_cosine, _cosine_sum
 
@@ -28,7 +28,6 @@ __all__ = [
     "ExpDecay",
     "HalfLineGrid",
     "jacobi_function",
-    "jacobi_function_series",
     "transform",
     "transform_sweep",
     "EnvelopeReport",
@@ -48,6 +47,7 @@ class Indicator:
     b: float
 
     def __post_init__(self):
+        _check_finite(self.a, self.b)
         if not 0.0 < self.a < self.b:
             raise ValueError("need 0 < a < b")
 
@@ -74,6 +74,7 @@ class ExpDecay:
         cs = tuple(float(c) for c in self.coefficients)
         if not cs:
             raise ValueError("need at least one coefficient")
+        _check_finite(*cs, self.rate)
         rho = self.params.alpha + self.params.beta + 1.0
         if self.rate <= 2.0 * rho:
             raise ValueError(
@@ -96,6 +97,7 @@ class HalfLineGrid:
     def __post_init__(self):
         ts = tuple(float(t) for t in self.abscissae)
         ys = tuple(float(y) for y in self.ordinates)
+        _check_finite(*ts, *ys)
         if len(ts) < 2 or len(ts) != len(ys):
             raise ValueError("need matching abscissae/ordinates, at least two")
         if ts[0] <= 0.0 or any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
@@ -199,57 +201,6 @@ def jacobi_function(tau: float, t: float, params: JacobiParams,
                            rtol)[0, 0])
 
 
-def jacobi_function_series(tau: float, t: float, params: JacobiParams,
-                           rtol: float = 1e-7,
-                           max_terms: int = 200_000) -> float:
-    """phi_tau(t) summed directly from its defining hypergeometric series.
-
-    The unbounded-argument 2F1 is converted to a convergent series in
-    tanh^2 t; the complex Pochhammer products are tracked as real pairs.
-    Partial sums can exceed the tiny final value at large tau*t, so the
-    roundoff amplification is estimated along the way and an accuracy error
-    is raised when the requested tolerance is out of reach in double
-    precision.  Intended as an independent cross-check at moderate tau*t.
-    """
-    _check_params(params)
-    if tau < 0.0:
-        raise ValueError("frequency must be nonnegative")
-    if t < 0.0:
-        raise ValueError("argument must be nonnegative")
-    if t == 0.0:
-        return 1.0
-    a, b = params.alpha, params.beta
-    rho = a + b + 1.0
-    p, q = rho / 2.0, (a - b + 1.0) / 2.0
-    z = math.tanh(t) ** 2
-    half = tau / 2.0
-    tr, ti = 1.0, 0.0
-    s_re, s_im = 1.0, 0.0
-    peak = 1.0
-    for n in range(max_terms):
-        ar = (p + n) * (q + n) - half * half
-        ai = half * (p + q + 2.0 * n)
-        scale = z / ((a + 1.0 + n) * (n + 1.0))
-        tr, ti = (tr * ar - ti * ai) * scale, (tr * ai + ti * ar) * scale
-        s_re += tr
-        s_im += ti
-        mag = math.hypot(tr, ti)
-        peak = max(peak, mag, abs(s_re), abs(s_im))
-        if mag * z / (1.0 - z) <= 1e-17 * max(abs(s_re), abs(s_im), 1e-300):
-            break
-    else:
-        raise AccuracyError("kernel series did not converge", achieved=mag)
-    ell = tau * float(_log_cosh(t))
-    value = math.exp(-rho * float(_log_cosh(t))) * (
-        math.cos(ell) * s_re + math.sin(ell) * s_im)
-    lost = 1e-16 * peak * math.exp(-rho * float(_log_cosh(t)))
-    if lost > rtol * max(abs(value), 1e-300):
-        raise AccuracyError(
-            "cancellation in the direct series exceeds the requested tolerance",
-            achieved=lost / max(abs(value), 1e-300))
-    return value
-
-
 # ---------------------------------------------------------------------------
 # the transform
 
@@ -283,10 +234,12 @@ def _transform_prefactor(params: JacobiParams) -> float:
 
 def _sweep_piece(lo: float, hi: float, g, taus: np.ndarray,
                  params: JacobiParams, n_out: int, level: int) -> np.ndarray:
-    rule = mapped_jacobi_rule(n_out, 0.0, 0.0, lo, hi)
+    # A piece at t = 0 puts the weight's t^(2a+1) into its rule.
+    e = 2.0 * params.alpha + 1.0 if lo == 0.0 else 0.0
+    rule = mapped_jacobi_rule(n_out, 0.0, e, lo, hi)
     t_nodes = rule.nodes
     u = rule.weights * np.asarray(g(t_nodes), dtype=float) * np.exp(
-        _log_weight(t_nodes, params))
+        _log_weight(t_nodes, params) - e * np.log(t_nodes))
     tau_max = float(np.max(taus))
     out = np.zeros(taus.size)
     for ti, ui in zip(t_nodes, u):

@@ -1,8 +1,9 @@
 """Fourier-Laguerre coefficients and the half-exponent machinery around them.
 
 Coefficients integrate f R_k^a x^a e^(-x); the space norm integrates
-|f| x^a e^(-x/2).  The two weights are deliberately kept in separate code
-paths, because the e^(-x/2) split is what makes |e^(-x/2) R_k| <= 1 usable.
+|f| x^a e^(-x/2), the split that makes |e^(-x/2) R_k| <= 1 usable.  Both
+split f once into pieces p(x) e^(-rate x) on [lo, hi) and take their nodes
+from one builder for the weight x^a e^(-d x), with d = 1 and d = 1/2.
 """
 
 import math
@@ -11,20 +12,18 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval, polyroots
 
-from .specfun import _laguerre_r_sums, laguerre_r, laguerre_r_table
+from .specfun import _check_finite, _laguerre_r_sums, laguerre_r, laguerre_r_table
 from .quadrature import (converge_doubling, gauss_laguerre_rule, ladder_size,
                          mapped_jacobi_rule)
 from .series import DecayReport, _decay_report
 
 __all__ = [
     "LaguerreStep",
-    "LaguerrePolynomial",
     "LaguerreExpDamped",
     "laguerre_coefficient",
     "laguerre_coefficient_series",
     "laguerre_norm",
     "step_identity_check",
-    "laguerre_bound_check",
     "laguerre_bound_profile",
     "laguerre_decay",
 ]
@@ -44,6 +43,7 @@ class LaguerreStep:
     def __post_init__(self):
         bp = tuple(float(t) for t in self.breakpoints)
         vals = tuple(float(v) for v in self.values)
+        _check_finite(*bp, *vals)
         if not bp or len(vals) != len(bp):
             raise ValueError("need one value per breakpoint")
         if bp[0] <= 0.0 or any(t1 <= t0 for t0, t1 in zip(bp, bp[1:])):
@@ -60,32 +60,17 @@ class LaguerreStep:
 
 
 @dataclass(frozen=True)
-class LaguerrePolynomial:
-    """f(x) = sum_i c_i x^i with ascending coefficients."""
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        cs = tuple(float(c) for c in self.coefficients)
-        if not cs:
-            raise ValueError("need at least one coefficient")
-        object.__setattr__(self, "coefficients", cs)
-
-    def __call__(self, x):
-        return polyval(np.asarray(x, dtype=float), self.coefficients)
-
-
-@dataclass(frozen=True)
 class LaguerreExpDamped:
-    """f(x) = p(x) e^(-rate x) with rate >= 0."""
+    """f(x) = p(x) e^(-rate x) with rate >= 0; rate 0 is the polynomial p."""
 
     coefficients: tuple[float, ...]
-    rate: float
+    rate: float = 0.0
 
     def __post_init__(self):
         cs = tuple(float(c) for c in self.coefficients)
         if not cs:
             raise ValueError("need at least one coefficient")
+        _check_finite(*cs, self.rate)
         if self.rate < 0.0:
             raise ValueError("damping rate must be nonnegative")
         object.__setattr__(self, "coefficients", cs)
@@ -96,17 +81,52 @@ class LaguerreExpDamped:
 
 
 def _check_alpha(alpha: float) -> float:
-    if alpha <= -1.0:
+    if not alpha > -1.0:
         raise ValueError("Laguerre exponent must be > -1")
     return float(alpha)
 
 
-def _poly_parts(f) -> tuple[tuple[float, ...], float]:
-    if isinstance(f, LaguerrePolynomial):
-        return f.coefficients, 0.0
+def _pieces(f) -> list[tuple[float, float, tuple[float, ...], float]]:
+    """f as pieces (lo, hi, p, rate) with f = p(x) e^(-rate x) on [lo, hi).
+
+    Zero pieces of a step are dropped; a damped polynomial is one piece
+    running to hi = infinity.
+    """
+    if isinstance(f, LaguerreStep):
+        edges = (0.0, *f.breakpoints)
+        return [(lo, hi, (v,), 0.0) for lo, hi, v in zip(edges, edges[1:], f.values)
+                if v != 0.0]
     if isinstance(f, LaguerreExpDamped):
-        return f.coefficients, f.rate
+        return [(0.0, math.inf, f.coefficients, f.rate)]
     raise TypeError(f"not a usable half-line function spec: {f!r}")
+
+
+def _weighted_nodes(pieces, n: int, alpha: float,
+                    d: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and values u with u @ h(x) ~ the integral of f h x^a e^(-d x).
+
+    A piece that starts at 0 puts x^a into its Gauss-Jacobi rule; any other
+    piece multiplies it in at the nodes.  A piece that runs to infinity
+    takes a Gauss-Laguerre rule, which also absorbs the exponential.
+    """
+    xs, us = [], []
+    for lo, hi, p, rate in pieces:
+        s = rate + d
+        a = alpha if lo == 0.0 else 0.0
+        if hi == math.inf:
+            rule = gauss_laguerre_rule(n, a)
+            x = lo + rule.nodes / s
+            w = rule.weights * (math.exp(-s * lo) / s ** (a + 1.0))
+            g = polyval(x, p)
+        else:
+            rule = mapped_jacobi_rule(n, 0.0, a, lo, hi)
+            x, w = rule.nodes, rule.weights
+            g = polyval(x, p) * np.exp(-s * x)
+        if lo != 0.0:
+            g = g * x ** alpha
+        xs.append(x)
+        us.append(w * g)
+    return np.concatenate(xs), np.concatenate(us)
 
 
 def _coefficient_values(f, kmax: int, alpha: float,
@@ -117,42 +137,19 @@ def _coefficient_values(f, kmax: int, alpha: float,
     (specfun._laguerre_r_sums), over the nodes of all pieces at once.
     """
     alpha = _check_alpha(alpha)
-
+    pieces = _pieces(f)
+    if not pieces:
+        return np.zeros(kmax + 1)
     if isinstance(f, LaguerreStep):
-        edges = (0.0, *f.breakpoints)
-        pieces = [(lo, hi, v) for lo, hi, v in zip(edges, edges[1:], f.values)
-                  if v != 0.0]
-        if not pieces:
-            return np.zeros(kmax + 1)
-
-        def one(n: int) -> np.ndarray:
-            xs, us = [], []
-            for lo, hi, v in pieces:
-                exp_lo = alpha if lo == 0.0 else 0.0
-                rule = mapped_jacobi_rule(n, 0.0, exp_lo, lo, hi)
-                x = rule.nodes
-                g = v * np.exp(-x)
-                if lo != 0.0:
-                    g = g * x ** alpha
-                xs.append(x)
-                us.append(rule.weights * g)
-            return _laguerre_r_sums(kmax, alpha, np.concatenate(xs), np.concatenate(us))
-
         # Exact for R_k times a polynomial of degree below 64, as in series.
-        n0 = ladder_size((kmax + 1) // 2 + 32)
+        n0 = (kmax + 1) // 2 + 32
     else:
-        coeffs, rate = _poly_parts(f)
-        scale = (1.0 + rate) ** (-(alpha + 1.0))
+        n0 = (kmax + len(f.coefficients)) // 2 + 8
 
-        def one(n: int) -> np.ndarray:
-            rule = gauss_laguerre_rule(n, alpha)
-            x = rule.nodes / (1.0 + rate)
-            g = polyval(x, coeffs)
-            return scale * _laguerre_r_sums(kmax, alpha, x, rule.weights * g)
+    def one(n: int) -> np.ndarray:
+        return _laguerre_r_sums(kmax, alpha, *_weighted_nodes(pieces, n, alpha, 1.0))
 
-        n0 = ladder_size((kmax + len(coeffs)) // 2 + 8)
-
-    return converge_doubling(one, n0, rtol)
+    return converge_doubling(one, ladder_size(n0), rtol)
 
 
 def laguerre_coefficient(f, k: int, alpha: float) -> float:
@@ -170,63 +167,25 @@ def laguerre_coefficient_series(f, kmax: int, alpha: float) -> np.ndarray:
 
 
 def laguerre_norm(f, alpha: float) -> float:
-    """Space norm of f: the integral of |f| x^a e^(-x/2)."""
+    """Space norm of f: the integral of |f| x^a e^(-x/2).
+
+    Pieces are cut at the positive real roots of p, so |p| is smooth on each.
+    """
     alpha = _check_alpha(alpha)
+    pieces = []
+    for lo, hi, p, rate in _pieces(f):
+        cuts = sorted({float(r.real) for r in polyroots(p)
+                       if abs(r.imag) < 1e-10 and max(lo, 1e-12) < r.real < hi})
+        edges = [lo, *cuts, hi]
+        pieces += [(a, b, p, rate) for a, b in zip(edges, edges[1:])]
+    if not pieces:
+        return 0.0
+    n0 = 48 if isinstance(f, LaguerreStep) else max(24, len(f.coefficients) + 8)
 
-    if isinstance(f, LaguerreStep):
-        edges = (0.0, *f.breakpoints)
+    def one(n: int) -> float:
+        return float(np.sum(np.abs(_weighted_nodes(pieces, n, alpha, 0.5)[1])))
 
-        def one(n: int) -> float:
-            total = 0.0
-            for lo, hi, v in zip(edges, edges[1:], f.values):
-                if v == 0.0:
-                    continue
-                exp_lo = alpha if lo == 0.0 else 0.0
-                rule = mapped_jacobi_rule(n, 0.0, exp_lo, lo, hi)
-                x = rule.nodes
-                g = abs(v) * np.exp(-x / 2.0)
-                if lo != 0.0:
-                    g = g * x ** alpha
-                total += float(rule.weights @ g)
-            return total
-
-        n0 = ladder_size(48)
-    else:
-        coeffs, rate = _poly_parts(f)
-        s = rate + 0.5
-        cuts: list[float] = []
-        if len(coeffs) > 1:
-            rts = np.atleast_1d(polyroots(coeffs))
-            cuts = sorted({float(r.real) for r in rts.astype(complex)
-                           if abs(r.imag) < 1e-10 and r.real > 1e-12})
-
-        def one(n: int) -> float:
-            total = 0.0
-            edges = [0.0, *cuts]
-            for lo, hi in zip(edges, edges[1:]):
-                exp_lo = alpha if lo == 0.0 else 0.0
-                rule = mapped_jacobi_rule(n, 0.0, exp_lo, lo, hi)
-                x = rule.nodes
-                g = np.abs(polyval(x, coeffs)) * np.exp(-s * x)
-                if lo != 0.0:
-                    g = g * x ** alpha
-                total += float(rule.weights @ g)
-            r = edges[-1]
-            if r == 0.0:
-                rule = gauss_laguerre_rule(n, alpha)
-                y = rule.nodes / s
-                total += s ** (-(alpha + 1.0)) * float(
-                    rule.weights @ np.abs(polyval(y, coeffs)))
-            else:
-                rule = gauss_laguerre_rule(n, 0.0)
-                y = r + rule.nodes / s
-                g = np.abs(polyval(y, coeffs)) * y ** alpha
-                total += math.exp(-s * r) / s * float(rule.weights @ g)
-            return total
-
-        n0 = ladder_size(max(24, len(coeffs) + 8))
-
-    return converge_doubling(one, n0, 1e-11)
+    return converge_doubling(one, ladder_size(n0), 1e-11)
 
 
 def step_identity_check(a: float, k: int, alpha: float) -> tuple[float, float]:
@@ -252,32 +211,17 @@ def step_identity_check(a: float, k: int, alpha: float) -> tuple[float, float]:
     return lhs, rhs
 
 
-_DEFAULT_BOUND_GRID = None
-
-
-def _bound_grid() -> np.ndarray:
-    global _DEFAULT_BOUND_GRID
-    if _DEFAULT_BOUND_GRID is None:
-        g = np.concatenate(([0.0], np.geomspace(1e-3, 200.0, 2000)))
-        g.setflags(write=False)
-        _DEFAULT_BOUND_GRID = g
-    return _DEFAULT_BOUND_GRID
-
-
-def laguerre_bound_check(k: int, alpha: float, grid=None) -> float:
-    """Max of |e^(-x/2) R_k^a(x)| over a grid; at most 1 when a >= 0.
-
-    For a < 0 the value is still computed and returned, it just is not
-    covered by the bound.
-    """
-    grid = _bound_grid() if grid is None else np.asarray(grid, dtype=float)
-    vals = np.exp(-grid / 2.0) * laguerre_r(k, alpha, grid)
-    return float(np.max(np.abs(vals)))
+_DEFAULT_BOUND_GRID = np.concatenate(([0.0], np.geomspace(1e-3, 200.0, 2000)))
+_DEFAULT_BOUND_GRID.setflags(write=False)
 
 
 def laguerre_bound_profile(kmax: int, alpha: float, grid=None) -> np.ndarray:
-    """laguerre_bound_check for every k = 0..kmax via one table sweep."""
-    grid = _bound_grid() if grid is None else np.asarray(grid, dtype=float)
+    """Max of |e^(-x/2) R_k^a(x)| over a grid for every k = 0..kmax.
+
+    At most 1 when a >= 0; for a < 0 the value is still computed and
+    returned, it just is not covered by the bound.  One table sweep.
+    """
+    grid = _DEFAULT_BOUND_GRID if grid is None else np.asarray(grid, dtype=float)
     tab = laguerre_r_table(kmax, alpha, grid)
     return np.max(np.abs(tab * np.exp(-grid / 2.0)), axis=1)
 

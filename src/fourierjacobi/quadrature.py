@@ -37,14 +37,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
-    alpha: float
-    beta: float
-    interval: tuple[float, float]
-
-    @property
-    def order(self) -> int:
-        return self.nodes.size
 
     def apply(self, f) -> float:
         return float(self.weights @ f(self.nodes))
@@ -139,7 +131,7 @@ def _jacobi_coeffs(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 def _gauss_jacobi_cached(n: int, a: float, b: float) -> QuadratureRule:
     d, e2 = _jacobi_coeffs(n, a, b)
     x, w = _golub_welsch(d, e2)
-    return _freeze(QuadratureRule(x, w, "gauss-jacobi", a, b, (-1.0, 1.0)))
+    return _freeze(QuadratureRule(x, w))
 
 
 def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
@@ -168,14 +160,14 @@ def _gauss_laguerre_cached(n: int, a: float) -> QuadratureRule:
     if n > 1:
         e2[1:] = i[1:] * (i[1:] + a)
     x, w = _golub_welsch(d, e2)
-    return _freeze(QuadratureRule(x, w, "gauss-laguerre", a, 0.0, (0.0, np.inf)))
+    return _freeze(QuadratureRule(x, w))
 
 
 def gauss_laguerre_rule(n: int, alpha: float) -> QuadratureRule:
     """n-point rule for integrals of f(x) x^alpha e^(-x) over [0, inf)."""
     if n < 1:
         raise ValueError("rule size must be at least 1")
-    if alpha <= -1.0:
+    if not alpha > -1.0:
         raise ValueError("Gauss-Laguerre exponent must be > -1")
     return _gauss_laguerre_cached(int(n), float(alpha))
 
@@ -193,7 +185,7 @@ def mapped_jacobi_rule(n: int, alpha: float, beta: float,
     h = 0.5 * (hi - lo)
     x = lo + (base.nodes + 1.0) * h
     w = base.weights * h ** (alpha + beta + 1.0)
-    return _freeze(QuadratureRule(x, w, "mapped-jacobi", alpha, beta, (lo, hi)))
+    return _freeze(QuadratureRule(x, w))
 
 
 def mehler_inner_rule(theta: float, alpha: float, n: int) -> QuadratureRule:
@@ -216,7 +208,7 @@ def mehler_inner_rule(theta: float, alpha: float, n: int) -> QuadratureRule:
     t = c + (base.nodes + 1.0) * h
     w = base.weights * h ** alpha * (1.0 + t) ** -0.5
     phi = np.arccos(np.clip(t, -1.0, 1.0))
-    return _freeze(QuadratureRule(phi, w, "mehler-inner", alpha, theta, (0.0, theta)))
+    return _freeze(QuadratureRule(phi, w))
 
 
 def ladder_size(n: int) -> int:

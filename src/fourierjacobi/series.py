@@ -10,16 +10,15 @@ the size that is exact for R_k times a polynomial of degree below 64 until
 two sizes agree.  Sup norms of R_k are maxima over its exact critical set.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import beta as beta_function, betainc
 
-from .specfun import (JacobiParams, _binomial_ratios, _check_degree, _jacobi_p_table,
-                      _jacobi_r_sums, h_normalizer_table, jacobi_p_one, jacobi_r,
-                      jacobi_r_table)
+from .specfun import (JacobiParams, _binomial_ratios, _check_degree, _check_finite,
+                      _jacobi_p_table, _jacobi_r_sums, h_normalizer_table, jacobi_p_one,
+                      jacobi_r, jacobi_r_table)
 from .quadrature import (converge_doubling, gauss_jacobi_rule, ladder_size,
                          mapped_jacobi_rule)
 
@@ -63,6 +62,7 @@ class StepFunction:
     def __post_init__(self):
         bp = tuple(float(t) for t in self.breakpoints)
         vals = tuple(float(v) for v in self.values)
+        _check_finite(*bp, *vals)
         if any(not 0.0 < t < math.pi for t in bp):
             raise ValueError("breakpoints must lie strictly inside (0, pi)")
         if any(t1 <= t0 for t0, t1 in zip(bp, bp[1:])):
@@ -85,6 +85,9 @@ class PowerWeight:
 
     rho: float
 
+    def __post_init__(self):
+        _check_finite(self.rho)
+
     def __call__(self, theta):
         return (1.0 + np.cos(theta)) ** self.rho
 
@@ -98,6 +101,7 @@ class CosinePoly:
     def __post_init__(self):
         object.__setattr__(self, "coefficients",
                            tuple(float(c) for c in self.coefficients))
+        _check_finite(*self.coefficients)
         if not self.coefficients:
             raise ValueError("need at least one coefficient")
 
@@ -128,6 +132,7 @@ class GridSampled:
     def __post_init__(self):
         ts = tuple(float(t) for t in self.abscissae)
         ys = tuple(float(y) for y in self.ordinates)
+        _check_finite(*ts, *ys)
         if len(ts) < 2 or len(ts) != len(ys):
             raise ValueError("need matching abscissae/ordinates, at least two")
         if any(not 0.0 < t < math.pi for t in ts):
@@ -416,23 +421,6 @@ class CoefficientSeries:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def to_csv(self) -> str:
-        lines = ["k,value"]
-        lines += [f"{k},{float(v)!r}" for k, v in enumerate(self.values)]
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.params.alpha,
-            "beta": self.params.beta,
-            "kmax": self.kmax,
-            "normalization": self.normalization,
-            "values": [float(v) for v in self.values],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
 def coefficient(f, k: int, params: JacobiParams, rtol: float = 1e-10) -> float:

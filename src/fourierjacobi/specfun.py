@@ -13,7 +13,7 @@ need: [0, 1) for arrays, and z = 1 through the Gauss sum when c - a - b > 0.
 """
 
 from dataclasses import dataclass
-from math import lgamma, exp
+from math import exp, isfinite, lgamma
 
 import numpy as np
 from scipy.special import gammaln, gammasgn, hyp2f1 as _scipy_hyp2f1
@@ -63,6 +63,12 @@ class PolyValue:
     degree: int
     value: float
     pathway: str  # "recurrence", "mehler-integral", or "limit-formula"
+
+
+def _check_finite(*values: float) -> None:
+    """Raise ValueError unless every number of a function spec is finite."""
+    if not all(isfinite(v) for v in values):
+        raise ValueError("function spec parameters must be finite")
 
 
 def _check_degree(k) -> int:

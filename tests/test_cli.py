@@ -54,7 +54,9 @@ class TestCoeffs:
                       "--format", "json", "--out", str(out_path))
         assert code == 0
         doc = json.loads(out_path.read_text())
+        assert list(doc) == ["alpha", "beta", "kmax", "normalization", "values"]
         assert doc["alpha"] == 0.5 and doc["kmax"] == 8
+        assert doc["normalization"] == "hat"
         assert len(doc["values"]) == 9
 
         code, out = run(capsys, "coeffs", "--alpha", "0.5", "--beta", "0",
@@ -170,6 +172,18 @@ class TestErrors:
                       "--kmax", "4", "--function", "step:1.0,2.0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--alpha", "0", "--beta", "0", "--kmax", "3", "--function", "power:nan"),
+        ("coeffs", "--alpha", "0", "--beta", "0", "--kmax", "3", "--function", "cospoly:1,inf"),
+        ("laguerre", "coeffs", "--alpha", "0", "--kmax", "3", "--function", "damped:nan:1"),
+        ("transform", "--alpha", "0", "--beta", "0", "--tau-max", "3",
+         "--function", "expdecay:nan:1"),
+    ])
+    def test_non_finite_spec_is_a_usage_error(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["coeffs", "--alpha", "0"])
@@ -257,7 +271,7 @@ QUADRATURE_SERIES = """
 from fourierjacobi import CosinePoly, GridSampled, JacobiParams, coefficient_series
 params = JacobiParams(0.5, -0.25)
 for f in (CosinePoly((0.5, 1.0, 0.25, -0.125)), GridSampled((0.6, 1.2, 1.8), (0.0, 1.0, 0.5))):
-    print(coefficient_series(f, 512, params).to_csv())
+    print(coefficient_series(f, 512, params).values.tolist())
 """
 
 

@@ -13,13 +13,57 @@ from fourierjacobi import (
     ExpDecay,
     HalfLineGrid,
     jacobi_function,
-    jacobi_function_series,
     transform,
     transform_sweep,
     envelope_check,
 )
 from fourierjacobi import jtransform
+from fourierjacobi.jtransform import _log_cosh
 from fourierjacobi.quadrature import QuadratureRule
+
+
+def jacobi_function_series(tau: float, t: float, params: JacobiParams,
+                           rtol: float = 1e-7) -> float:
+    """phi_tau(t) for t > 0 summed directly from its hypergeometric series.
+
+    The cross-check of the integral pathway.  The unbounded-argument 2F1 is
+    converted to a convergent series in tanh^2 t; the complex Pochhammer
+    products are tracked as real pairs.  Partial sums can exceed the tiny
+    final value at large tau*t, so the roundoff amplification is estimated
+    along the way and AccuracyError is raised when rtol is out of reach in
+    double precision.
+    """
+    a, b = params.alpha, params.beta
+    rho = a + b + 1.0
+    p, q = rho / 2.0, (a - b + 1.0) / 2.0
+    z = math.tanh(t) ** 2
+    half = tau / 2.0
+    tr, ti = 1.0, 0.0
+    s_re, s_im = 1.0, 0.0
+    peak = 1.0
+    for n in range(200_000):
+        ar = (p + n) * (q + n) - half * half
+        ai = half * (p + q + 2.0 * n)
+        scale = z / ((a + 1.0 + n) * (n + 1.0))
+        tr, ti = (tr * ar - ti * ai) * scale, (tr * ai + ti * ar) * scale
+        s_re += tr
+        s_im += ti
+        mag = math.hypot(tr, ti)
+        peak = max(peak, mag, abs(s_re), abs(s_im))
+        if mag * z / (1.0 - z) <= 1e-17 * max(abs(s_re), abs(s_im), 1e-300):
+            break
+    else:
+        raise AccuracyError("kernel series did not converge", achieved=mag)
+    ell = tau * float(_log_cosh(t))
+    value = math.exp(-rho * float(_log_cosh(t))) * (
+        math.cos(ell) * s_re + math.sin(ell) * s_im)
+    lost = 1e-16 * peak * math.exp(-rho * float(_log_cosh(t)))
+    if lost > rtol * max(abs(value), 1e-300):
+        raise AccuracyError(
+            "cancellation in the direct series exceeds the requested tolerance",
+            achieved=lost / max(abs(value), 1e-300))
+    return value
+
 
 # High-precision reference values for phi_tau(t), computed once with an
 # arbitrary-precision hypergeometric series and frozen here.  Keys are
@@ -130,7 +174,7 @@ class TestJacobiFunction:
     def test_argument_outside_unit_interval_raises(self, params, monkeypatch):
         """A node past t puts the 2F1 argument below 0, and the 2F1 wrapper
         refuses it in both kernel forms."""
-        past = QuadratureRule(np.array([1.5]), np.array([1.0]), "bad", 0.0, 0.0, (0.0, 1.5))
+        past = QuadratureRule(np.array([1.5]), np.array([1.0]))
         monkeypatch.setattr(jtransform, "mapped_jacobi_rule", lambda *args: past)
         with pytest.raises(AccuracyError, match=r"left \[0, 1\)"):
             jacobi_function(2.0, 1.0, params)
@@ -172,6 +216,19 @@ class TestProfiles:
         with pytest.raises(ValueError):
             HalfLineGrid((0.5, 1.0), (1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize("make", [
+        lambda: Indicator(1.0, math.inf),
+        lambda: Indicator(math.nan, 2.0),
+        lambda: ExpDecay((1.0,), rate=math.nan, params=JacobiParams(0.5, 0.0)),
+        lambda: ExpDecay((1.0,), rate=math.inf, params=JacobiParams(0.5, 0.0)),
+        lambda: ExpDecay((math.nan,), rate=4.0, params=JacobiParams(0.5, 0.0)),
+        lambda: HalfLineGrid((0.5, math.inf), (1.0, 2.0)),
+        lambda: HalfLineGrid((0.5, 1.0), (1.0, math.nan)),
+    ])
+    def test_non_finite_parameters_raise(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
 
 class TestTransform:
     def test_chebyshev_closed_form(self):
@@ -210,17 +267,20 @@ class TestTransform:
                                        rtol=1e-8)
 
     def test_expdecay_against_adaptive(self):
+        """The last three pairs have alpha in (-1/2, 0): the first rule must
+        take the weight's t^(2 alpha + 1) at t = 0 into its exponent."""
         from fourierjacobi.jtransform import _log_weight, _transform_prefactor
-        params = JacobiParams(0.0, -0.25)   # 2 rho = 1.5
-        f = ExpDecay((1.0, 0.5), rate=3.0, params=params)
-        pref = _transform_prefactor(params)
         tau = 1.2
-        def integrand(t):
-            return (f(t) * jacobi_function(tau, t, params)
-                    * math.exp(_log_weight(t, params)))
-        ref, _ = quad(integrand, 0.0, 40.0, limit=400)
-        np.testing.assert_allclose(transform(f, tau, params), pref * ref,
-                                   rtol=1e-7)
+        for a, b in [(0.0, -0.25), (-0.25, 0.0), (-0.4, 0.3), (-0.1, -0.3)]:
+            params = JacobiParams(a, b)   # 2 rho <= 1.8 < rate
+            f = ExpDecay((1.0, 0.5), rate=3.0, params=params)
+            pref = _transform_prefactor(params)
+            def integrand(t):
+                return (f(t) * jacobi_function(tau, t, params)
+                        * math.exp(_log_weight(t, params)))
+            ref, _ = quad(integrand, 0.0, 40.0, limit=400)
+            np.testing.assert_allclose(transform(f, tau, params), pref * ref,
+                                       rtol=1e-7)
 
     def test_grid_profile_against_adaptive(self):
         from fourierjacobi.jtransform import _log_weight, _transform_prefactor

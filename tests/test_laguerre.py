@@ -8,14 +8,13 @@ from scipy.integrate import quad
 
 from fourierjacobi import (
     LaguerreStep,
-    LaguerrePolynomial,
     LaguerreExpDamped,
+    gauss_laguerre_rule,
     laguerre_coefficient,
     laguerre_coefficient_series,
     laguerre_norm,
     laguerre_r,
     step_identity_check,
-    laguerre_bound_check,
     laguerre_bound_profile,
     laguerre_decay,
 )
@@ -38,7 +37,9 @@ class TestFunctionSpecs:
             LaguerreStep((1.0,), (1.0, 2.0))
 
     def test_polynomial_evaluation(self):
-        f = LaguerrePolynomial((1.0, 0.0, 2.0))
+        """A polynomial is a damped polynomial with the default rate 0."""
+        f = LaguerreExpDamped((1.0, 0.0, 2.0))
+        assert f.rate == 0.0
         np.testing.assert_allclose(f(3.0), 19.0)
 
     def test_damped_validation(self):
@@ -46,6 +47,28 @@ class TestFunctionSpecs:
             LaguerreExpDamped((1.0,), rate=-0.5)
         f = LaguerreExpDamped((1.0, 1.0), rate=2.0)
         np.testing.assert_allclose(f(1.0), 2.0 * math.exp(-2.0))
+
+    @pytest.mark.parametrize("make", [
+        lambda: LaguerreStep((math.nan,), (1.0,)),
+        lambda: LaguerreStep((1.0, math.inf), (1.0, 1.0)),
+        lambda: LaguerreStep((1.0,), (math.nan,)),
+        lambda: LaguerreExpDamped((1.0,), rate=math.nan),
+        lambda: LaguerreExpDamped((1.0,), rate=math.inf),
+        lambda: LaguerreExpDamped((1.0, math.nan)),
+    ])
+    def test_non_finite_parameters_raise(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+    @pytest.mark.parametrize("call", [
+        lambda a: laguerre_coefficient(UNIT_STEP, 2, a),
+        lambda a: laguerre_norm(UNIT_STEP, a),
+        lambda a: step_identity_check(1.0, 2, a),
+        lambda a: gauss_laguerre_rule(4, a),
+    ])
+    def test_nan_exponent_raises(self, call):
+        with pytest.raises(ValueError, match="exponent must be > -1"):
+            call(math.nan)
 
 
 class TestCoefficient:
@@ -73,7 +96,7 @@ class TestCoefficient:
         """
         for alpha in (0.0, 1.5):
             c2 = ((alpha + 1.0) * (alpha + 2.0) / 2.0, -(alpha + 2.0), 0.5)
-            f = LaguerrePolynomial(c2)
+            f = LaguerreExpDamped(c2)
             got = laguerre_coefficient(f, 2, alpha)
             np.testing.assert_allclose(got, math.gamma(alpha + 1.0),
                                        rtol=1e-10)
@@ -114,7 +137,7 @@ class TestNorm:
 
     def test_against_adaptive(self):
         alpha = 1.0
-        f = LaguerrePolynomial((1.0, -1.0))   # changes sign at x = 1
+        f = LaguerreExpDamped((1.0, -1.0))   # changes sign at x = 1
         def integrand(x):
             return abs(f(x)) * x ** alpha * math.exp(-x / 2.0)
         ref, _ = quad(integrand, 0.0, 60.0, limit=300, points=[1.0])
@@ -133,7 +156,7 @@ class TestNorm:
         must still compare two rule sizes rather than skip the loop."""
         from fourierjacobi import laguerre
         monkeypatch.setattr(laguerre, "ladder_size", lambda n: 2080)
-        got = laguerre_norm(LaguerrePolynomial((1.0,)), 0.5)
+        got = laguerre_norm(LaguerreExpDamped((1.0,)), 0.5)
         np.testing.assert_allclose(got, math.gamma(1.5) * 2.0 ** 1.5,
                                    rtol=1e-12)
 
@@ -165,18 +188,9 @@ class TestStepIdentity:
 class TestBound:
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_damped_ratio_within_one(self, alpha):
-        for k in (0, 1, 10, 60):
-            assert laguerre_bound_check(k, alpha) <= 1.0 + 1e-10
-
-    def test_profile_matches_pointwise(self):
-        grid = np.linspace(0.0, 80.0, 500)
-        profile = laguerre_bound_profile(20, 1.0, grid=grid)
-        assert profile.shape == (21,)
-        for k in (0, 7, 20):
-            np.testing.assert_allclose(profile[k],
-                                       laguerre_bound_check(k, 1.0,
-                                                            grid=grid),
-                                       rtol=1e-12)
+        profile = laguerre_bound_profile(60, alpha)
+        assert profile.shape == (61,)
+        assert np.all(profile <= 1.0 + 1e-10)
 
     def test_negative_alpha_runs(self):
         """Below alpha = 0 the inequality is not asserted, only measured."""

@@ -158,7 +158,7 @@ def test_argument_outside_unit_interval_raises(name, monkeypatch):
     """A node past theta puts the 2F1 argument below 0, and the 2F1 wrapper
     refuses it on both pathways."""
     pathway, _ = PATHWAYS[name]
-    past = QuadratureRule(np.array([2.5]), np.array([1.0]), "bad", 0.0, 0.0, (0.0, 2.5))
+    past = QuadratureRule(np.array([2.5]), np.array([1.0]))
     monkeypatch.setattr(mehler, "mehler_inner_rule", lambda *args: past)
     monkeypatch.setattr(mehler, "mapped_jacobi_rule", lambda *args: past)
     mehler._kernel_data.cache_clear()

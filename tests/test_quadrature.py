@@ -13,7 +13,6 @@ from fourierjacobi import (
     Indicator,
     JacobiParams,
     LaguerreExpDamped,
-    LaguerrePolynomial,
     LaguerreStep,
     PowerWeight,
     StepFunction,
@@ -299,7 +298,7 @@ SINGLE_RULE_LOOPS = {
     "norm_l": lambda: norm_l(CosinePoly((1.0, 0.5)), P),
     "laguerre_step_series": lambda: laguerre_coefficient_series(UNIT_STEP, 8, 0.5),
     "laguerre_poly_series": lambda: laguerre_coefficient_series(
-        LaguerrePolynomial((1.0, 2.0)), 8, 0.5),
+        LaguerreExpDamped((1.0, 2.0)), 8, 0.5),
     "laguerre_step_norm": lambda: laguerre_norm(UNIT_STEP, 0.5),
     "laguerre_damped_norm": lambda: laguerre_norm(
         LaguerreExpDamped((1.0,), 0.5), 0.5),
