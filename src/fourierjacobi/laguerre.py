@@ -81,8 +81,8 @@ class LaguerreExpDamped:
 
 
 def _check_alpha(alpha: float) -> float:
-    if not alpha > -1.0:
-        raise ValueError("Laguerre exponent must be > -1")
+    if not -1.0 < alpha < math.inf:
+        raise ValueError("Laguerre exponent must be > -1 and finite")
     return float(alpha)
 
 

@@ -141,8 +141,8 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     """
     if n < 1:
         raise ValueError("rule size must be at least 1")
-    if not (alpha > -1.0 and beta > -1.0):
-        raise ValueError("Gauss-Jacobi exponents must be > -1")
+    if not (-1.0 < alpha < np.inf and -1.0 < beta < np.inf):
+        raise ValueError("Gauss-Jacobi exponents must be > -1 and finite")
     return _gauss_jacobi_cached(int(n), float(alpha), float(beta))
 
 
@@ -167,8 +167,8 @@ def gauss_laguerre_rule(n: int, alpha: float) -> QuadratureRule:
     """n-point rule for integrals of f(x) x^alpha e^(-x) over [0, inf)."""
     if n < 1:
         raise ValueError("rule size must be at least 1")
-    if not alpha > -1.0:
-        raise ValueError("Gauss-Laguerre exponent must be > -1")
+    if not -1.0 < alpha < np.inf:
+        raise ValueError("Gauss-Laguerre exponent must be > -1 and finite")
     return _gauss_laguerre_cached(int(n), float(alpha))
 
 

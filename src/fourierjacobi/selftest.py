@@ -175,7 +175,7 @@ def check_right_region_slope() -> CriterionResult:
         rep = sup_norm_slope(JacobiParams(a, b), region="right")
         ok = ok and abs(rep.slope - want) <= 0.1
         parts.append(f"({a},{b}) slope {rep.slope:.4f} (want {want}±0.1)")
-    return _result("right-region-bound", t0, ok, "; ".join(parts), budget=10.0)
+    return _result("right-region-bound", t0, ok, "; ".join(parts), budget=1.0)
 
 
 def check_unnormalized_rate() -> CriterionResult:

@@ -7,19 +7,21 @@ singularities exactly.  Step functions, the power weight and the constant
 end pieces of a grid have their coefficients in closed form.  Other inputs
 are integrated piece by piece with mapped rules, doubling the rule size from
 the size that is exact for R_k times a polynomial of degree below 64 until
-two sizes agree.  Sup norms of R_k are maxima over its exact critical set.
+two sizes agree.  Sup norms of R_k are maxima over the few critical points
+that Sonin's function leaves as candidates.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import beta as beta_function, betainc
 
 from .specfun import (JacobiParams, _binomial_ratios, _check_degree, _check_finite,
                       _jacobi_p_table, _jacobi_r_sums, h_normalizer_table, jacobi_p_one,
                       jacobi_r, jacobi_r_table)
-from .quadrature import (converge_doubling, gauss_jacobi_rule, ladder_size,
+from .quadrature import (_jacobi_coeffs, converge_doubling, ladder_size,
                          mapped_jacobi_rule)
 
 __all__ = [
@@ -624,25 +626,57 @@ def counterexample_slope(params: JacobiParams, rho: float,
                                 series)
 
 
+def _count_below(d: list, e2: list, sigma: float) -> int:
+    """Eigenvalues below sigma of the Jacobi matrix with diagonal d and squared
+    off-diagonal e2[1:]: the negative pivots of the LDL^T factorization of
+    J - sigma I (Sturm's count)."""
+    count, q = 0, 1.0
+    for a, b in zip(d, [0.0, *e2[1:]]):
+        q = (a - sigma) - b / q
+        if q < 0.0:
+            count += 1
+        elif q == 0.0:
+            q = 5e-324
+    return count
+
+
 def sup_norm_r(k: int, params: JacobiParams, region: str = "full") -> float:
-    """Max of |R_k(cos theta)| over a theta region, from its exact critical set.
+    """Max of |R_k(cos theta)| over a theta region, from at most four candidates.
 
     region is "full" ([0, pi], x in [-1, 1]) or "right" ([pi/2, pi], x in [-1, 0]).
-    The extrema lie at the region ends or at the zeros of R_k', proportional to
-    P_(k-1)^(alpha+1, beta+1) (DLMF 18.9.15): the nodes of that Gauss-Jacobi
-    rule of k-1 points.  Degrees above 65535 are refused.
+    The critical points of R_k are the zeros of P_(k-1)^(alpha+1, beta+1)
+    (DLMF 18.9.15), where R_k^2 equals the Sonin function
+    f = R_k^2 + (1 - x^2) R_k'^2 / (k (k + alpha + beta + 1)).  f' has the sign
+    of s(x) = (alpha - beta) + (alpha + beta + 1) x (Szego Thm 7.32.1,
+    DLMF 18.14(iii)), so the critical values rise where s > 0 and fall where
+    s < 0.  Besides the region ends -1 and x_hi, only the zero just below x_hi
+    (when x_hi < 1 and s(x_hi) >= 0) and the zeros on either side of
+    x0 = (beta - alpha) / (alpha + beta + 1) (when alpha + beta + 1 < 0 and x0
+    lies inside) can hold the max.  Each such zero is one eigenvalue of the
+    Jacobi matrix, found by bisection with its index from a Sturm count, so no
+    rule is built.  Degrees above 65535 are refused.
     """
     k = _check_degree(k)
     if k > 65535:
         raise ValueError(f"degree {k} above the sup-norm limit 65535")
     if region not in ("full", "right"):
         raise ValueError(f"unknown region {region!r}")
+    a, b = params.alpha, params.beta
     x_hi = 1.0 if region == "full" else 0.0
-    x = np.array([-1.0, x_hi])
-    if k >= 2:  # the rule's nodes lie strictly inside (-1, 1)
-        nodes = gauss_jacobi_rule(k - 1, params.alpha + 1.0, params.beta + 1.0).nodes
-        x = np.concatenate((x, nodes[nodes < x_hi]))
-    return float(np.max(np.abs(jacobi_r(k, params, x))))
+    x = [-1.0, x_hi]
+    c = a + b + 1.0
+    at_end = x_hi < 1.0 and (a - b) + c * x_hi >= 0.0
+    x0 = (b - a) / c if c < 0.0 else math.inf
+    if k >= 2 and (at_end or -1.0 < x0 < x_hi):
+        d, e2 = _jacobi_coeffs(k - 1, a + 1.0, b + 1.0)
+        m = _count_below(d.tolist(), e2.tolist(), x_hi if at_end else x0)
+        # zeros m - 1 and m lie on either side of x0; zero m - 1 just below x_hi
+        first, last = max(m - 1, 0), (m - 1 if at_end else min(m, k - 2))
+        if first <= last:
+            zeros = eigvalsh_tridiagonal(d, np.sqrt(e2[1:]), select="i",
+                                         select_range=(first, last))
+            x += [t for t in zeros.tolist() if t < x_hi]
+    return max(abs(jacobi_r(k, params, t)) for t in x)
 
 
 def sup_norm_slope(params: JacobiParams, ks=None,

@@ -41,14 +41,15 @@ _X_SLACK = 1e-12  # quadrature nodes may stick out of [-1, 1] by roundoff
 
 @dataclass(frozen=True)
 class JacobiParams:
-    """Exponent pair (alpha, beta) of a Jacobi weight, both > -1."""
+    """Exponent pair (alpha, beta) of a Jacobi weight, both finite and > -1."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > -1.0 and self.beta > -1.0):
-            raise ValueError(f"Jacobi exponents must be > -1, got ({self.alpha}, {self.beta})")
+        if not (-1.0 < self.alpha < np.inf and -1.0 < self.beta < np.inf):
+            raise ValueError("Jacobi exponents must be > -1 and finite, "
+                             f"got ({self.alpha}, {self.beta})")
 
     @property
     def in_s(self) -> bool:
@@ -139,8 +140,8 @@ def _jacobi(k: int, params: JacobiParams, x, rows=None, weights=None):
 
 def _laguerre(k: int, alpha: float, x, rows=None, weights=None):
     """L_k^alpha(x) by the Laguerre step, for x (0-d or array of floats) >= 0."""
-    if not alpha > -1.0:
-        raise ValueError("Laguerre exponent must be > -1")
+    if not -1.0 < alpha < np.inf:
+        raise ValueError("Laguerre exponent must be > -1 and finite")
     if not np.all((x >= 0.0) & (x < np.inf)):
         raise ValueError("Laguerre argument must be finite and nonnegative")
     m = np.arange(2.0, k + 1.0)
@@ -259,9 +260,11 @@ def jacobi_r(k: int, params: JacobiParams, x):
     """Normalized Jacobi polynomial R_k = P_k / P_k(1), with R_k(1) = 1 exactly.
 
     R_k(-1) = (-1)^k binom(k + beta, k) / binom(k + alpha, k) is exact up to
-    rounding.
+    rounding; a scalar x = +-1 takes these end values without the recurrence.
     """
     k, arr = _check_degree(k), np.asarray(x, dtype=float)
+    if arr.ndim == 0 and abs(arr) == 1.0:
+        return 1.0 if arr == 1.0 else float(_at_minus_one(k, params.beta, params.alpha)[k])
     vals = _normalized(_jacobi(k, params, arr), jacobi_p_one(k, params), arr == 1.0)
     return _pinned_at_minus_one(vals, arr,
                                 lambda: _at_minus_one(k, params.beta, params.alpha)[k])

@@ -184,6 +184,19 @@ class TestErrors:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--alpha", "inf", "--beta", "0", "--kmax", "3", "--function", "step:1,2"),
+        ("coeffs", "--alpha", "0", "--beta", "inf", "--kmax", "3", "--function", "step:1,2"),
+        ("laguerre", "coeffs", "--alpha", "inf", "--kmax", "3", "--function", "step:1"),
+        ("opnorm", "--alpha", "inf", "--beta", "0"),
+    ])
+    def test_infinite_exponent_is_a_usage_error(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["coeffs", "--alpha", "0"])

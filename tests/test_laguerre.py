@@ -70,6 +70,17 @@ class TestFunctionSpecs:
         with pytest.raises(ValueError, match="exponent must be > -1"):
             call(math.nan)
 
+    @pytest.mark.parametrize("call", [
+        lambda a: laguerre_coefficient(UNIT_STEP, 2, a),
+        lambda a: laguerre_coefficient_series(UNIT_STEP, 4, a),
+        lambda a: laguerre_norm(UNIT_STEP, a),
+        lambda a: step_identity_check(1.0, 2, a),
+        lambda a: laguerre_decay(UNIT_STEP, 64, a),
+    ])
+    def test_infinite_exponent_raises(self, call):
+        with pytest.raises(ValueError, match="finite"):
+            call(math.inf)
+
 
 class TestCoefficient:
     def test_unit_step_frozen(self):

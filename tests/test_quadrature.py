@@ -83,6 +83,17 @@ class TestGaussJacobi:
             gauss_jacobi_rule(0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda e: gauss_jacobi_rule(4, e, 0.0),
+    lambda e: gauss_jacobi_rule(4, 0.0, e),
+    lambda e: gauss_laguerre_rule(4, e),
+])
+@pytest.mark.parametrize("exponent", [math.inf, math.nan])
+def test_non_finite_exponent_rejected(build, exponent):
+    with pytest.raises(ValueError, match="finite"):
+        build(exponent)
+
+
 class TestGaussLegendreAndLaguerre:
     def test_legendre_matches_numpy(self):
         rule = gauss_legendre_rule(17)

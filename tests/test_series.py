@@ -29,6 +29,7 @@ from fourierjacobi import (
     decay_fit,
     decade_max,
     counterexample_slope,
+    gauss_jacobi_rule,
     sup_norm_r,
     sup_norm_slope,
     h_normalizer,
@@ -442,6 +443,28 @@ def test_package_does_not_import_scipy_optimize():
     assert out.strip() == "False"
 
 
+def critical_set_sup(k: int, params: JacobiParams, region: str) -> float:
+    """Max of |R_k| over the region ends and every zero of R_k': the nodes of
+    the (k-1)-point Gauss-Jacobi rule at (alpha + 1, beta + 1) (DLMF 18.9.15)."""
+    x_hi = 1.0 if region == "full" else 0.0
+    x = np.array([-1.0, x_hi])
+    if k >= 2:
+        nodes = gauss_jacobi_rule(k - 1, params.alpha + 1.0, params.beta + 1.0).nodes
+        x = np.concatenate((x, nodes[nodes < x_hi]))
+    return float(np.max(np.abs(jacobi_r(k, params, x))))
+
+
+# Right-region sups at alpha + beta = -1, 40-digit mpmath.
+SUM_MINUS_ONE_SUPS = {
+    (-0.3, -0.7, 5): "0.4917819579162971584088614741841524106765",
+    (-0.3, -0.7, 181): "0.2583913822827141384427783054572347606131",
+    (-0.3, -0.7, 1024): "0.1830760911602908392992240265075546136816",
+    (-0.25, -0.75, 5): "0.4185701024987818240526983841715529578583",
+    (-0.25, -0.75, 181): "0.1879799339596469647713664142136370592842",
+    (-0.25, -0.75, 1024): "0.1222059174363568577644925131150364719815",
+}
+
+
 class TestSupNorm:
     def test_region_s_attains_one(self):
         """Inside the bounded region the sup is 1, attained at theta = 0."""
@@ -466,20 +489,23 @@ class TestSupNorm:
             sup_norm_r(-1, CHEB)
 
     def test_degree_cap_checked_before_building(self, monkeypatch):
-        """Degrees above 65535 raise before any rule is built; 65535 gets past
-        the check.  gauss_jacobi_rule is replaced, so a broken cap fails here
-        instead of building a huge rule."""
+        """Degrees above 65535 raise before any Jacobi matrix is built; 65535
+        gets past the check.  _jacobi_coeffs, the O(k) step that precedes the
+        bisection, is replaced, so a broken cap fails here instead of doing
+        the work.  At (-0.75, -0.75) both regions need an interior zero."""
         class Built(Exception):
             pass
 
-        def no_rule(*args, **kwargs):
+        def no_matrix(*args, **kwargs):
             raise Built
-        monkeypatch.setattr(series_module, "gauss_jacobi_rule", no_rule)
-        for k in (65536, 10**9):
-            with pytest.raises(ValueError, match="degree"):
-                sup_norm_r(k, CHEB)
-        with pytest.raises(Built):
-            sup_norm_r(65535, CHEB)
+        monkeypatch.setattr(series_module, "_jacobi_coeffs", no_matrix)
+        params = JacobiParams(-0.75, -0.75)
+        for region in ("full", "right"):
+            for k in (65536, 10**9):
+                with pytest.raises(ValueError, match="degree"):
+                    sup_norm_r(k, params, region)
+            with pytest.raises(Built):
+                sup_norm_r(65535, params, region)
 
     @pytest.mark.parametrize("a, b, k, want", [
         (-0.75, -0.75, 128, 5.782823090064851),
@@ -504,6 +530,39 @@ class TestSupNorm:
         x = np.minimum(np.cos(np.linspace(t_lo, math.pi, 64 * (k + 1) + 1)), x_hi)
         dense = float(np.max(np.abs(jacobi_r(k, params, x))))
         assert sup_norm_r(k, params, region) >= dense - 1e-13 * max(1.0, dense)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-1.0, 3.0, exclude_min=True, exclude_max=True),
+           st.floats(-1.0, 3.0, exclude_min=True, exclude_max=True),
+           st.integers(0, 2048), st.sampled_from(["full", "right"]))
+    def test_matches_rule_critical_set(self, a, b, k, region):
+        """The Sonin candidates hold the max over every critical point.
+        Both sides evaluate R_k by the same recurrence, whose rounding next
+        to x = +-1 grows like k^2 eps; the oracle can take its max at such a
+        point that the candidates rightly skip (8e-11 above 40-digit mpmath at
+        (-0.5000001, -0.5), k = 2048), so the bound is k^2 eps of scale."""
+        assume(a + b > -2.0 + 1e-9)  # within rounding of -2 the Jacobi step raises
+        params = JacobiParams(a, b)
+        want = critical_set_sup(k, params, region)
+        tol = max(1, k * k) * np.finfo(float).eps * max(1.0, want)
+        assert abs(sup_norm_r(k, params, region) - want) <= tol
+
+    @pytest.mark.parametrize("a, b", [(-0.3, -0.7), (-0.25, -0.75)])
+    @pytest.mark.parametrize("k", [5, 181, 1024])
+    def test_exponent_sum_minus_one_against_mpmath(self, a, b, k):
+        """alpha + beta + 1 = 0: s(x) = alpha - beta > 0, so the critical
+        values rise toward the right region's end x = 0 and the zero just
+        below it holds the max.  References: 40-digit mpmath, the max of
+        |R_k| over the ends and every zero of R_k' refined by Newton.  The
+        log-gamma binomial that normalizes R_k is up to 7.6e-13 off here."""
+        want = SUM_MINUS_ONE_SUPS[a, b, k]
+        np.testing.assert_allclose(sup_norm_r(k, JacobiParams(a, b), "right"),
+                                   float(want), rtol=1e-12)
+
+    def test_chebyshev_is_exactly_one(self):
+        """At (-1/2, -1/2) |R_k(cos theta)| = |cos k theta|: the sup is 1 at
+        both ends, and no interior candidate is taken."""
+        assert all(sup_norm_r(k, CHEB) == 1.0 for k in range(4097))
 
     def test_slope_report_window(self):
         ks = (16, 24, 32, 48, 64, 96, 128, 192)

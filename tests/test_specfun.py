@@ -50,6 +50,15 @@ class TestJacobiParams:
     def test_region_membership(self, a, b, inside):
         assert JacobiParams(a, b).in_s is inside
 
+    @pytest.mark.parametrize("a, b", [
+        (math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0), (0.0, math.nan),
+    ])
+    def test_rejects_non_finite_exponent(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            JacobiParams(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            laguerre_l(2, a if b == 0.0 else b, 0.5)
+
 
 class TestJacobiRecurrence:
     def test_frozen_value(self):
@@ -264,15 +273,18 @@ class TestSingleRecurrence:
         assert np.all(np.abs(got - ref) <= tol * np.maximum(1.0, np.abs(ref)))
 
     @pytest.mark.parametrize("a, b, region, slope", [
-        (-0.75, -0.75, "full", "0.25153376891560436"),
+        (-0.75, -0.75, "full", "0.2515337689156043"),
         (0.5, -0.25, "right", "-0.7513680551172258"),
         (1.0, 0.0, "right", "-0.9999999999999991"),
     ])
     def test_sup_norm_slope_frozen(self, a, b, region, slope):
         """The selftest growth slopes, frozen before the recurrence rewrite;
-        (-0.75, -0.75) refrozen when sups moved to the exact critical set, and
-        the right-region pair when R_k(-1), their sup at every degree, became
-        closed form (40-digit mpmath fits: -0.75136805511722694, -1)."""
+        (-0.75, -0.75) refrozen when sups moved to the exact critical set and
+        again, by 1 ulp, when they moved to the Sonin candidates (two of nine
+        sups moved 1 ulp; a fit of 40-digit mpmath sups gives
+        0.2515337689155823), and the right-region pair when R_k(-1), their
+        sup at every degree, became closed form (40-digit mpmath fits:
+        -0.75136805511722694, -1)."""
         assert repr(sup_norm_slope(JacobiParams(a, b), region=region).slope) == slope
 
 
