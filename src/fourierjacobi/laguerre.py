@@ -90,12 +90,16 @@ def _pieces(f) -> list[tuple[float, float, tuple[float, ...], float]]:
     """f as pieces (lo, hi, p, rate) with f = p(x) e^(-rate x) on [lo, hi).
 
     Zero pieces of a step are dropped; a damped polynomial is one piece
-    running to hi = infinity.
+    running to hi = infinity.  A step edge e with e^(-e) = 0 in double
+    precision counts as infinity, so pieces that start there are dropped:
+    no Gauss-Jacobi rule on [0, e] has a node where e^(-x) lives.  For
+    a >= 0, |e^(-x/2) R_k| <= 1 puts what is cut off below about e^(-372)
+    of the Gamma(a+1) scale.
     """
     if isinstance(f, LaguerreStep):
-        edges = (0.0, *f.breakpoints)
+        edges = (0.0, *(e if math.exp(-e) > 0.0 else math.inf for e in f.breakpoints))
         return [(lo, hi, (v,), 0.0) for lo, hi, v in zip(edges, edges[1:], f.values)
-                if v != 0.0]
+                if v != 0.0 and lo < math.inf]
     if isinstance(f, LaguerreExpDamped):
         return [(0.0, math.inf, f.coefficients, f.rate)]
     raise TypeError(f"not a usable half-line function spec: {f!r}")
@@ -107,7 +111,9 @@ def _weighted_nodes(pieces, n: int, alpha: float,
 
     A piece that starts at 0 puts x^a into its Gauss-Jacobi rule; any other
     piece multiplies it in at the nodes.  A piece that runs to infinity
-    takes a Gauss-Laguerre rule, which also absorbs the exponential.
+    takes a Gauss-Laguerre rule, which also absorbs the exponential.  Nodes
+    whose weighted value underflows to 0 are dropped: R_k can overflow at
+    the far Gauss-Laguerre nodes, and 0 * inf would be NaN.
     """
     xs, us = [], []
     for lo, hi, p, rate in pieces:
@@ -126,7 +132,9 @@ def _weighted_nodes(pieces, n: int, alpha: float,
             g = g * x ** alpha
         xs.append(x)
         us.append(w * g)
-    return np.concatenate(xs), np.concatenate(us)
+    x, u = np.concatenate(xs), np.concatenate(us)
+    keep = u != 0.0
+    return x[keep], u[keep]
 
 
 def _coefficient_values(f, kmax: int, alpha: float,

@@ -3,7 +3,9 @@
 The expansion weight is w(theta) = (sin theta/2)^(2a+1) (cos theta/2)^(2b+1).
 Every integral is transformed to x = cos(theta), where the weight becomes
 2^(-a-b-1) (1-x)^a (1+x)^b dx and Gauss-Jacobi rules absorb the endpoint
-singularities exactly.  Step functions, the power weight and the constant
+singularities exactly.  Coefficients, L1 norms and squared norms are the hat
+values of f, |f| and f^2, split by one piece builder (_pieces) and summed by
+one dispatcher (_values).  Step functions, the power weight and the constant
 end pieces of a grid have their coefficients in closed form.  Other inputs
 are integrated piece by piece with mapped rules, doubling the rule size from
 the size that is exact for R_k times a polynomial of degree below 64 until
@@ -13,6 +15,7 @@ that Sonin's function leaves as candidates.
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -158,72 +161,65 @@ class GridSampled:
 class _XPiece:
     lo: float
     hi: float
-    g: object        # vectorized callable of x, the smooth remainder
-    exp_hi: float    # power of (hi - x) absorbed into the rule
-    exp_lo: float    # power of (x - lo) absorbed into the rule
-    w_alpha: bool    # remainder still carries (1-x)^alpha pointwise
-    w_beta: bool     # remainder still carries (1+x)^beta pointwise
+    g: object         # vectorized callable of x, the smooth remainder
+    rho: float = 0.0  # power of (1+x) beyond beta, for the power weight
 
 
-def _const(v: float):
-    return lambda x: np.full(np.shape(x), v)
+def _pieces(f, params: JacobiParams, g=None) -> list[_XPiece]:
+    """g(f) as x-pieces on which it is smooth; g is None (f), abs or np.square.
 
-
-def _compose_arccos(h):
-    return lambda x: h(np.arccos(np.clip(x, -1.0, 1.0)))
-
-
-def _x_piece(t0: float, t1: float, h, params: JacobiParams) -> _XPiece:
-    """Wrap a theta-interval [t0, t1] with smooth theta-callable h."""
-    hi = 1.0 if t0 <= 0.0 else float(np.cos(t0))
-    lo = -1.0 if t1 >= math.pi else float(np.cos(t1))
-    g = _const(h) if isinstance(h, float) else _compose_arccos(h)
-    return _XPiece(lo, hi, g,
-                   exp_hi=params.alpha if hi == 1.0 else 0.0,
-                   exp_lo=params.beta if lo == -1.0 else 0.0,
-                   w_alpha=hi != 1.0, w_beta=lo != -1.0)
-
-
-def _theta_pieces(f) -> list[tuple[float, float, object]]:
-    """Split f into theta-intervals on which it is smooth.
-
-    Entries are (t0, t1, h) where h is either a float (constant piece) or a
-    vectorized callable; exactly-zero constant pieces are dropped.  A grid
-    gives its linear interior pieces only: its constant ends are _grid_ends.
+    Zero pieces are dropped, and a grid gives its linear interior pieces only
+    (_values sums its constant ends in closed form).  abs cuts the pieces at
+    sign changes of f and drops those empty in x: cuts closer than the
+    resolution of cos() carry no mass.  np.square doubles the power weight's
+    exponent.
     """
+    if isinstance(f, PowerWeight):
+        rho = 2.0 * f.rho if g is np.square else f.rho
+        if params.beta + rho <= -1.0:
+            raise ValueError("need beta + 2 rho > -1 for a square-integrable weight"
+                             if g is np.square else
+                             "need beta + rho > -1 for an integrable weight")
+        return [_XPiece(-1.0, 1.0, np.ones_like, rho)]
     if isinstance(f, StepFunction):
         cuts = (0.0, *f.breakpoints, math.pi)
-        return [(a, b, v) for a, b, v in zip(cuts, cuts[1:], f.values)
-                if v != 0.0]
-    if isinstance(f, GridSampled):
+        parts = [(a, b, lambda th, v=v: np.full_like(th, v))
+                 for a, b, v in zip(cuts, cuts[1:], f.values) if v != 0.0]
+    elif isinstance(f, GridSampled):
         ts, ys = f.abscissae, f.ordinates
-        return [(t0, t1, lambda th, y0=y0, t0=t0, slope=(y1 - y0) / (t1 - t0):
-                 y0 + slope * (np.asarray(th) - t0))
-                for t0, t1, y0, y1 in zip(ts, ts[1:], ys, ys[1:])
-                if y0 != 0.0 or y1 != 0.0]
-    if not callable(f):
+        parts = [(t0, t1, lambda th, y0=y0, t0=t0, slope=(y1 - y0) / (t1 - t0):
+                  y0 + slope * (np.asarray(th) - t0))
+                 for t0, t1, y0, y1 in zip(ts, ts[1:], ys, ys[1:])
+                 if y0 != 0.0 or y1 != 0.0]
+    elif callable(f):
+        parts = [(0.0, math.pi, f)]
+    else:
         raise TypeError(f"not a usable function spec: {f!r}")
-    return [(0.0, math.pi, f)]
+    if g is abs:
+        deg = f.degree if isinstance(f, CosinePoly) else 32
+        samples = 3 if isinstance(f, GridSampled) else max(256, 16 * (deg + 2))
+        parts = [(a, b, h) for t0, t1, h in parts
+                 for a, b in pairwise([t0, *_sign_change_cuts(h, t0, t1, samples), t1])]
+    if g is not None:
+        parts = [(a, b, lambda th, h=h: g(h(th))) for a, b, h in parts]
+    out = []
+    for t0, t1, h in parts:
+        hi = 1.0 if t0 <= 0.0 else float(np.cos(t0))
+        lo = -1.0 if t1 >= math.pi else float(np.cos(t1))
+        if g is not abs or lo < hi:
+            out.append(_XPiece(lo, hi, lambda x, h=h: h(np.arccos(np.clip(x, -1.0, 1.0)))))
+    return out
 
 
 def _grid_ends(f: GridSampled) -> StepFunction:
     """The constant end pieces [0, t_0] and [t_last, pi] of a grid, as a step.
 
     An end whose x interval rounds to empty is left out: the interior piece
-    next to it then reaches x = +-1 in _x_piece and carries that mass.
+    next to it then reaches x = +-1 in _pieces and carries that mass.
     """
     t0, t1 = f.abscissae[0], f.abscissae[-1]
     return StepFunction((t0, t1), (f.ordinates[0] if np.cos(t0) < 1.0 else 0.0, 0.0,
                                    f.ordinates[-1] if np.cos(t1) > -1.0 else 0.0))
-
-
-def _analysis_pieces(f, params: JacobiParams) -> list[_XPiece]:
-    if isinstance(f, PowerWeight):
-        if params.beta + f.rho <= -1.0:
-            raise ValueError("need beta + rho > -1 for an integrable weight")
-        return [_XPiece(-1.0, 1.0, _const(1.0), params.alpha,
-                        params.beta + f.rho, False, False)]
-    return [_x_piece(t0, t1, h, params) for t0, t1, h in _theta_pieces(f)]
 
 
 def _bisect(h, a: float, b: float) -> float:
@@ -254,48 +250,23 @@ def _sign_change_cuts(h, t0: float, t1: float, samples: int) -> list[float]:
     return sorted(set(r for r in roots if t0 < r < t1))
 
 
-def _abs_pieces(f, params: JacobiParams) -> list[_XPiece]:
-    """Pieces of |f| for a grid or a callable, subdivided at sign changes."""
-    if isinstance(f, PowerWeight):
-        return _analysis_pieces(f, params)  # already positive
-    out = []
-    for t0, t1, h in _theta_pieces(f):
-        if isinstance(f, GridSampled):
-            cuts = _sign_change_cuts(h, t0, t1, 3)
-        else:
-            deg = f.degree if isinstance(f, CosinePoly) else 32
-            cuts = _sign_change_cuts(h, t0, t1, max(256, 16 * (deg + 2)))
-        edges = [t0, *cuts, t1]
-        for a, b in zip(edges, edges[1:]):
-            piece = _x_piece(a, b, lambda th, h=h: np.abs(h(th)), params)
-            # Cuts closer together than the resolution of cos() produce an
-            # empty x-interval; those carry no mass.
-            if piece.lo < piece.hi:
-                out.append(piece)
-    return out
-
-
-def _sq_pieces(f, params: JacobiParams) -> list[_XPiece]:
-    """Pieces of f^2 for a grid, a callable or the power weight."""
-    if isinstance(f, PowerWeight):
-        if params.beta + 2.0 * f.rho <= -1.0:
-            raise ValueError("need beta + 2 rho > -1 for a square-integrable weight")
-        return [_XPiece(-1.0, 1.0, _const(1.0), params.alpha,
-                        params.beta + 2.0 * f.rho, False, False)]
-    return [_x_piece(t0, t1, lambda th, h=h: np.asarray(h(th)) ** 2, params)
-            for t0, t1, h in _theta_pieces(f)]
-
-
 def _weighted_nodes(p: _XPiece, params: JacobiParams,
                     n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of the n-point rule on a piece, and its weights times the rest."""
-    rule = mapped_jacobi_rule(n, p.exp_hi, p.exp_lo, p.lo, p.hi)
+    """Nodes of the n-point rule on a piece, and its weights times the rest.
+
+    An end at x = 1 puts (1-x)^alpha into the rule and an end at x = -1 puts
+    (1+x)^(beta+rho) there; at any other end the factor is multiplied in at
+    the nodes.
+    """
+    a, b = params.alpha, params.beta
+    rule = mapped_jacobi_rule(n, a if p.hi == 1.0 else 0.0,
+                              b + p.rho if p.lo == -1.0 else 0.0, p.lo, p.hi)
     x = rule.nodes
     g = np.asarray(p.g(x), dtype=float)
-    if p.w_alpha:
-        g = g * (1.0 - x) ** params.alpha
-    if p.w_beta:
-        g = g * (1.0 + x) ** params.beta
+    if p.hi != 1.0:
+        g = g * (1.0 - x) ** a
+    if p.lo != -1.0:
+        g = g * (1.0 + x) ** b
     return x, rule.weights * g
 
 
@@ -383,17 +354,25 @@ def _power_values(rho: float, params: JacobiParams, kmax: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([head], (rho + 1.0 - ks) / (a + b + rho + 1.0 + ks))))
 
 
-def _hat_values(f, params: JacobiParams, kmax: int, rtol: float) -> np.ndarray:
-    """Hat coefficients for k = 0..kmax: in closed form for step functions,
-    the power weight and a grid's constant ends, else by the doubling
-    quadrature to rtol."""
+def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10,
+            n0: int | None = None) -> np.ndarray:
+    """Hat coefficients of g(f) for k = 0..kmax, g as in _pieces; entry 0 is
+    the weighted integral of g(f).
+
+    Steps, a grid's constant ends and the power weight itself are summed in
+    closed form.  A step's masses come from the half angles, so a breakpoint
+    next to 0 or pi, where quadrature pieces would be empty, keeps its mass.
+    Everything else takes the doubling quadrature to rtol, from n0 if given.
+    """
     if isinstance(f, StepFunction):
+        if g is not None:
+            f = StepFunction(f.breakpoints, tuple(g(v) for v in f.values))
         return _step_values(f, params, kmax)
-    if isinstance(f, PowerWeight):
+    if isinstance(f, PowerWeight) and g is None:
         return _power_values(f.rho, params, kmax)
-    vals = _converged_values(_analysis_pieces(f, params), params, kmax, rtol=rtol)
+    vals = _converged_values(_pieces(f, params, g), params, kmax, n0, rtol)
     if isinstance(f, GridSampled):
-        vals = _step_values(_grid_ends(f), params, kmax) + vals
+        vals = _values(_grid_ends(f), params, kmax, g) + vals
     return vals
 
 
@@ -433,7 +412,7 @@ def coefficient(f, k: int, params: JacobiParams, rtol: float = 1e-10) -> float:
     power weight, by the doubling quadrature otherwise.
     """
     k = _check_degree(k)
-    return float(_hat_values(f, params, k, rtol)[k])
+    return float(_values(f, params, k, rtol=rtol)[k])
 
 
 def coefficient_series(f, kmax: int, params: JacobiParams,
@@ -450,7 +429,7 @@ def coefficient_series(f, kmax: int, params: JacobiParams,
     """
     if _check_degree(kmax) < 1:
         raise ValueError("kmax must be at least 1")
-    vals = _hat_values(f, params, kmax, rtol)
+    vals = _values(f, params, kmax, rtol=rtol)
     if normalization == "unnormalized":
         ones = np.array([jacobi_p_one(k, params) for k in range(kmax + 1)])
         vals = vals * ones
@@ -459,30 +438,9 @@ def coefficient_series(f, kmax: int, params: JacobiParams,
     return CoefficientSeries(params, kmax, vals, normalization)
 
 
-def _step_integral(f: StepFunction, params: JacobiParams, g) -> float:
-    """The weighted integral of g(f), as hat(0) of a step in closed form.
-
-    hat(0) takes each piece's mass from the half angles, so a breakpoint
-    next to 0 or pi, where the quadrature pieces would be empty, keeps it.
-    """
-    values = tuple(g(v) for v in f.values)
-    return float(_step_values(StepFunction(f.breakpoints, values), params, 0)[0])
-
-
-def _integral(f, params: JacobiParams, g, pieces) -> float:
-    """The weighted integral of g(f): in closed form for a step function and
-    for a grid's constant ends, by quadrature over pieces(f, params) else."""
-    if isinstance(f, StepFunction):
-        return _step_integral(f, params, g)
-    total = float(_converged_values(pieces(f, params), params, 0, n0=64)[0])
-    if isinstance(f, GridSampled):
-        total += _step_integral(_grid_ends(f), params, g)
-    return total
-
-
 def norm_l(f, params: JacobiParams) -> float:
     """Weighted L1 norm of f: the integral of |f| against the expansion weight."""
-    return _integral(f, params, abs, _abs_pieces)
+    return float(_values(f, params, 0, abs, n0=64)[0])
 
 
 def synthesize(series: CoefficientSeries, theta):
@@ -515,7 +473,7 @@ def parseval_check(f, params: JacobiParams, kmax: int) -> ParsevalReport:
     series = coefficient_series(f, kmax, params)
     h = h_normalizer_table(kmax, params)
     partial = float(h @ series.values ** 2)
-    norm_sq = _integral(f, params, lambda v: v * v, _sq_pieces)
+    norm_sq = float(_values(f, params, 0, np.square, n0=64)[0])
     return ParsevalReport(kmax, partial, norm_sq, norm_sq - partial)
 
 

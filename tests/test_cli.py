@@ -125,6 +125,22 @@ class TestLaguerre:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         np.testing.assert_allclose(values[1], math.exp(-1.0), rtol=1e-10)
 
+    @pytest.mark.parametrize("argv", [
+        ("--alpha", "0", "--kmax", "3", "--function", "step:1e300"),
+        ("--alpha", "1", "--kmax", "512", "--function", "poly:1"),
+    ])
+    def test_far_reaching_inputs_under_warnings_as_errors(self, argv):
+        """A step edge far out and an infinite piece at high degree both have
+        the coefficients of 1 at these alphas: Gamma(alpha+1) = 1, then zeros."""
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "fourierjacobi.cli",
+                               "laguerre", "coeffs", *argv],
+                              env=package_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        values = [float(line.split(",")[1]) for line in proc.stdout.splitlines()[1:]]
+        want = np.zeros(int(argv[3]) + 1)
+        want[0] = 1.0
+        np.testing.assert_allclose(values, want, rtol=0.0, atol=1e-12)
+
     def test_identity_gate(self, capsys):
         code, out = run(capsys, "laguerre", "identity", "--alpha", "0.5",
                         "--kmax", "20", "--a", "2.5")

@@ -132,6 +132,36 @@ class TestCoefficient:
                                        laguerre_coefficient(UNIT_STEP, k, 0.5),
                                        rtol=1e-10, atol=1e-14)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.5])
+    @pytest.mark.parametrize("edge", [700.0, 746.0, 1e6, 1e300])
+    def test_far_step_edge_is_the_constant(self, alpha, edge):
+        """Far out, the indicator of [0, edge) has the coefficients of 1 (Gamma(alpha+1),
+        then zeros) up to e^(-edge/2); 700 and 746 lie either side of where
+        e^(-x) underflows."""
+        for kmax in (3, 64, 512):
+            got = laguerre_coefficient_series(LaguerreStep((edge,), (1.0,)), kmax, alpha)
+            want = np.zeros(kmax + 1)
+            want[0] = math.gamma(alpha + 1.0)
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=2e-12 * max(1.0, want[0]))
+
+    def test_piece_past_a_far_edge_is_dropped(self):
+        far = laguerre_coefficient_series(LaguerreStep((1e6, 2e6), (1.0, 5.0)), 8, 0.5)
+        np.testing.assert_array_equal(
+            far, laguerre_coefficient_series(LaguerreStep((1e6,), (1.0,)), 8, 0.5))
+        np.testing.assert_allclose(far[0], math.gamma(1.5), rtol=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.5])
+    @pytest.mark.parametrize("rate", [0.0, 0.5, 3.0])
+    def test_damped_constant_to_high_degree(self, alpha, rate):
+        """e^(-r x) has hat(k) = Gamma(a+1) (r/(1+r))^k (1+r)^(-a-1); the far
+        Gauss-Laguerre nodes, whose weights underflow, must not make NaNs."""
+        k = np.arange(1025)
+        want = math.gamma(alpha + 1.0) * (rate / (1.0 + rate)) ** k * (1.0 + rate) ** (-alpha - 1.0)
+        got = laguerre_coefficient_series(LaguerreExpDamped((1.0,), rate), 1024, alpha)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=2e-12 * max(1.0, math.gamma(alpha + 1.0)))
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             laguerre_coefficient(UNIT_STEP, -1, 0.0)

@@ -197,6 +197,32 @@ class TestNorm:
         (cut,) = series_module._sign_change_cuts(np.cos, 0.0, math.pi, 256)
         assert abs(cut - math.pi / 2.0) <= math.ulp(math.pi / 2.0)
 
+    # The worst of these, (-0.9, 0.5, -0.6), is 8.1e-14 off 30-digit mpmath.
+    @pytest.mark.parametrize("a, b, rho", [(0.0, 0.0, -0.3), (0.5, -0.25, 0.45),
+                                           (-0.9, 0.5, -0.6), (2.0, -0.6, 1.5)])
+    def test_power_weight_norms(self, a, b, rho):
+        """With u = cos^2(theta/2) both norms are Beta integrals: the L1 norm
+        is 2^rho B(a+1, b+rho+1), the squared norm 2^(2 rho) B(a+1, b+2 rho+1)."""
+        params, f = JacobiParams(a, b), PowerWeight(rho)
+        np.testing.assert_allclose(norm_l(f, params),
+                                   2.0 ** rho * sp.beta(a + 1.0, b + rho + 1.0), rtol=1e-13)
+        np.testing.assert_allclose(parseval_check(f, params, 8).norm_sq,
+                                   4.0 ** rho * sp.beta(a + 1.0, b + 2.0 * rho + 1.0),
+                                   rtol=1e-13)
+
+    def test_power_weight_norms_need_integrable_powers(self):
+        with pytest.raises(ValueError, match="beta \\+ rho > -1"):
+            norm_l(PowerWeight(-0.6), JacobiParams(0.0, -0.5))
+        # beta + rho = -0.6: the coefficients exist, but f is not square-integrable.
+        with pytest.raises(ValueError, match="beta \\+ 2 rho > -1"):
+            parseval_check(PowerWeight(-0.6), JacobiParams(0.0, 0.0), 8)
+
+    def test_plain_callable_norms(self):
+        """At (-1/2, -1/2) the weight is 1: |cos| integrates to 2, cos^2 to pi/2."""
+        np.testing.assert_allclose(norm_l(np.cos, CHEB), 2.0, rtol=1e-13)
+        np.testing.assert_allclose(parseval_check(np.cos, CHEB, 4).norm_sq, math.pi / 2.0,
+                                   rtol=1e-13)
+
     def test_grid_sampled_norm(self):
         f = GridSampled((0.8, 1.5, 2.2), (0.0, 2.0, 0.0))
         params = JacobiParams(0.0, 0.0)
