@@ -36,8 +36,10 @@ rep = decay_fit(series)
 print(f"log-log slope over k in [{rep.window[0]}, {rep.window[1]}]: "
       f"{rep.slope:.3f} (r^2 = {rep.r_squared:.4f})")
 
-# A finite cosine polynomial has an exactly finite expansion at the
-# Chebyshev parameters, so the tail is pure roundoff.
+# A cosine polynomial of degree d is a polynomial of degree d in cos theta,
+# so R_k is orthogonal to it for every k > d: its expansion is finite at any
+# parameters.  One (d+1)-point Gauss rule gives hat(k) for k <= d, and every
+# entry past the degree is exactly 0.
 cheb = JacobiParams(-0.5, -0.5)
 poly = CosinePoly((1.0, 0.5, 0.0, 0.25))
 pseries = coefficient_series(poly, 64, cheb)

@@ -142,6 +142,8 @@ def _cmd_decay(args) -> int:
     print(f"max_abs_tail {rep.max_abs_tail!r}")
     if rep.skipped:
         print(f"skipped {rep.skipped} zero entries")
+    if rep.skipped == rep.window[1] - rep.window[0] + 1:
+        print("every entry in the window is 0: the series terminates")
     return 0
 
 

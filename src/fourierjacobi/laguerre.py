@@ -86,18 +86,20 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-def _pieces(f) -> list[tuple[float, float, tuple[float, ...], float]]:
-    """f as pieces (lo, hi, p, rate) with f = p(x) e^(-rate x) on [lo, hi).
+def _pieces(f, d: float) -> list[tuple[float, float, tuple[float, ...], float]]:
+    """f as pieces (lo, hi, p, rate) with f = p(x) e^(-rate x) on [lo, hi),
+    for integrals against the weight x^a e^(-d x).
 
     Zero pieces of a step are dropped; a damped polynomial is one piece
-    running to hi = infinity.  A step edge e with e^(-e) = 0 in double
+    running to hi = infinity.  A step edge e with e^(-d e) = 0 in double
     precision counts as infinity, so pieces that start there are dropped:
-    no Gauss-Jacobi rule on [0, e] has a node where e^(-x) lives.  For
-    a >= 0, |e^(-x/2) R_k| <= 1 puts what is cut off below about e^(-372)
-    of the Gamma(a+1) scale.
+    no Gauss-Jacobi rule on [0, e] has a node where e^(-d x) lives.  For
+    the coefficients (d = 1) and a >= 0, |e^(-x/2) R_k| <= 1 puts what is
+    cut off below about e^(-372) of the Gamma(a+1) scale.
     """
     if isinstance(f, LaguerreStep):
-        edges = (0.0, *(e if math.exp(-e) > 0.0 else math.inf for e in f.breakpoints))
+        edges = (0.0, *(e if math.exp(-d * e) > 0.0 else math.inf
+                        for e in f.breakpoints))
         return [(lo, hi, (v,), 0.0) for lo, hi, v in zip(edges, edges[1:], f.values)
                 if v != 0.0 and lo < math.inf]
     if isinstance(f, LaguerreExpDamped):
@@ -142,21 +144,27 @@ def _coefficient_values(f, kmax: int, alpha: float,
     """hat(k) for k = 0..kmax against the x^a e^(-x) weight.
 
     Each pass sums R_k against the weighted nodes degree by degree
-    (specfun._laguerre_r_sums), over the nodes of all pieces at once.
+    (specfun._laguerre_r_sums), over the nodes of all pieces at once.  A
+    polynomial p of degree d (rate 0) takes one pass: R_k is orthogonal to
+    it for k > d, so hat(k) = 0 there, and d + 1 Gauss-Laguerre nodes
+    integrate R_k p, of degree at most 2d, exactly for k <= d.
     """
     alpha = _check_alpha(alpha)
-    pieces = _pieces(f)
+    pieces = _pieces(f, 1.0)
     if not pieces:
         return np.zeros(kmax + 1)
+
+    def one(n: int, top: int = kmax) -> np.ndarray:
+        return _laguerre_r_sums(top, alpha, *_weighted_nodes(pieces, n, alpha, 1.0))
+
+    if isinstance(f, LaguerreExpDamped) and f.rate == 0.0:
+        top = min(len(f.coefficients) - 1, kmax)
+        return np.pad(one(len(f.coefficients), top), (0, kmax - top))
     if isinstance(f, LaguerreStep):
         # Exact for R_k times a polynomial of degree below 64, as in series.
         n0 = (kmax + 1) // 2 + 32
     else:
         n0 = (kmax + len(f.coefficients)) // 2 + 8
-
-    def one(n: int) -> np.ndarray:
-        return _laguerre_r_sums(kmax, alpha, *_weighted_nodes(pieces, n, alpha, 1.0))
-
     return converge_doubling(one, ladder_size(n0), rtol)
 
 
@@ -181,7 +189,7 @@ def laguerre_norm(f, alpha: float) -> float:
     """
     alpha = _check_alpha(alpha)
     pieces = []
-    for lo, hi, p, rate in _pieces(f):
+    for lo, hi, p, rate in _pieces(f, 0.5):
         cuts = sorted({float(r.real) for r in polyroots(p)
                        if abs(r.imag) < 1e-10 and max(lo, 1e-12) < r.real < hi})
         edges = [lo, *cuts, hi]

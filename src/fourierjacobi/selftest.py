@@ -105,9 +105,9 @@ def check_mehler_pathways() -> CriterionResult:
 
 
 def closed_form_gap(f, params: JacobiParams, kmax: int = 256) -> float:
-    """Worst gap between the closed-form series of f and its quadrature series,
-    relative to max(1, max|hat|): the second pathway keeps the evidence
-    independent of the closed form."""
+    """Worst gap between the closed-form (or exact-rule) series of f and its
+    quadrature series, relative to max(1, max|hat|): the second pathway keeps
+    the evidence independent of the closed form."""
     exact = coefficient_series(f, kmax, params).values
     quad = _converged_values(_pieces(f, params), params, kmax)
     return float(np.max(np.abs(exact - quad))) / max(1.0, float(np.max(np.abs(exact))))
@@ -130,9 +130,11 @@ def check_decay_dichotomy() -> CriterionResult:
             worst_ratio = max(worst_ratio, high / low)
         ok = ok and worst_ratio < 0.2
         parts.append(f"{label} worst tail/low ratio {worst_ratio:.3e}")
-    gap = max(closed_form_gap(step, JacobiParams(a, b)) for a, b in pairs)
+    gap = max(closed_form_gap(f, JacobiParams(a, b))
+              for f in (step, cospoly) for a, b in pairs)
     ok = ok and gap <= 1e-9
-    parts.append(f"step closed form vs quadrature {gap:.3e} of scale (tol 1e-9)")
+    parts.append(f"step and cospoly closed forms vs quadrature {gap:.3e} of scale "
+                 "(tol 1e-9)")
     rep = sup_norm_slope(JacobiParams(-0.75, -0.75), region="full")
     ok = ok and abs(rep.slope - 0.25) <= 0.05
     parts.append(f"(-0.75,-0.75) growth slope {rep.slope:.4f} (want 0.25±0.05)")

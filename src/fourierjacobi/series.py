@@ -6,11 +6,14 @@ Every integral is transformed to x = cos(theta), where the weight becomes
 singularities exactly.  Coefficients, L1 norms and squared norms are the hat
 values of f, |f| and f^2, split by one piece builder (_pieces) and summed by
 one dispatcher (_values).  Step functions, the power weight and the constant
-end pieces of a grid have their coefficients in closed form.  Other inputs
-are integrated piece by piece with mapped rules, doubling the rule size from
-the size that is exact for R_k times a polynomial of degree below 64 until
-two sizes agree.  Sup norms of R_k are maxima over the few critical points
-that Sonin's function leaves as candidates.
+end pieces of a grid have their coefficients in closed form.  A cosine
+polynomial of degree d, and its square, are polynomials in x: their hat(k)
+are exactly 0 past the degree and come from one Gauss-Jacobi rule of
+degree + 1 points below it.  Other inputs are integrated piece by piece with
+mapped rules, doubling the rule size from the size that is exact for R_k
+times a polynomial of degree below 64 until two sizes agree.  Sup norms of
+R_k are maxima over the few critical points that Sonin's function leaves as
+candidates.
 """
 
 import math
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebmul, chebval
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import beta as beta_function, betainc
 
@@ -354,6 +358,19 @@ def _power_values(rho: float, params: JacobiParams, kmax: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([head], (rho + 1.0 - ks) / (a + b + rho + 1.0 + ks))))
 
 
+def _cospoly_values(c: np.ndarray, params: JacobiParams, kmax: int) -> np.ndarray:
+    """Hat coefficients of sum_m c_m T_m(x) for k = 0..kmax, exactly.
+
+    cos(m theta) = T_m(x), so the input is a polynomial of degree D in x.
+    R_k is orthogonal to every polynomial of lower degree, so hat(k) = 0 for
+    k > D, and the (D+1)-point Gauss-Jacobi rule integrates R_k times the
+    input, of degree at most 2D, exactly for k <= D (Szego 1975; DLMF 18.2).
+    """
+    top = min(len(c) - 1, kmax)
+    piece = _XPiece(-1.0, 1.0, lambda x: chebval(x, c))
+    return np.pad(_integrate_pieces([piece], params, top, len(c)), (0, kmax - top))
+
+
 def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10,
             n0: int | None = None) -> np.ndarray:
     """Hat coefficients of g(f) for k = 0..kmax, g as in _pieces; entry 0 is
@@ -362,7 +379,9 @@ def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10,
     Steps, a grid's constant ends and the power weight itself are summed in
     closed form.  A step's masses come from the half angles, so a breakpoint
     next to 0 or pi, where quadrature pieces would be empty, keeps its mass.
-    Everything else takes the doubling quadrature to rtol, from n0 if given.
+    A cosine polynomial and its square take one rule of the exact size.
+    Everything else, |cosine polynomial| included, takes the doubling
+    quadrature to rtol, from n0 if given.
     """
     if isinstance(f, StepFunction):
         if g is not None:
@@ -370,6 +389,9 @@ def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10,
         return _step_values(f, params, kmax)
     if isinstance(f, PowerWeight) and g is None:
         return _power_values(f.rho, params, kmax)
+    if isinstance(f, CosinePoly) and g in (None, np.square):
+        c = np.array(f.coefficients)
+        return _cospoly_values(c if g is None else chebmul(c, c), params, kmax)
     vals = _converged_values(_pieces(f, params, g), params, kmax, n0, rtol)
     if isinstance(f, GridSampled):
         vals = _values(_grid_ends(f), params, kmax, g) + vals
@@ -409,7 +431,8 @@ def coefficient(f, k: int, params: JacobiParams, rtol: float = 1e-10) -> float:
 
     Entry k of the same sweep coefficient_series(f, k) takes, so it has the
     bits of that series' entry k: in closed form for step functions and the
-    power weight, by the doubling quadrature otherwise.
+    power weight, from one exact rule for a cosine polynomial, by the
+    doubling quadrature otherwise.
     """
     k = _check_degree(k)
     return float(_values(f, params, k, rtol=rtol)[k])
@@ -423,6 +446,8 @@ def coefficient_series(f, kmax: int, params: JacobiParams,
     Step functions and the power weight are summed in closed form (see
     _step_values and _power_values), exact up to rounding: against 40-digit
     mpmath they agree to within about 1e-14 of max(1, max|hat|) at kmax 1024.
+    A cosine polynomial of degree d takes one (d+1)-point Gauss-Jacobi rule,
+    exact up to rounding, and exact zeros past d (see _cospoly_values).
     Every other input is integrated with Gauss rules, doubling the rule size
     until two sizes agree to rtol relative to max(1, max|hat|); rtol governs
     only this quadrature pathway.
@@ -482,7 +507,14 @@ def parseval_check(f, params: JacobiParams, kmax: int) -> ParsevalReport:
 
 @dataclass(frozen=True)
 class DecayReport:
-    """Least-squares slope of log|values| against log(k+1) over a window."""
+    """Least-squares slope of log|values| against log(k+1) over a window.
+
+    Zero entries are left out of the fit.  When every entry in the window is
+    0, as past the degree of a polynomial input, the fit is that of an
+    empty system, the minimum-norm least-squares solution np.linalg.lstsq
+    gives for zero rows: slope, intercept, r_squared and max_abs_tail are
+    0.0, and skipped is the window length.
+    """
 
     window: tuple[int, int]
     slope: float
@@ -509,6 +541,8 @@ def decade_max(values: np.ndarray, lo: int, hi: int) -> float:
 def _fit_loglog(ks: np.ndarray, vals: np.ndarray) -> tuple[float, float, float, int]:
     keep = vals != 0.0
     skipped = int(np.sum(~keep))
+    if not keep.any():
+        return 0.0, 0.0, 0.0, skipped
     if int(np.sum(keep)) < 8:
         raise ValueError("fewer than 8 nonzero points in the fit window")
     lx = np.log(ks[keep] + 1.0)

@@ -81,6 +81,16 @@ class TestDecayAndCounterexample:
         assert code == 0
         assert "slope" in out and "window" in out
 
+    def test_decay_of_a_terminating_series(self, capsys):
+        """Past the degree of a cosine polynomial every coefficient is 0."""
+        code, out = run(capsys, "decay", "--alpha", "0.5", "--beta", "-0.25",
+                        "--function", "cospoly:1,0.5,0.25", "--kmax", "64")
+        assert code == 0
+        assert out.splitlines() == [
+            "window k in [8, 64]", "slope 0.0", "r_squared 0.0", "max_abs_tail 0.0",
+            "skipped 57 zero entries",
+            "every entry in the window is 0: the series terminates"]
+
     def test_counterexample_passes(self, capsys):
         code, out = run(capsys, "counterexample", "--alpha", "0",
                         "--beta", "-0.5", "--rho", "-0.3", "--kmax", "1024")
@@ -299,7 +309,8 @@ class TestReadmeGolden:
 QUADRATURE_SERIES = """
 from fourierjacobi import CosinePoly, GridSampled, JacobiParams, coefficient_series
 params = JacobiParams(0.5, -0.25)
-for f in (CosinePoly((0.5, 1.0, 0.25, -0.125)), GridSampled((0.6, 1.2, 1.8), (0.0, 1.0, 0.5))):
+poly = CosinePoly((0.5, 1.0, 0.25, -0.125))
+for f in (lambda th: poly(th), GridSampled((0.6, 1.2, 1.8), (0.0, 1.0, 0.5))):
     print(coefficient_series(f, 512, params).values.tolist())
 """
 

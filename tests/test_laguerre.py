@@ -162,6 +162,19 @@ class TestCoefficient:
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=2e-12 * max(1.0, math.gamma(alpha + 1.0)))
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.5])
+    def test_polynomial_is_exact(self, alpha):
+        """A polynomial of degree 3 has hat(k) = 0 exactly past k = 3; below,
+        its (4-point) Gauss-Laguerre values match adaptive quadrature."""
+        f = LaguerreExpDamped((1.0, 2.0, -0.5, 0.25))
+        got = laguerre_coefficient_series(f, 512, alpha)
+        assert np.all(got[4:] == 0.0)
+        for k in range(4):
+            ref, _ = quad(lambda x: f(x) * laguerre_r(k, alpha, x) * x ** alpha * math.exp(-x),
+                          0.0, math.inf, limit=200)
+            np.testing.assert_allclose(got[k], ref, rtol=1e-9)
+            assert laguerre_coefficient(f, k, alpha) == got[k]
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             laguerre_coefficient(UNIT_STEP, -1, 0.0)
@@ -191,6 +204,13 @@ class TestNorm:
             return x ** alpha * math.exp(-1.5 * x)
         ref, _ = quad(integrand, 0.0, 80.0, limit=300)
         np.testing.assert_allclose(laguerre_norm(f, alpha), ref, rtol=1e-9)
+
+    def test_piece_past_the_coefficient_underflow(self):
+        """e^(-x) underflows past x = 745.13 but the norm weight e^(-x/2) does
+        not: the piece [745.2, 1e6) keeps its mass, 2^1.5 Gamma(1.5, 372.6)
+        (30-digit mpmath gammainc)."""
+        got = laguerre_norm(LaguerreStep((745.2, 1e6), (0.0, 1.0)), 0.5)
+        np.testing.assert_allclose(got, 8.310441222909508e-161, rtol=1e-12)
 
     def test_start_above_half_the_cap(self, monkeypatch):
         """A start size past 2048 (a polynomial of 2041 or more coefficients)
@@ -248,6 +268,14 @@ class TestDecay:
         early = values[16:33].max()
         late = values[128:257].max()
         assert late < 0.2 * early
+
+    def test_terminating_polynomial(self):
+        """Past the degree every coefficient is 0: the empty fit, as in
+        decay_fit; 1 to 7 nonzero entries in the window still raise."""
+        rep = laguerre_decay(LaguerreExpDamped((1.0, 2.0)), 64, 0.5)
+        assert (rep.slope, rep.r_squared, rep.max_abs_tail, rep.skipped) == (0.0, 0.0, 0.0, 57)
+        with pytest.raises(ValueError, match="fewer than 8"):
+            laguerre_decay(LaguerreExpDamped(tuple(np.ones(13))), 64, 0.5)
 
     def test_requires_nonneg_alpha(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from fourierjacobi import (
     mehler_limit_r,
     mehler_r,
     norm_l,
+    parseval_check,
     step_identity_check,
     transform_sweep,
     gauss_jacobi_rule,
@@ -304,12 +305,12 @@ SINGLE_RULE_LOOPS = {
     "mehler_limit_r": lambda: mehler_limit_r(5, -0.4, 1.0),
     "kernel_mass_h": lambda: kernel_mass_h(0.7, 0.25),
     "jacobi_function": lambda: jacobi_function(3.0, 1.5, P),
-    "coefficient": lambda: coefficient(CosinePoly((0.5, 1.0, 0.25)), 3, P),
+    "coefficient": lambda: coefficient(lambda th: CosinePoly((0.5, 1.0, 0.25))(th), 3, P),
     "coefficient_series": lambda: coefficient_series(np.cos, 64, P),
     "norm_l": lambda: norm_l(CosinePoly((1.0, 0.5)), P),
     "laguerre_step_series": lambda: laguerre_coefficient_series(UNIT_STEP, 8, 0.5),
     "laguerre_poly_series": lambda: laguerre_coefficient_series(
-        LaguerreExpDamped((1.0, 2.0)), 8, 0.5),
+        LaguerreExpDamped((1.0, 2.0), 0.5), 8, 0.5),
     "laguerre_step_norm": lambda: laguerre_norm(UNIT_STEP, 0.5),
     "laguerre_damped_norm": lambda: laguerre_norm(
         LaguerreExpDamped((1.0,), 0.5), 0.5),
@@ -355,13 +356,29 @@ class TestDoublingLoops:
     def test_coefficient_quadrature_starts_at_the_exact_size(self, built_sizes):
         """At kmax 1024 the first rule has (1025 // 2) + 32 -> 544 nodes, exact
         for R_k times a polynomial of degree below 64, so a degree-24 cosine
-        polynomial settles at the first comparison."""
+        polynomial, passed as a plain callable so that it takes the
+        quadrature, settles at the first comparison."""
         f = CosinePoly(tuple(1.0 / (m + 1.0) for m in range(25)))
-        coefficient_series(f, 1024, JacobiParams(0.5, -0.25))
+        coefficient_series(lambda th: f(th), 1024, JacobiParams(0.5, -0.25))
         assert built_sizes == [544, 1088]
         built_sizes.clear()
         laguerre_coefficient_series(UNIT_STEP, 1024, 0.5)
         assert built_sizes[0] == 544
+
+    def test_polynomials_request_one_rule_of_the_exact_size(self, built_sizes):
+        """A cosine polynomial of degree 24 takes one 25-point rule at any
+        kmax, its square (the Parseval norm) one 49-point rule, and a
+        Laguerre polynomial of degree 2 one 3-point rule."""
+        f = CosinePoly(tuple(1.0 / (m + 1.0) for m in range(25)))
+        coefficient_series(f, 1024, P)
+        coefficient(f, 7, P)
+        assert built_sizes == [25, 25]
+        built_sizes.clear()
+        parseval_check(f, P, 64)
+        assert built_sizes == [25, 49]
+        built_sizes.clear()
+        laguerre_coefficient_series(LaguerreExpDamped((1.0, 2.0, 0.5)), 512, 0.5)
+        assert built_sizes == [3]
 
     @pytest.mark.parametrize("theta", [0.3, 1.5, 2.9])
     def test_chebyshev_limit_requests_no_rule(self, theta, built_sizes):

@@ -42,6 +42,13 @@ from fourierjacobi.selftest import closed_form_gap
 
 CHEB = JacobiParams(-0.5, -0.5)
 STEP = StepFunction((math.pi / 3, math.pi / 2), (0.0, 1.0, 0.0))
+# The selftest dichotomy input: a cosine polynomial of degree 24.
+COSPOLY = CosinePoly(tuple(1.0 / (m + 1.0) for m in range(25)))
+
+
+def on_quadrature(f):
+    """f as a plain callable, which takes the doubling quadrature."""
+    return lambda theta: f(theta)
 
 
 def theta_weight(theta, a, b):
@@ -272,15 +279,15 @@ class TestCoefficientSeries:
                 coefficient_series(f, 16.0, CHEB)
 
     @pytest.mark.parametrize("f,kmax,params,rtol", [
-        (CosinePoly(tuple(1.0 / (m + 1.0) for m in range(25))), 1024,
-         JacobiParams(-0.9, 0.0), 1e-12),
+        (COSPOLY, 1024, JacobiParams(-0.9, 0.0), 1e-12),
         (CosinePoly((1.0, 0.5, 0.25)), 256, JacobiParams(-0.5, -0.9), 1e-14),
     ])
     def test_unreachable_rtol_raises(self, f, kmax, params, rtol):
         """When the last two doublings still differ by more than rtol the
-        series must raise, not return the values of a stalled loop."""
+        series must raise, not return the values of a stalled loop.  The
+        cosine polynomials go in as plain callables, which take the loop."""
         with pytest.raises(AccuracyError) as exc:
-            coefficient_series(f, kmax, params, rtol=rtol)
+            coefficient_series(on_quadrature(f), kmax, params, rtol=rtol)
         assert exc.value.achieved > rtol
 
 
@@ -342,15 +349,63 @@ class TestClosedForms:
     @pytest.mark.parametrize("f", [MULTI, PowerWeight(-0.3), CosinePoly((0.5, 1.0, -0.25)),
                                    GridSampled((0.5, 1.0, 2.0), (1.0, 3.0, 0.0))])
     def test_coefficient_is_series_entry(self, f):
-        """coefficient(f, k) has the bits of coefficient_series(f, k)[k]; a
-        closed form's entry k also does not depend on kmax."""
+        """coefficient(f, k) has the bits of coefficient_series(f, k)[k]; the
+        entry k of a closed form or of a cosine polynomial's exact rule also
+        does not depend on kmax."""
         params = JacobiParams(0.5, -0.25)
         for k in (1, 2, 77, 300):
             assert coefficient(f, k, params) == coefficient_series(f, k, params).values[k]
-        if isinstance(f, (StepFunction, PowerWeight)):
+        if isinstance(f, (StepFunction, PowerWeight, CosinePoly)):
             series = coefficient_series(f, 300, params).values
             for k in (0, 1, 2, 77, 300):
                 assert coefficient(f, k, params) == series[k]
+
+
+class TestCosinePolyExact:
+    """A cosine polynomial of degree d takes one (d+1)-point Gauss-Jacobi rule."""
+
+    @pytest.mark.parametrize("a, b, want, bound", [
+        (-0.9, 0.0, (26.24428923506829, 17.782227328675166, 11.210199237294983,
+                     6.708708315551925, 1.126401785770992), 1e-12),
+        (-0.5, -0.5, (3.141592653589793, 0.7853981633974483, 0.2617993877991494,
+                      0.12083048667653051, 0.06283185307179587), 1e-14),
+        (0.5, -0.25, (0.7415598061461178, 0.03678203521215384, 0.0016185844720255466,
+                      0.0001565149726255117, 0.0005353663321705465), 1e-14),
+    ])
+    def test_against_mpmath(self, a, b, want, bound):
+        """hat(k) of the selftest cosine polynomial at k = 0, 1, 5, 12, 24.
+        References: 60-digit mpmath, with T_m and R_k written as polynomials
+        in v = (1-x)/2 and integrated exactly against v^a (1-v)^b by Beta
+        moments, for the float coefficients 1/(m+1); the (-0.9, 0), k = 24
+        value agrees with 30-digit mpmath quadrature in 1 - x = 2 v^10 to
+        30 digits.  At (-0.9, 0) the rule and the recurrence next to x = 1
+        round like n^2 eps, hence the looser bound."""
+        vals = coefficient_series(COSPOLY, 1024, JacobiParams(a, b)).values
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        assert np.max(np.abs(vals[[0, 1, 5, 12, 24]] - want)) <= bound * scale
+
+    @pytest.mark.parametrize("a, b", [(-0.9, 0.0), (0.5, -0.25), (2.0, 1.0)])
+    def test_zero_past_the_degree(self, a, b):
+        params = JacobiParams(a, b)
+        vals = coefficient_series(COSPOLY, 1024, params).values
+        assert np.all(vals[25:] == 0.0) and np.all(vals[:25] != 0.0)
+        for k in (25, 26, 300):
+            assert coefficient(COSPOLY, k, params) == 0.0
+
+    def test_parseval_is_exact(self):
+        """Both sides are exact: the coefficients, and f^2 as the Chebyshev
+        product on one rule of 2d+1 points."""
+        for a, b in [(-0.9, 0.0), (0.5, -0.25), (2.0, 1.0)]:
+            rep = parseval_check(COSPOLY, JacobiParams(a, b), 64)
+            assert abs(rep.rel_gap) <= 1e-13
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-0.95, 2.0, exclude_min=True), st.floats(-0.95, 2.0, exclude_min=True),
+           st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=30))
+    def test_matches_quadrature(self, a, b, coeffs):
+        """The exact rule against the doubling quadrature of the same input
+        as a plain callable (selftest.closed_form_gap)."""
+        assert closed_form_gap(CosinePoly(tuple(coeffs)), JacobiParams(a, b), 64) <= 1e-9
 
 
 class TestSynthesize:
@@ -421,11 +476,32 @@ class TestDecayFit:
         np.testing.assert_allclose(rep.slope, -1.0, atol=1e-8)
 
     def test_insufficient_data(self):
+        """3 nonzero entries in the window are too few for a slope."""
         values = np.zeros(65)
         values[:3] = 1.0
+        values[8:11] = 1.0
         series = CoefficientSeries(JacobiParams(0.0, 0.0), 64, values)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fewer than 8"):
             decay_fit(series, (8, 64))
+
+    @pytest.mark.parametrize("nonzero", [1, 7])
+    def test_one_to_seven_nonzero_entries_raise(self, nonzero):
+        values = np.zeros(65)
+        values[64 - nonzero + 1:] = 1.0
+        series = CoefficientSeries(JacobiParams(0.0, 0.0), 64, values)
+        with pytest.raises(ValueError, match="fewer than 8"):
+            decay_fit(series, (8, 64))
+
+    def test_terminating_series(self):
+        """Past the degree every entry is exactly 0: the fit is that of the
+        empty system, not an error."""
+        series = coefficient_series(COSPOLY, 1024, JacobiParams(0.5, -0.25))
+        rep = decay_fit(series)
+        assert rep.window == (128, 1024)
+        assert (rep.slope, rep.intercept, rep.r_squared, rep.max_abs_tail) == (0.0,) * 4
+        assert rep.skipped == 1024 - 128 + 1
+        # A window that reaches back into the nonzero entries still fits them.
+        assert decay_fit(series, (4, 1024)).skipped == 1024 - 24
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -662,12 +738,14 @@ class TestTableFree:
 
     @pytest.mark.parametrize("f", [CosinePoly((0.5, 1.0, 0.25)),
                                    GridSampled((0.6, 1.2, 1.8), (0.0, 1.0, 0.5)),
-                                   np.cos])
+                                   np.cos,
+                                   on_quadrature(CosinePoly((0.5, 1.0, 0.25)))])
     def test_series_without_tables(self, f, no_tables):
         coefficient_series(f, 128, JacobiParams(0.5, -0.25))
 
     @pytest.mark.parametrize("f", [laguerre_module.LaguerreStep((1.0, 2.0), (1.0, -0.5)),
-                                   laguerre_module.LaguerreExpDamped((1.0, 2.0))])
+                                   laguerre_module.LaguerreExpDamped((1.0, 2.0)),
+                                   laguerre_module.LaguerreExpDamped((1.0, 2.0), 0.5)])
     def test_laguerre_series_without_tables(self, f, no_tables):
         laguerre_module.laguerre_coefficient_series(f, 64, 0.5)
 
@@ -676,7 +754,8 @@ class TestTableFree:
         at the larger one alone would take 130 MiB."""
         tracemalloc.start()
         try:
-            coefficient_series(CosinePoly((0.5, 1.0, 0.25)), 4096, JacobiParams(0.5, -0.25))
+            coefficient_series(on_quadrature(CosinePoly((0.5, 1.0, 0.25))), 4096,
+                               JacobiParams(0.5, -0.25))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
