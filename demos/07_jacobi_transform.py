@@ -17,7 +17,7 @@ import numpy as np
 from fourierjacobi import (
     JacobiParams,
     Indicator,
-    ExpDecay,
+    LaguerreExpDamped,
     jacobi_function,
     transform,
     transform_sweep,
@@ -60,8 +60,8 @@ print(f"                       max |J f| over tau in [200, 220] = "
       f"{high.max():.3e}")
 
 # A profile with enough exponential decay also has a transform at every
-# frequency; rate must exceed 2(alpha + beta + 1).
-g = ExpDecay((1.0,), rate=4.0, params=params)
+# frequency; the transform checks that rate exceeds 2(alpha + beta + 1).
+g = LaguerreExpDamped((1.0,), rate=4.0)
 print(f"\nexp-decay profile: J g(0) = {transform(g, 0.0, params):+.8f},"
       f" J g(3) = {transform(g, 3.0, params):+.8f}")
 

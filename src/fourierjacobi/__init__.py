@@ -56,6 +56,7 @@ from .mehler import mehler_r, mehler_limit_r, kernel_mass_h
 from .laguerre import (
     LaguerreStep,
     LaguerreExpDamped,
+    HalfLineGrid,
     laguerre_coefficient,
     laguerre_coefficient_series,
     laguerre_norm,
@@ -65,8 +66,6 @@ from .laguerre import (
 )
 from .jtransform import (
     Indicator,
-    ExpDecay,
-    HalfLineGrid,
     jacobi_function,
     transform,
     transform_sweep,
@@ -122,6 +121,7 @@ __all__ = [
     "kernel_mass_h",
     "LaguerreStep",
     "LaguerreExpDamped",
+    "HalfLineGrid",
     "laguerre_coefficient",
     "laguerre_coefficient_series",
     "laguerre_norm",
@@ -129,8 +129,6 @@ __all__ = [
     "laguerre_bound_profile",
     "laguerre_decay",
     "Indicator",
-    "ExpDecay",
-    "HalfLineGrid",
     "jacobi_function",
     "transform",
     "transform_sweep",

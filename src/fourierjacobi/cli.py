@@ -28,7 +28,7 @@ from .laguerre import (
     laguerre_bound_profile,
     step_identity_check,
 )
-from .jtransform import Indicator, ExpDecay, transform_sweep
+from .jtransform import _check_half_line, transform_sweep
 from .selftest import mehler_pathway_discrepancies, run_all
 
 __all__ = ["main", "build_parser"]
@@ -64,12 +64,22 @@ def _parse_circle_function(text: str):
     raise ValueError(f"unknown function spec {text!r}")
 
 
-def _parse_laguerre_function(text: str):
-    """step:a (-> [0,a]) | step:a,b[,...] (alternating from 0) | poly:c0,...
-    | damped:rate:c0,c1,..."""
+_HALF_LINE_SPECS = ("step:a | step:a,b[,...] | indicator:a,b | poly:c0,... | "
+                    "damped:rate:c0,... | expdecay:rate:c0,...")
+
+
+def _parse_half_line_function(text: str):
+    """One of _HALF_LINE_SPECS, for both `laguerre coeffs` and `transform`.
+
+    step:a is the indicator of [0, a); step:a,b[,...] takes unit values
+    alternating 0,1,0,... from 0, so step:a,b is indicator:a,b.  poly: is a
+    damped polynomial with rate 0, and expdecay: is damped:.
+    """
     kind, _, rest = text.partition(":")
-    if kind == "step":
+    if kind in ("step", "indicator"):
         breaks = _floats(rest)
+        if kind == "indicator" and len(breaks) != 2:
+            raise ValueError("indicator: takes a,b")
         if len(breaks) == 1:
             return LaguerreStep((breaks[0],), (1.0,))
         if not breaks:
@@ -78,24 +88,10 @@ def _parse_laguerre_function(text: str):
         return LaguerreStep(tuple(breaks), values)
     if kind == "poly":
         return LaguerreExpDamped(tuple(_floats(rest)))
-    if kind == "damped":
+    if kind in ("damped", "expdecay"):
         rate_text, _, coeff_text = rest.partition(":")
         return LaguerreExpDamped(tuple(_floats(coeff_text)), float(rate_text))
     raise ValueError(f"unknown half-line function spec {text!r}")
-
-
-def _parse_transform_function(text: str, params: JacobiParams):
-    """indicator:a,b | expdecay:rate:c0,c1,..."""
-    kind, _, rest = text.partition(":")
-    if kind == "indicator":
-        vals = _floats(rest)
-        if len(vals) != 2:
-            raise ValueError("indicator: takes a,b")
-        return Indicator(vals[0], vals[1])
-    if kind == "expdecay":
-        rate_text, _, coeff_text = rest.partition(":")
-        return ExpDecay(tuple(_floats(coeff_text)), float(rate_text), params)
-    raise ValueError(f"unknown transform function spec {text!r}")
 
 
 def _write_text(text: str, out: str | None):
@@ -183,7 +179,7 @@ def _cmd_verify_mehler(args) -> int:
 
 def _cmd_laguerre(args) -> int:
     if args.mode == "coeffs":
-        f = _parse_laguerre_function(args.function)
+        f = _parse_half_line_function(args.function)
         values = laguerre_coefficient_series(f, args.kmax, args.alpha)
         _emit_pairs(range(len(values)), values, "k,value", args.format,
                     args.out, {"alpha": args.alpha, "kmax": args.kmax})
@@ -209,8 +205,10 @@ def _cmd_laguerre(args) -> int:
 
 def _cmd_transform(args) -> int:
     params = JacobiParams(args.alpha, args.beta)
-    f = _parse_transform_function(args.function, params)
-    taus = np.linspace(args.tau_min, args.tau_max, args.tau_count)
+    f = _parse_half_line_function(args.function)
+    taus = np.linspace(*_check_half_line("--tau-min and --tau-max",
+                                         [args.tau_min, args.tau_max]),
+                       args.tau_count)
     values = transform_sweep(f, taus, params)
     _emit_pairs((repr(float(t)) for t in taus), values, "tau,value",
                 args.format, args.out,
@@ -283,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--kmax", type=int, default=50)
     p.add_argument("--function", default=None,
-                   help="step:a | step:a,b[,...] | poly:c0,... | "
-                        "damped:rate:c0,...")
+                   help=_HALF_LINE_SPECS)
     p.add_argument("--a", type=float, default=1.0,
                    help="truncation point for the identity mode")
     p.add_argument("--out", default=None)
@@ -294,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="continuous transform over a tau grid")
     common(p)
     p.add_argument("--function", required=True,
-                   help="indicator:a,b | expdecay:rate:c0,c1,...")
+                   help=_HALF_LINE_SPECS)
     p.add_argument("--tau-min", type=float, default=0.0)
     p.add_argument("--tau-max", type=float, required=True)
     p.add_argument("--tau-count", type=int, default=101)

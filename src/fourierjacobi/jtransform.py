@@ -7,7 +7,8 @@ a finite cosine combination phi(tau) = sum_j A_j cos(tau S_j) whose nodes and
 amplitudes do not depend on tau, which makes frequency sweeps cheap.  This is
 the (S, A) form of the Mehler integrals, and mehler's evaluator and doubling
 helper sum it here too.  All hyperbolic prefactors are assembled in log space
-so large t cannot overflow.
+so large t cannot overflow.  The inputs are laguerre's half-line specs, split
+by its piece builder; the piece that runs to infinity is a damped tail.
 """
 
 import math
@@ -16,17 +17,15 @@ from functools import partial
 from math import lgamma, log
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import AccuracyError
-from .specfun import JacobiParams, _check_finite, _hyp2f1_array
+from .specfun import JacobiParams, _hyp2f1_array
 from .quadrature import converge_doubling, ladder_size, mapped_jacobi_rule
 from .mehler import _converge_cosine, _cosine_sum
+from .laguerre import LaguerreExpDamped, LaguerreStep, _pieces
 
 __all__ = [
     "Indicator",
-    "ExpDecay",
-    "HalfLineGrid",
     "jacobi_function",
     "transform",
     "transform_sweep",
@@ -36,81 +35,20 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# half-line test functions
+# half-line test functions: the specs of laguerre
 
 
-@dataclass(frozen=True)
-class Indicator:
-    """Characteristic function of a bounded interval [a, b] in (0, infinity)."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        _check_finite(self.a, self.b)
-        if not 0.0 < self.a < self.b:
-            raise ValueError("need 0 < a < b")
-
-    def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        out = ((arr >= self.a) & (arr <= self.b)).astype(float)
-        return float(out) if np.isscalar(t) else out
+def Indicator(a: float, b: float) -> LaguerreStep:
+    """Characteristic function of a bounded interval [a, b) in (0, infinity)."""
+    return LaguerreStep((a, b), (0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class ExpDecay:
-    """f(t) = p(t) e^(-rate t), with the rate large enough for a finite norm.
-
-    The weighted norm integrates |f| (sinh t)^(2a+1) (cosh t)^(2b+1), which
-    grows like e^(2(a+b+1)t), so construction demands rate > 2 (a+b+1) for
-    the parameter pair the function is meant to be used with.
-    """
-
-    coefficients: tuple[float, ...]
-    rate: float
-    params: JacobiParams
-
-    def __post_init__(self):
-        cs = tuple(float(c) for c in self.coefficients)
-        if not cs:
-            raise ValueError("need at least one coefficient")
-        _check_finite(*cs, self.rate)
-        rho = self.params.alpha + self.params.beta + 1.0
-        if self.rate <= 2.0 * rho:
-            raise ValueError(
-                f"rate {self.rate} too small: the weighted norm needs rate > {2.0 * rho}")
-        object.__setattr__(self, "coefficients", cs)
-
-    def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        out = polyval(arr, self.coefficients) * np.exp(-self.rate * arr)
-        return float(out) if np.isscalar(t) else out
-
-
-@dataclass(frozen=True)
-class HalfLineGrid:
-    """Piecewise-linear interpolant with compact support [first, last] abscissa."""
-
-    abscissae: tuple[float, ...]
-    ordinates: tuple[float, ...]
-
-    def __post_init__(self):
-        ts = tuple(float(t) for t in self.abscissae)
-        ys = tuple(float(y) for y in self.ordinates)
-        _check_finite(*ts, *ys)
-        if len(ts) < 2 or len(ts) != len(ys):
-            raise ValueError("need matching abscissae/ordinates, at least two")
-        if ts[0] <= 0.0 or any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
-            raise ValueError("abscissae must be positive and strictly increasing")
-        object.__setattr__(self, "abscissae", ts)
-        object.__setattr__(self, "ordinates", ys)
-
-    def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        out = np.interp(arr, self.abscissae, self.ordinates)
-        out = np.where((arr < self.abscissae[0]) | (arr > self.abscissae[-1]),
-                       0.0, out)
-        return float(out) if np.isscalar(t) else out
+def _check_half_line(name: str, values) -> np.ndarray:
+    """values as a 1-d array, or ValueError unless each is finite and >= 0."""
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    if not np.all((0.0 <= arr) & (arr < math.inf)):
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -193,33 +131,12 @@ def jacobi_function(tau: float, t: float, params: JacobiParams,
     as special cases.
     """
     _check_params(params)
-    if tau < 0.0:
-        raise ValueError("frequency must be nonnegative")
-    if t < 0.0:
-        raise ValueError("argument must be nonnegative")
-    return float(_phi_grid(params, np.array([float(t)]), np.array([float(tau)]),
-                           rtol)[0, 0])
+    return float(_phi_grid(params, _check_half_line("arguments", t),
+                           _check_half_line("frequencies", tau), rtol)[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # the transform
-
-
-def _support_pieces(f, params: JacobiParams) -> list[tuple[float, float, object]]:
-    """Finite intervals covering supp f, with the smooth factor on each."""
-    if isinstance(f, Indicator):
-        return [(f.a, f.b, lambda t: np.ones_like(t))]
-    if isinstance(f, HalfLineGrid):
-        ts = f.abscissae
-        return [(t0, t1, f) for t0, t1 in zip(ts, ts[1:])]
-    if isinstance(f, ExpDecay):
-        rho = params.alpha + params.beta + 1.0
-        if f.rate <= 2.0 * rho:
-            raise ValueError(
-                f"rate {f.rate} gives an infinite norm for {params}")
-        width = (20.0 + 5.0 * len(f.coefficients)) / (f.rate - rho)
-        return [(0.0, width, f), ("tail", width, f)]  # sentinel handled below
-    raise TypeError(f"not a usable half-line function spec: {f!r}")
 
 
 def _log_weight(t: np.ndarray, params: JacobiParams) -> np.ndarray:
@@ -254,45 +171,51 @@ def transform_sweep(f, taus, params: JacobiParams,
                     rtol: float = 1e-9) -> np.ndarray:
     """The transform of f at every frequency in taus, sharing kernel data.
 
+    f is a laguerre half-line spec; a damped polynomial needs
+    rate > 2 (alpha + beta + 1), since the weight grows like that exponent.
     The cosine-combination form of the kernel is built once per outer node
     and reused across the whole frequency grid; both rule sizes double
     together, at most twice, until the sweep settles.
     """
     _check_params(params)
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    taus = _check_half_line("frequencies", taus)
     if taus.size == 0:
         return np.zeros(0)
-    if float(np.min(taus)) < 0.0:
-        raise ValueError("frequencies must be nonnegative")
     tau_max = float(np.max(taus))
-    pieces = _support_pieces(f, params)
+    rho = params.alpha + params.beta + 1.0
+    # The weight grows, so no edge counts as infinite (d = 0); the one piece
+    # that can run to infinity is a damped polynomial's.
+    pieces = _pieces(f, 0.0)
+    for _, hi, _, rate in pieces:
+        if hi == math.inf and rate <= 2.0 * rho:
+            raise ValueError(f"rate {rate} gives an infinite norm for {params}")
 
     def evaluate(factor: int) -> np.ndarray:
         level = factor.bit_length() - 1
+
+        def size(width: float) -> int:
+            return ladder_size(int(tau_max * width / math.pi) + 32) << level
+
         total = np.zeros(taus.size)
-        for piece in pieces:
-            if piece[0] == "tail":
-                _, start, g = piece
-                width = start
-                acc = float(np.max(np.abs(total))) or 1.0
-                lo = start
-                while True:
-                    n_out = ladder_size(int(tau_max * width / math.pi)
-                                        + 32) << level
-                    inc = _sweep_piece(lo, lo + width, g, taus, params, n_out,
-                                       level)
-                    total += inc
-                    if float(np.max(np.abs(inc))) <= 1e-12 * acc:
-                        break
-                    if lo > 400.0:
-                        raise AccuracyError("tail truncation failed to settle",
-                                            achieved=float(np.max(np.abs(inc))))
-                    lo += width
+        for lo, hi, p, rate in pieces:
+            g = LaguerreExpDamped(p, rate)
+            if hi < math.inf:
+                total += _sweep_piece(lo, hi, g, taus, params, size(hi - lo), level)
                 continue
-            lo, hi, g = piece
-            n_out = ladder_size(int(tau_max * (hi - lo) / math.pi)
-                                + 32) << level
-            total += _sweep_piece(lo, hi, g, taus, params, n_out, level)
+            # Chunks of one width until one adds below 1e-12 of the first.
+            width = (20.0 + 5.0 * len(p)) / (rate - rho)
+            n_out = size(width)
+            total += _sweep_piece(lo, lo + width, g, taus, params, n_out, level)
+            acc = float(np.max(np.abs(total))) or 1.0
+            while True:
+                lo += width
+                inc = _sweep_piece(lo, lo + width, g, taus, params, n_out, level)
+                total += inc
+                if float(np.max(np.abs(inc))) <= 1e-12 * acc:
+                    break
+                if lo > 400.0:
+                    raise AccuracyError("tail truncation failed to settle",
+                                        achieved=float(np.max(np.abs(inc))))
         return total
 
     # nmax=4 allows two doublings: size factors 1, 2, 4 are levels 0, 1, 2.
@@ -331,9 +254,9 @@ def envelope_check(params: JacobiParams, t_grid=None, tau_grid=None,
     """
     _check_params(params)
     ts = np.linspace(0.0, 20.0, 41) if t_grid is None \
-        else np.asarray(t_grid, dtype=float)
+        else _check_half_line("arguments", t_grid)
     taus = np.linspace(0.0, 50.0, 51) if tau_grid is None \
-        else np.asarray(tau_grid, dtype=float)
+        else _check_half_line("frequencies", tau_grid)
     rho = params.alpha + params.beta + 1.0
 
     def ratios(tv: np.ndarray, tauv: np.ndarray) -> float:

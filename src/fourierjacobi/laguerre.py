@@ -1,9 +1,12 @@
-"""Fourier-Laguerre coefficients and the half-exponent machinery around them.
+"""Half-line function specs, and Fourier-Laguerre coefficients of them.
 
+The specs (steps, piecewise-linear grids and damped polynomials) serve both
+half-line expansions: these Laguerre series and the Jacobi transform.  Each
+splits once into pieces p(x) e^(-rate x) on [lo, hi) (_pieces).
 Coefficients integrate f R_k^a x^a e^(-x); the space norm integrates
 |f| x^a e^(-x/2), the split that makes |e^(-x/2) R_k| <= 1 usable.  Both
-split f once into pieces p(x) e^(-rate x) on [lo, hi) and take their nodes
-from one builder for the weight x^a e^(-d x), with d = 1 and d = 1/2.
+take their nodes from one builder for the weight x^a e^(-d x), with d = 1
+and d = 1/2.
 """
 
 import math
@@ -20,6 +23,7 @@ from .series import DecayReport, _decay_report
 __all__ = [
     "LaguerreStep",
     "LaguerreExpDamped",
+    "HalfLineGrid",
     "laguerre_coefficient",
     "laguerre_coefficient_series",
     "laguerre_norm",
@@ -80,6 +84,32 @@ class LaguerreExpDamped:
         return polyval(arr, self.coefficients) * np.exp(-self.rate * arr)
 
 
+@dataclass(frozen=True)
+class HalfLineGrid:
+    """Piecewise-linear interpolant with compact support [first, last] abscissa."""
+
+    abscissae: tuple[float, ...]
+    ordinates: tuple[float, ...]
+
+    def __post_init__(self):
+        ts = tuple(float(t) for t in self.abscissae)
+        ys = tuple(float(y) for y in self.ordinates)
+        _check_finite(*ts, *ys)
+        if len(ts) < 2 or len(ts) != len(ys):
+            raise ValueError("need matching abscissae/ordinates, at least two")
+        if ts[0] <= 0.0 or any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
+            raise ValueError("abscissae must be positive and strictly increasing")
+        object.__setattr__(self, "abscissae", ts)
+        object.__setattr__(self, "ordinates", ys)
+
+    def __call__(self, t):
+        arr = np.asarray(t, dtype=float)
+        out = np.interp(arr, self.abscissae, self.ordinates)
+        out = np.where((arr < self.abscissae[0]) | (arr > self.abscissae[-1]),
+                       0.0, out)
+        return float(out) if np.isscalar(t) else out
+
+
 def _check_alpha(alpha: float) -> float:
     if not -1.0 < alpha < math.inf:
         raise ValueError("Laguerre exponent must be > -1 and finite")
@@ -90,21 +120,28 @@ def _pieces(f, d: float) -> list[tuple[float, float, tuple[float, ...], float]]:
     """f as pieces (lo, hi, p, rate) with f = p(x) e^(-rate x) on [lo, hi),
     for integrals against the weight x^a e^(-d x).
 
-    Zero pieces of a step are dropped; a damped polynomial is one piece
-    running to hi = infinity.  A step edge e with e^(-d e) = 0 in double
-    precision counts as infinity, so pieces that start there are dropped:
-    no Gauss-Jacobi rule on [0, e] has a node where e^(-d x) lives.  For
-    the coefficients (d = 1) and a >= 0, |e^(-x/2) R_k| <= 1 puts what is
-    cut off below about e^(-372) of the Gamma(a+1) scale.
+    A damped polynomial is one piece running to hi = infinity; a step gives
+    constant pieces and a grid linear ones, and their zero pieces are
+    dropped.  An edge e with e^(-d e) = 0 in double precision counts as
+    infinity, so pieces that start there are dropped: no Gauss-Jacobi rule
+    on [lo, e] has a node where e^(-d x) lives.  For the coefficients
+    (d = 1) and a >= 0, |e^(-x/2) R_k| <= 1 puts what is cut off below about
+    e^(-372) of the Gamma(a+1) scale.  With d = 0 no edge is infinite.
     """
-    if isinstance(f, LaguerreStep):
-        edges = (0.0, *(e if math.exp(-d * e) > 0.0 else math.inf
-                        for e in f.breakpoints))
-        return [(lo, hi, (v,), 0.0) for lo, hi, v in zip(edges, edges[1:], f.values)
-                if v != 0.0 and lo < math.inf]
     if isinstance(f, LaguerreExpDamped):
         return [(0.0, math.inf, f.coefficients, f.rate)]
-    raise TypeError(f"not a usable half-line function spec: {f!r}")
+    if isinstance(f, LaguerreStep):
+        edges, polys = (0.0, *f.breakpoints), [(v,) for v in f.values]
+    elif isinstance(f, HalfLineGrid):
+        edges, ys = f.abscissae, f.ordinates
+        slopes = [(y1 - y0) / (t1 - t0)
+                  for t0, t1, y0, y1 in zip(edges, edges[1:], ys, ys[1:])]
+        polys = [(y0 - s * t0, s) for t0, y0, s in zip(edges, ys, slopes)]
+    else:
+        raise TypeError(f"not a usable half-line function spec: {f!r}")
+    edges = [e if math.exp(-d * e) > 0.0 else math.inf for e in edges]
+    return [(lo, hi, p, 0.0) for lo, hi, p in zip(edges, edges[1:], polys)
+            if any(p) and lo < math.inf]
 
 
 def _weighted_nodes(pieces, n: int, alpha: float,
@@ -157,12 +194,12 @@ def _coefficient_values(f, kmax: int, alpha: float,
     def one(n: int, top: int = kmax) -> np.ndarray:
         return _laguerre_r_sums(top, alpha, *_weighted_nodes(pieces, n, alpha, 1.0))
 
-    if isinstance(f, LaguerreExpDamped) and f.rate == 0.0:
-        top = min(len(f.coefficients) - 1, kmax)
-        return np.pad(one(len(f.coefficients), top), (0, kmax - top))
-    if isinstance(f, LaguerreStep):
+    if not isinstance(f, LaguerreExpDamped):
         # Exact for R_k times a polynomial of degree below 64, as in series.
         n0 = (kmax + 1) // 2 + 32
+    elif f.rate == 0.0:
+        top = min(len(f.coefficients) - 1, kmax)
+        return np.pad(one(len(f.coefficients), top), (0, kmax - top))
     else:
         n0 = (kmax + len(f.coefficients)) // 2 + 8
     return converge_doubling(one, ladder_size(n0), rtol)
@@ -196,7 +233,7 @@ def laguerre_norm(f, alpha: float) -> float:
         pieces += [(a, b, p, rate) for a, b in zip(edges, edges[1:])]
     if not pieces:
         return 0.0
-    n0 = 48 if isinstance(f, LaguerreStep) else max(24, len(f.coefficients) + 8)
+    n0 = max(24, len(f.coefficients) + 8) if isinstance(f, LaguerreExpDamped) else 48
 
     def one(n: int) -> float:
         return float(np.sum(np.abs(_weighted_nodes(pieces, n, alpha, 0.5)[1])))

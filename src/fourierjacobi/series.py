@@ -677,6 +677,8 @@ def sup_norm_slope(params: JacobiParams, ks=None,
     if ks is None:
         ks = np.unique(np.rint(np.geomspace(64, 1024, 9)).astype(int))
     ks = np.asarray(ks, dtype=int)
+    if ks.size < 8:
+        raise ValueError("fewer than 8 degrees in the fit window")
     sups = np.array([sup_norm_r(int(k), params, region) for k in ks])
     slope, intercept, r2, skipped = _fit_loglog(ks.astype(float), sups)
     k0, k1 = int(ks[0]), int(ks[-1])

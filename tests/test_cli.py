@@ -187,6 +187,22 @@ class TestTransform:
         assert len(out.strip().splitlines()) == 5
 
 
+@pytest.mark.parametrize("command, specs", [
+    (("transform", "--alpha", "0.5", "--beta", "0", "--tau-max", "6", "--tau-count", "4"),
+     ("step:1,2", "indicator:1,2")),
+    (("transform", "--alpha", "0.5", "--beta", "0", "--tau-max", "6", "--tau-count", "4"),
+     ("damped:4:1", "expdecay:4:1")),
+    (("laguerre", "coeffs", "--alpha", "0.5", "--kmax", "16"),
+     ("indicator:1,2", "step:1,2")),
+])
+def test_half_line_spellings_print_the_same_bytes(capsys, command, specs):
+    """Both commands read one half-line grammar: step:a,b is indicator:a,b and
+    damped: is expdecay:."""
+    first, second = (run(capsys, *command, "--function", spec) for spec in specs)
+    assert first[0] == 0
+    assert first == second
+
+
 class TestErrors:
     def test_bad_function_spec(self, capsys):
         code, out = run(capsys, "coeffs", "--alpha", "0", "--beta", "0",
@@ -222,6 +238,19 @@ class TestErrors:
         assert code == 2
         assert captured.out == ""
         assert "finite" in captured.err
+
+    @pytest.mark.parametrize("bound", [("--tau-max", "inf"), ("--tau-max", "nan"),
+                                       ("--tau-min", "-1", "--tau-max", "3")])
+    def test_tau_bounds_are_checked_first(self, bound):
+        """A tau bound that is not finite and nonnegative is a usage error,
+        found before np.linspace would warn about it."""
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "fourierjacobi.cli",
+                               "transform", "--alpha", "0.5", "--beta", "0",
+                               "--function", "indicator:1,2", *bound],
+                              env=package_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --tau-min and --tau-max must be finite and nonnegative\n"
 
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:

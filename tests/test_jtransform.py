@@ -10,8 +10,7 @@ from fourierjacobi import (
     AccuracyError,
     JacobiParams,
     Indicator,
-    ExpDecay,
-    HalfLineGrid,
+    LaguerreExpDamped,
     jacobi_function,
     transform,
     transform_sweep,
@@ -19,6 +18,7 @@ from fourierjacobi import (
 )
 from fourierjacobi import jtransform
 from fourierjacobi.jtransform import _log_cosh
+from fourierjacobi.laguerre import HalfLineGrid
 from fourierjacobi.quadrature import QuadratureRule
 
 
@@ -200,12 +200,16 @@ class TestProfiles:
             Indicator(2.0, 1.0)
 
     def test_expdecay_validation(self):
+        """A damped polynomial takes any rate >= 0; the transform checks
+        rate > 2 (alpha + beta + 1), which a finite weighted norm needs."""
         params = JacobiParams(0.5, 0.0)   # 2 rho = 3
-        ExpDecay((1.0,), rate=4.0, params=params)
         with pytest.raises(ValueError):
-            ExpDecay((1.0,), rate=3.0, params=params)
-        with pytest.raises(ValueError):
-            ExpDecay((1.0,), rate=2.9, params=params)
+            LaguerreExpDamped((1.0,), rate=-0.5)
+        transform(LaguerreExpDamped((1.0,), rate=4.0), 1.0, params)
+        with pytest.raises(ValueError, match="infinite norm"):
+            transform(LaguerreExpDamped((1.0,), rate=3.0), 1.0, params)
+        with pytest.raises(ValueError, match="infinite norm"):
+            transform(LaguerreExpDamped((1.0,), rate=2.9), 1.0, params)
 
     def test_grid_validation(self):
         HalfLineGrid((0.5, 1.0, 2.0), (0.0, 1.0, 0.0))
@@ -219,9 +223,9 @@ class TestProfiles:
     @pytest.mark.parametrize("make", [
         lambda: Indicator(1.0, math.inf),
         lambda: Indicator(math.nan, 2.0),
-        lambda: ExpDecay((1.0,), rate=math.nan, params=JacobiParams(0.5, 0.0)),
-        lambda: ExpDecay((1.0,), rate=math.inf, params=JacobiParams(0.5, 0.0)),
-        lambda: ExpDecay((math.nan,), rate=4.0, params=JacobiParams(0.5, 0.0)),
+        lambda: LaguerreExpDamped((1.0,), rate=math.nan),
+        lambda: LaguerreExpDamped((1.0,), rate=math.inf),
+        lambda: LaguerreExpDamped((math.nan,), rate=4.0),
         lambda: HalfLineGrid((0.5, math.inf), (1.0, 2.0)),
         lambda: HalfLineGrid((0.5, 1.0), (1.0, math.nan)),
     ])
@@ -273,7 +277,7 @@ class TestTransform:
         tau = 1.2
         for a, b in [(0.0, -0.25), (-0.25, 0.0), (-0.4, 0.3), (-0.1, -0.3)]:
             params = JacobiParams(a, b)   # 2 rho <= 1.8 < rate
-            f = ExpDecay((1.0, 0.5), rate=3.0, params=params)
+            f = LaguerreExpDamped((1.0, 0.5), rate=3.0)
             pref = _transform_prefactor(params)
             def integrand(t):
                 return (f(t) * jacobi_function(tau, t, params)
@@ -314,6 +318,25 @@ class TestTransform:
         high = np.abs(transform_sweep(f, np.linspace(200.0, 220.0, 11),
                                       params))
         assert high.max() < 0.2 * low.max()
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: transform(Indicator(1.0, 2.0), math.inf, p),
+    lambda p: transform(Indicator(1.0, 2.0), math.nan, p),
+    lambda p: transform_sweep(Indicator(1.0, 2.0), [0.0, math.inf], p),
+    lambda p: transform_sweep(Indicator(1.0, 2.0), [0.0, -1.0], p),
+    lambda p: jacobi_function(1.0, math.inf, p),
+    lambda p: jacobi_function(math.nan, 1.0, p),
+    lambda p: envelope_check(p, tau_grid=[0.0, math.inf]),
+    lambda p: envelope_check(p, t_grid=[-1.0, 1.0]),
+    lambda p: envelope_check(p, t_grid=[0.0, math.nan]),
+], ids=["transform-inf", "transform-nan", "sweep-inf", "sweep-negative",
+        "phi-t-inf", "phi-tau-nan", "envelope-tau-inf", "envelope-t-negative",
+        "envelope-t-nan"])
+def test_points_must_be_finite_and_nonnegative(call):
+    """Each entry point checks its frequencies and arguments before any work."""
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        call(JacobiParams(0.5, 0.0))
 
 
 class TestEnvelope:

@@ -672,6 +672,11 @@ class TestSupNorm:
         assert rep.window == (16, 192)
         assert rep.slope < 0.0
 
+    @pytest.mark.parametrize("ks", [(), (16,), (16, 24, 32, 48, 64, 96, 128)])
+    def test_slope_needs_eight_degrees(self, ks):
+        with pytest.raises(ValueError, match="fewer than 8"):
+            sup_norm_slope(JacobiParams(0.5, -0.25), ks=ks)
+
 
 class TestGridSampledSeries:
     def test_coefficients_converge(self):
