@@ -16,11 +16,9 @@ from .specfun import (
     jacobi_r,
     jacobi_r_table,
     laguerre_l,
-    laguerre_l_zero,
     laguerre_r,
     laguerre_r_table,
     hyp2f1,
-    h_normalizer,
     h_normalizer_table,
 )
 from .quadrature import (
@@ -85,11 +83,9 @@ __all__ = [
     "jacobi_r",
     "jacobi_r_table",
     "laguerre_l",
-    "laguerre_l_zero",
     "laguerre_r",
     "laguerre_r_table",
     "hyp2f1",
-    "h_normalizer",
     "h_normalizer_table",
     "QuadratureRule",
     "gauss_jacobi_rule",

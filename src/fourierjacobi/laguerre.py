@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval, polyroots
 
-from .specfun import _check_finite, _laguerre_r_sums, laguerre_r, laguerre_r_table
+from .specfun import _check_degree, _check_finite, _laguerre_r_sums, laguerre_r, laguerre_r_table
 from .quadrature import (converge_doubling, gauss_laguerre_rule, ladder_size,
                          mapped_jacobi_rule)
 from .series import DecayReport, _decay_report
@@ -207,8 +207,7 @@ def _coefficient_values(f, kmax: int, alpha: float,
 
 def laguerre_coefficient(f, k: int, alpha: float) -> float:
     """k-th coefficient: integral of f R_k^a x^a e^(-x) over the half-line."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
+    k = _check_degree(k)
     return float(_coefficient_values(f, k, alpha)[k])
 
 

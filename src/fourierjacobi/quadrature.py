@@ -46,6 +46,10 @@ class QuadratureRule:
 # are rescaled: leaves room for one step's growth and for the summed squares.
 _RESCALE = 1e128
 
+# Largest rule a caller may request: a build costs O(n^2) time, so a larger
+# request (a far support edge at a high frequency, say) raises at once.
+_MAX_NODES = 1 << 16
+
 
 def _freeze(rule: QuadratureRule) -> QuadratureRule:
     rule.nodes.setflags(write=False)
@@ -139,8 +143,8 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
 
     Exact for polynomial f up to degree 2n - 1.
     """
-    if n < 1:
-        raise ValueError("rule size must be at least 1")
+    if not 1 <= n <= _MAX_NODES:
+        raise ValueError(f"rule size must be between 1 and {_MAX_NODES}, got {n}")
     if not (-1.0 < alpha < np.inf and -1.0 < beta < np.inf):
         raise ValueError("Gauss-Jacobi exponents must be > -1 and finite")
     return _gauss_jacobi_cached(int(n), float(alpha), float(beta))
@@ -165,8 +169,8 @@ def _gauss_laguerre_cached(n: int, a: float) -> QuadratureRule:
 
 def gauss_laguerre_rule(n: int, alpha: float) -> QuadratureRule:
     """n-point rule for integrals of f(x) x^alpha e^(-x) over [0, inf)."""
-    if n < 1:
-        raise ValueError("rule size must be at least 1")
+    if not 1 <= n <= _MAX_NODES:
+        raise ValueError(f"rule size must be between 1 and {_MAX_NODES}, got {n}")
     if not -1.0 < alpha < np.inf:
         raise ValueError("Gauss-Laguerre exponent must be > -1 and finite")
     return _gauss_laguerre_cached(int(n), float(alpha))

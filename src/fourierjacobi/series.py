@@ -26,8 +26,8 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import beta as beta_function, betainc
 
 from .specfun import (JacobiParams, _binomial_ratios, _check_degree, _check_finite,
-                      _jacobi_p_table, _jacobi_r_sums, h_normalizer_table, jacobi_p_one,
-                      jacobi_r, jacobi_r_table)
+                      _jacobi_p_table, _jacobi_r_sums, h_normalizer_table, jacobi_r,
+                      jacobi_r_table)
 from .quadrature import (_jacobi_coeffs, converge_doubling, ladder_size,
                          mapped_jacobi_rule)
 
@@ -330,8 +330,8 @@ def _step_values(f: StepFunction, params: JacobiParams, kmax: int) -> np.ndarray
     if kmax >= 1:
         jumps = (-np.diff(f.values) * sin_h[1:-1] ** (2.0 * a + 2.0)
                  * cos_h[1:-1] ** (2.0 * b + 2.0)).tolist()
-        # Unnormalized rows and a running-product binomial: the log-gamma
-        # normalizer of R_k tables is up to 5e-13 relative off by k = 300.
+        # Unnormalized rows, divided by their binomial after the sum: rows of
+        # jacobi_r_table would give the same values in other last bits.
         rows = _jacobi_p_table(kmax - 1, JacobiParams(a + 1.0, b + 1.0),
                                np.cos(f.breakpoints))
         # Column by column in breakpoint order: the bits of hat(k) do not
@@ -456,8 +456,7 @@ def coefficient_series(f, kmax: int, params: JacobiParams,
         raise ValueError("kmax must be at least 1")
     vals = _values(f, params, kmax, rtol=rtol)
     if normalization == "unnormalized":
-        ones = np.array([jacobi_p_one(k, params) for k in range(kmax + 1)])
-        vals = vals * ones
+        vals = vals * _binomial_ratios(kmax, params.alpha, 0.0)
     elif normalization != "hat":
         raise ValueError(f"unknown normalization {normalization!r}")
     return CoefficientSeries(params, kmax, vals, normalization)

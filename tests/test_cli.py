@@ -1,11 +1,13 @@
-"""End-to-end runs of the command-line interface.
+"""End-to-end runs of the command-line interface and of the demos.
 
 The README examples are pinned byte for byte against README_CLI_GOLDEN.
 Each runs as `python -m fourierjacobi.cli` with single-threaded BLAS: the
 cosine sums of `verify-mehler` and `transform` are matrix-vector products,
 whose last bits depend on the BLAS thread count.  The coefficient examples
-use no such product and are also run at the default thread count.
-After an intended output change, refreeze with
+use no such product and are also run at the default thread count.  Each
+demo runs under -W error with single-threaded BLAS, its stdout pinned
+against DEMO_GOLDEN.
+After an intended output change, refreeze both with
 `PYTHONPATH=src python tests/test_cli.py --freeze` and review the diff.
 """
 
@@ -27,6 +29,8 @@ from fourierjacobi.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 README_CLI_GOLDEN = Path(__file__).resolve().parent / "readme_cli_golden.json"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+DEMO_GOLDEN = Path(__file__).resolve().parent / "demo_output_golden.json"
 
 
 def run(capsys, *argv):
@@ -239,6 +243,15 @@ class TestErrors:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    def test_rule_size_budget(self, capsys):
+        """A far indicator edge at tau 50 would need a 15,915,520-node rule."""
+        code = main(["transform", "--alpha", "0.5", "--beta", "0",
+                     "--function", "indicator:1,1e6", "--tau-max", "50"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: rule size must be between 1 and 65536")
+
     @pytest.mark.parametrize("bound", [("--tau-max", "inf"), ("--tau-max", "nan"),
                                        ("--tau-min", "-1", "--tau-max", "3")])
     def test_tau_bounds_are_checked_first(self, bound):
@@ -353,6 +366,34 @@ def test_quadrature_series_bytes_do_not_depend_on_blas_threads():
     assert runs[0].stdout == runs[1].stdout
 
 
+def demo_names() -> list[str]:
+    return sorted(path.name for path in DEMOS.glob("*.py"))
+
+
+def run_demo(name: str) -> dict:
+    """Run one demo under -W error with single-threaded BLAS."""
+    proc = subprocess.run([sys.executable, "-W", "error", str(DEMOS / name)],
+                          env=package_env(), capture_output=True, text=True, timeout=300)
+    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+
+
+class TestDemoGolden:
+    def test_every_demo_is_frozen(self):
+        assert sorted(json.loads(DEMO_GOLDEN.read_text())) == demo_names()
+
+    @pytest.mark.parametrize("name", demo_names())
+    def test_output_is_frozen(self, name):
+        got = run_demo(name)
+        assert (got["exit"], got["stderr"]) == (0, "")
+        assert got["stdout"] == json.loads(DEMO_GOLDEN.read_text())[name]
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--freeze"]:
     frozen = [run_readme_command(command) for command in readme_commands()]
     README_CLI_GOLDEN.write_text(json.dumps(frozen, indent=1) + "\n")
+    demos = {name: run_demo(name) for name in demo_names()}
+    failed = [name for name, run in demos.items() if run["exit"] or run["stderr"]]
+    if failed:
+        sys.exit(f"demos failed: {failed}")
+    DEMO_GOLDEN.write_text(json.dumps({name: run["stdout"] for name, run in demos.items()},
+                                      indent=1) + "\n")

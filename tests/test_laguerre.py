@@ -181,6 +181,13 @@ class TestCoefficient:
         with pytest.raises(ValueError):
             laguerre_coefficient(UNIT_STEP, 2, -1.0)
 
+    def test_degree_is_an_integer_not_a_mask(self):
+        """True and np.int64(3) are degrees 1 and 3; True used to index the
+        coefficient array as a mask."""
+        assert laguerre_coefficient(UNIT_STEP, True, 0.5) == laguerre_coefficient(UNIT_STEP, 1, 0.5)
+        assert laguerre_coefficient(UNIT_STEP, np.int64(3), 0.5) \
+            == laguerre_coefficient(UNIT_STEP, 3, 0.5)
+
 
 class TestNorm:
     def test_unit_step_frozen(self):

@@ -1,6 +1,7 @@
 """Gauss rules: exactness degrees, scipy agreement, singular-endpoint rules."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -93,6 +94,28 @@ class TestGaussJacobi:
 def test_non_finite_exponent_rejected(build, exponent):
     with pytest.raises(ValueError, match="finite"):
         build(exponent)
+
+
+class TestSizeBudget:
+    """A rule request past quadrature._MAX_NODES (2^16) raises before any
+    array is allocated: a build costs O(n^2) time."""
+
+    BUILDERS = [lambda n: gauss_jacobi_rule(n, 0.5, 0.0), lambda n: gauss_laguerre_rule(n, 0.5)]
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=["jacobi", "laguerre"])
+    def test_largest_size_passes_and_one_more_raises(self, build, monkeypatch):
+        for name in ("_gauss_jacobi_cached", "_gauss_laguerre_cached"):
+            monkeypatch.setattr(quadrature, name, lambda n, *ab: n)  # records, builds nothing
+        assert build(1 << 16) == 1 << 16
+        with pytest.raises(ValueError, match="rule size"):
+            build((1 << 16) + 1)
+
+    def test_far_transform_edge_raises_at_once(self):
+        """The outer rule on [1, 1e6] at tau 50 would have 15,915,520 nodes."""
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="rule size must be between 1 and 65536"):
+            transform_sweep(Indicator(1.0, 1e6), [0.0, 50.0], JacobiParams(0.5, 0.0))
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestGaussLegendreAndLaguerre:

@@ -8,6 +8,7 @@ cases (Chebyshev / Legendre points).
 import math
 from functools import partial
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -21,16 +22,19 @@ from fourierjacobi import (
     jacobi_r,
     jacobi_r_table,
     laguerre_l,
-    laguerre_l_zero,
     laguerre_r,
     laguerre_r_table,
     hyp2f1,
-    h_normalizer,
     h_normalizer_table,
 )
 from fourierjacobi import specfun
 from fourierjacobi.series import sup_norm_slope
 from fourierjacobi.specfun import _hyp2f1_array
+
+
+# Degrees at which the running-product normalizers are checked against
+# mpmath: every k below 64, then a stride up to 4096.
+MPMATH_DEGREES = (*range(64), *range(64, 4096, 61), 4096)
 
 
 class TestJacobiParams:
@@ -83,6 +87,17 @@ class TestJacobiRecurrence:
             want = sp.binom(k + 1.25, k)
             np.testing.assert_allclose(jacobi_p_one(k, JacobiParams(1.25, 0.5)),
                                        want, rtol=1e-12)
+
+    @pytest.mark.parametrize("a", [-0.999, -0.5, 0.0, 0.5, 1.3, 3.7])
+    def test_value_at_one_against_mpmath(self, a):
+        """binom(k + a, k) in 40-digit mpmath.  The running product is within
+        1.1e-13 relative for k <= 4096; exp of log-gamma differences was up to
+        1.4e-11 off."""
+        params = JacobiParams(a, 0.0)
+        got = [jacobi_p_one(k, params) for k in MPMATH_DEGREES]
+        with mp.workdps(40):
+            want = [mp.binomial(k + mp.mpf(a), k) for k in MPMATH_DEGREES]
+        np.testing.assert_allclose(got, np.array(want, dtype=float), rtol=4e-13, atol=0.0)
 
     def test_normalized_is_exactly_one_at_one(self):
         """R_k(1) = 1 must hold exactly, not just to rounding."""
@@ -148,7 +163,7 @@ class TestLaguerre:
     def test_frozen_value(self):
         got = laguerre_l(8, 2.0, 3.5)
         np.testing.assert_allclose(got, 1.0124938964843742, rtol=1e-13)
-        np.testing.assert_allclose(laguerre_l_zero(8, 2.0), 45.0, rtol=1e-13)
+        np.testing.assert_allclose(jacobi_p_one(8, JacobiParams(2.0, 0.0)), 45.0, rtol=1e-13)
         np.testing.assert_allclose(laguerre_r(8, 2.0, 3.5),
                                    0.022499864366319424, rtol=1e-12)
 
@@ -230,10 +245,8 @@ class TestSingleRecurrence:
         assert self.bits(np.array(scalar)[rec]) == self.bits(row[rec]) \
             == self.bits(self.former_jacobi(k, a, b, arr)[rec])
         r_scalar = [jacobi_r(k, params, x) for x in xs]
-        assert self.bits(r_scalar) == self.bits(jacobi_r(k, params, arr))
-        # Table rows divide by a gammaln binomial, the others by lgamma's.
-        np.testing.assert_allclose(jacobi_r_table(k, params, arr)[k], r_scalar,
-                                   rtol=1e-12, atol=0.0)
+        assert self.bits(r_scalar) == self.bits(jacobi_r(k, params, arr)) \
+            == self.bits(jacobi_r_table(k, params, arr)[k])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 300), EXPONENT,
@@ -248,9 +261,8 @@ class TestSingleRecurrence:
         assert self.bits(scalar) == self.bits(laguerre_l(k, alpha, arr)) == self.bits(row)
         assert self.bits(scalar) == self.bits(self.former_laguerre(k, alpha, arr))
         r_scalar = [laguerre_r(k, alpha, x) for x in xs]
-        assert self.bits(r_scalar) == self.bits(laguerre_r(k, alpha, arr))
-        np.testing.assert_allclose(laguerre_r_table(k, alpha, arr)[k], r_scalar,
-                                   rtol=1e-12, atol=0.0)
+        assert self.bits(r_scalar) == self.bits(laguerre_r(k, alpha, arr)) \
+            == self.bits(laguerre_r_table(k, alpha, arr)[k])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 300), EXPONENT, EXPONENT,
@@ -273,15 +285,16 @@ class TestSingleRecurrence:
         assert np.all(np.abs(got - ref) <= tol * np.maximum(1.0, np.abs(ref)))
 
     @pytest.mark.parametrize("a, b, region, slope", [
-        (-0.75, -0.75, "full", "0.2515337689156043"),
+        (-0.75, -0.75, "full", "0.2515337689155825"),
         (0.5, -0.25, "right", "-0.7513680551172258"),
         (1.0, 0.0, "right", "-0.9999999999999991"),
     ])
     def test_sup_norm_slope_frozen(self, a, b, region, slope):
         """The selftest growth slopes, frozen before the recurrence rewrite;
-        (-0.75, -0.75) refrozen when sups moved to the exact critical set and
-        again, by 1 ulp, when they moved to the Sonin candidates (two of nine
-        sups moved 1 ulp; a fit of 40-digit mpmath sups gives
+        (-0.75, -0.75) refrozen when sups moved to the exact critical set,
+        again, by 1 ulp, when they moved to the Sonin candidates, and again
+        when R_k took the running-product binomial in place of log-gamma
+        (0.2515337689156043 before; a fit of 40-digit mpmath sups gives
         0.2515337689155823), and the right-region pair when R_k(-1), their
         sup at every degree, became closed form (40-digit mpmath fits:
         -0.75136805511722694, -1)."""
@@ -290,16 +303,15 @@ class TestSingleRecurrence:
 
 class TestTableFreeSums:
     """The coefficient quadrature sums R_k against weights without a table:
-    each row is reduced as the recurrence makes it and divided by a
-    running-product binomial.  It must match the table's matrix-vector
-    product row by row; the table's log-gamma normalizer accounts for most
-    of the gap."""
+    each row is reduced as the recurrence makes it and divided by the
+    running-product binomial that also normalizes the table.  It must match
+    the table's matrix-vector product row by row up to the summation order."""
 
     EXPONENT = st.floats(-0.9, 3.0)
 
     @staticmethod
     def assert_rows_match(sums, tab, u):
-        bound = 1e-11 * (np.abs(tab) @ np.abs(u))
+        bound = 1e-14 * (np.abs(tab) @ np.abs(u))
         assert np.all(np.abs(sums - tab @ u) <= bound)
 
     @settings(max_examples=40, deadline=None)
@@ -519,18 +531,29 @@ class TestNormalizer:
     def test_chebyshev_values(self):
         """h_0 = 1/pi and h_k = 2/pi in the pure cosine case."""
         params = JacobiParams(-0.5, -0.5)
-        np.testing.assert_allclose(h_normalizer(0, params), 1.0 / math.pi,
-                                   rtol=1e-14)
+        h = h_normalizer_table(17, params)
+        np.testing.assert_allclose(h[0], 1.0 / math.pi, rtol=1e-14)
         for k in (1, 2, 17):
-            np.testing.assert_allclose(h_normalizer(k, params), 2.0 / math.pi,
-                                       rtol=1e-14)
+            np.testing.assert_allclose(h[k], 2.0 / math.pi, rtol=1e-14)
 
-    def test_table_matches_scalar(self):
-        for a, b in [(-0.5, -0.5), (0.0, 0.0), (1.3, -0.7)]:
-            params = JacobiParams(a, b)
-            tab = h_normalizer_table(25, params)
-            want = [h_normalizer(k, params) for k in range(26)]
-            np.testing.assert_allclose(tab, want, rtol=1e-13)
+    @pytest.mark.parametrize("a, b", [
+        (-0.5, -0.5), (-0.5, 0.25), (-0.25, -0.75), (-0.3, -0.7),
+        (-0.999, 0.5), (0.5, -0.25), (1.3, -0.7), (3.7, 1.1),
+    ])
+    def test_against_mpmath(self, a, b):
+        """h_k = (2k+a+b+1) G(k+a+b+1) G(k+a+1) / (G(k+b+1) G(k+1) G(a+1)^2)
+        and h_0 = G(a+b+2) / (G(a+1) G(b+1)) in 40-digit mpmath, also at
+        a + b = -1.  The running product is within 2.5e-13 relative for
+        k <= 4096; exp of log-gamma differences was up to 2.4e-11 off."""
+        got = h_normalizer_table(4096, JacobiParams(a, b))
+        with mp.workdps(40):
+            ma, mb = mp.mpf(a), mp.mpf(b)
+            want = [mp.gamma(ma + mb + 2) / (mp.gamma(ma + 1) * mp.gamma(mb + 1))]
+            want += [(2 * k + ma + mb + 1) * mp.gamma(k + ma + mb + 1) * mp.gamma(k + ma + 1)
+                     / (mp.gamma(k + mb + 1) * mp.gamma(k + 1) * mp.gamma(ma + 1) ** 2)
+                     for k in MPMATH_DEGREES[1:]]
+        np.testing.assert_allclose(got[list(MPMATH_DEGREES)], np.array(want, dtype=float),
+                                   rtol=4e-13, atol=0.0)
 
     def test_growth_order(self):
         """h_k is comparable to (k+1)^(2a+1) with bounded ratio."""
@@ -547,5 +570,5 @@ class TestNormalizer:
         for k in (0, 3, 10):
             rk = jacobi_r(k, params, rule.nodes)
             norm_sq = 2.0 ** (-0.5 + 0.25 - 1.0) * float(rule.weights @ rk ** 2)
-            np.testing.assert_allclose(h_normalizer(k, params) * norm_sq, 1.0,
+            np.testing.assert_allclose(h_normalizer_table(k, params)[k] * norm_sq, 1.0,
                                        rtol=1e-12)
