@@ -231,6 +231,9 @@ def transform(f, tau: float, params: JacobiParams, rtol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 # the uniform envelope
 
+# Verification allows the ratio on the finer grid this factor above c_star.
+_ENVELOPE_SLACK = 1.05
+
 
 @dataclass(frozen=True)
 class EnvelopeReport:
@@ -243,14 +246,13 @@ class EnvelopeReport:
     verified: bool
 
 
-def envelope_check(params: JacobiParams, t_grid=None, tau_grid=None,
-                   slack: float = 1.05) -> EnvelopeReport:
+def envelope_check(params: JacobiParams, t_grid=None, tau_grid=None) -> EnvelopeReport:
     """Calibrate the envelope constant, then verify it on a finer grid.
 
     The constant is the largest ratio |phi| / ((1+t) e^(-rho t)) over the
     calibration grid; verification doubles both grid densities and demands
-    the ratio stay below slack times that constant.  Failure is reported in
-    the returned record rather than raised.
+    the ratio stay below _ENVELOPE_SLACK times that constant.  Failure is
+    reported in the returned record rather than raised.
     """
     _check_params(params)
     ts = np.linspace(0.0, 20.0, 41) if t_grid is None \
@@ -268,4 +270,4 @@ def envelope_check(params: JacobiParams, t_grid=None, tau_grid=None,
     fine_t = np.linspace(float(ts[0]), float(ts[-1]), 2 * ts.size - 1)
     fine_tau = np.linspace(float(taus[0]), float(taus[-1]), 2 * taus.size - 1)
     worst = ratios(fine_t, fine_tau) / c_star
-    return EnvelopeReport(params, c_star, slack, worst, worst <= slack)
+    return EnvelopeReport(params, c_star, _ENVELOPE_SLACK, worst, worst <= _ENVELOPE_SLACK)

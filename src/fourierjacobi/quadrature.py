@@ -2,12 +2,13 @@
 
 Nodes are the eigenvalues of the symmetric tridiagonal (Jacobi) matrix of the
 three-term recurrence, polished by one Newton step on the recurrence; weights
-are the Christoffel numbers summed along the same recurrence.  No eigenvector
-is formed, so a rule costs O(n) memory and O(n^2) time.  Rules are cached per
-(n, exponents), and the node/weight arrays are frozen so cached rules cannot
-be mutated by callers.  converge_doubling is the package's one doubling
-loop; callers start it from ladder_size(n), a multiple of 32, so that the
-sizes they request repeat and hit that cache.
+are the Christoffel numbers summed in the same recurrence pass, at the
+unrounded Newton iterate.  No eigenvector is formed, so a rule costs O(n)
+memory and O(n^2) time.  Rules are cached per (n, exponents), and the
+node/weight arrays are frozen so cached rules cannot be mutated by callers.
+converge_doubling is the package's one doubling loop; callers start it from
+ladder_size(n), a multiple of 32, so that the sizes they request repeat and
+hit that cache.
 """
 
 from dataclasses import dataclass
@@ -61,13 +62,15 @@ def _golub_welsch(d: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Nodes and weights from monic recurrence diagonals (a_i) and (b_i).
 
     d holds a_0..a_{n-1}; e2 holds b_0..b_{n-1} with b_0 the total weight mass.
-    The nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch, 1969),
-    polished by one Newton step on p_n.  The weights are the Christoffel
-    numbers b_0 / sum_k p_k(x)^2 (Gautschi, 2004), with p_0 = 1 and p_k
-    orthonormal up to that factor.  Both passes run the recurrence across all
-    nodes at once, so memory is O(n).  Once the values pass _RESCALE they are
-    divided down node by node and the factors kept in log space, so Laguerre
-    rules, whose polynomials grow like e^(x/2), cannot overflow.
+    The nodes are the eigenvalues x of the Jacobi matrix (Golub & Welsch,
+    1969), polished by one Newton step dx = -p_n / p_n'.  The weights are the
+    Christoffel numbers b_0 / sum_{k<n} p_k^2 (Gautschi, 2004), with p_0 = 1
+    and p_k orthonormal up to that factor, at the unrounded iterate x + dx:
+    the same pass sums S = sum p_k^2 and C = sum p_k p_k' at x, and the sum
+    at x + dx is S + 2 dx C to first order.  The pass runs over all nodes at
+    once, so memory is O(n).  Once the values pass _RESCALE they are divided
+    down node by node and the factors kept in log space, so Laguerre rules,
+    whose polynomials grow like e^(x/2), cannot overflow.
     """
     n = d.size
     if n == 1:
@@ -79,11 +82,13 @@ def _golub_welsch(d: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray
     # last step is left unnormalized.
     r = (1.0 / sb[1:]).tolist() + [1.0]
 
-    # Newton pass: rows hold p_k and p_k'.
+    # Rows hold p_k and p_k'; acc sums p_k times each row, giving S and C.
     v0 = np.zeros((2, n))
     v1 = np.zeros((2, n))
     v1[0] = 1.0
+    acc, log_scale = np.zeros((2, n)), np.zeros(n)
     for k in range(n):
+        acc += v1[0] * v1
         v2 = (x - a[k]) * v1
         v2[1] += v1[0]
         v2 -= s[k] * v0
@@ -93,24 +98,10 @@ def _golub_welsch(d: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray
             m = np.maximum(np.maximum(np.abs(v0[0]), np.abs(v1[0])), 1.0)
             v0 /= m
             v1 /= m
-    x -= v1[0] / v1[1]
-
-    # Weight pass at the polished nodes.
-    p0, p1 = np.zeros(n), np.ones(n)
-    total, log_scale = np.ones(n), np.zeros(n)
-    for k in range(n - 1):
-        p2 = (x - a[k]) * p1
-        p2 -= s[k] * p0
-        p2 *= r[k]
-        p0, p1 = p1, p2
-        total += p1 * p1
-        if np.dot(p1, p1) > _RESCALE:
-            m = np.maximum(np.maximum(np.abs(p0), np.abs(p1)), 1.0)
-            p0 /= m
-            p1 /= m
-            total /= m * m
+            acc /= m * m
             log_scale += np.log(m)
-    return x, e2[0] * np.exp(-2.0 * log_scale) / total
+    dx = -v1[0] / v1[1]
+    return x + dx, e2[0] * np.exp(-2.0 * log_scale) / (acc[0] + 2.0 * dx * acc[1])
 
 
 def _jacobi_coeffs(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

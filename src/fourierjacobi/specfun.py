@@ -298,13 +298,17 @@ def _hyp2f1_array(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     """2F1(a, b; c; z) elementwise over an array of arguments in [0, 1).
 
     SciPy's ufunc, which takes z near 1 through the connection formulas of
-    DLMF 15.8, log cases (c - a - b an integer) included.
+    DLMF 15.8, log cases (c - a - b an integer) included.  A value that is
+    not finite raises AccuracyError.
     """
     z = np.asarray(z, dtype=float)
     if z.size and not (float(np.min(z)) >= 0.0 and float(np.max(z)) < 1.0):
         raise AccuracyError("hypergeometric argument left [0, 1) at a node",
                             achieved=float(np.max(z)))
-    return _scipy_hyp2f1(a, b, c, z)
+    f = _scipy_hyp2f1(a, b, c, z)
+    if not np.all(np.isfinite(f)):
+        raise AccuracyError(f"2F1({a}, {b}; {c}; z) is not finite at a node")
+    return f
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
@@ -312,8 +316,11 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
 
     Valid for z in [0, 1); z = 1 is accepted when c - a - b > 0, where the
     Gauss sum gives the value.  Returns exactly 1.0 when z = 0 or when a or
-    b is zero.
+    b is zero.  Inputs must be finite (ValueError), and a value that is not
+    finite raises AccuracyError.
     """
+    if not all(isfinite(v) for v in (a, b, c, z)):
+        raise ValueError("2F1 parameters and argument must be finite")
     if c <= 0.0 and c == int(c):
         raise ValueError("2F1 parameter c must not be a nonpositive integer")
     if z < 0.0 or z > 1.0:

@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fourierjacobi import (
     AccuracyError,
@@ -501,10 +501,17 @@ class TestHyp2F1:
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-2.0, 3.0), st.floats(-2.0, 3.0), st.floats(0.3, 4.0),
            st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=16))
+    @example(0.5, 0.5, 1.0, [0.3, 0.9999999999999998])
     def test_array_form_matches_scalar_bit_for_bit(self, a, b, c, zs):
-        got = _hyp2f1_array(a, b, c, np.array(zs))
-        want = [hyp2f1(a, b, c, z) for z in zs]
-        np.testing.assert_array_equal(got, want)
+        """The same bits, or the same AccuracyError where SciPy's value is not
+        finite (in the log cases once 1 - z is below about 5e-14)."""
+        try:
+            want = [hyp2f1(a, b, c, z) for z in zs]
+        except AccuracyError:
+            with pytest.raises(AccuracyError, match="not finite"):
+                _hyp2f1_array(a, b, c, np.array(zs))
+            return
+        np.testing.assert_array_equal(_hyp2f1_array(a, b, c, np.array(zs)), want)
 
     def test_array_form_refuses_arguments_outside_unit_interval(self):
         for z in ([0.5, -1e-300], [0.5, 1.0], [math.nan]):
@@ -525,6 +532,28 @@ class TestHyp2F1:
             hyp2f1(1.0, 1.0, 2.0, -0.5)      # argument outside [0, 1]
         with pytest.raises(ValueError):
             hyp2f1(1.0, 1.0, 2.0, 1.0)       # divergent at z = 1
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 2.0, 0.5), (1.0, 1.0, 2.0, math.nan),
+                                      (1.0, math.inf, 2.0, 0.5)])
+    def test_non_finite_input_is_a_value_error(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            hyp2f1(*args)
+
+    def test_non_finite_value_raises(self):
+        """SciPy returns NaN for 2F1(150, 150; 400; 0.99); no NaN may leave."""
+        with pytest.raises(AccuracyError, match="not finite"):
+            hyp2f1(150.0, 150.0, 400.0, 0.99)
+        with pytest.raises(AccuracyError, match="not finite"):
+            _hyp2f1_array(150.0, 150.0, 400.0, np.array([0.5, 0.99]))
+
+    # 40-digit mpmath values at z = 1, where SciPy returns NaN.
+    @pytest.mark.parametrize("a,b,c,want", [
+        (150.0, 150.0, 400.0, 8.934393319445146e+41),
+        (-170.5, 3.0, 10.0, 8.861954291701380e-05),
+        (300.0, -2.5, 400.0, 0.03168887996627535),
+    ])
+    def test_gauss_sum_where_scipy_fails(self, a, b, c, want):
+        np.testing.assert_allclose(hyp2f1(a, b, c, 1.0), want, rtol=1e-12)
 
 
 class TestNormalizer:
