@@ -3,9 +3,8 @@ Weighted Gauss rules
 ====================
 
 The quadrature module builds Gauss-Jacobi, Gauss-Legendre, and
-Gauss-Laguerre rules from the classical recurrence coefficients, plus two
-adapted rules: a transplanted Jacobi rule for an arbitrary interval with
-endpoint singularities, and the inner rule for the singular cosine kernel.
+Gauss-Laguerre rules from the classical recurrence coefficients, plus a
+transplanted Jacobi rule for a finite interval with endpoint singularities.
 """
 
 import math
@@ -17,7 +16,6 @@ from fourierjacobi import (
     gauss_legendre_rule,
     gauss_laguerre_rule,
     mapped_jacobi_rule,
-    mehler_inner_rule,
 )
 
 # Gauss-Jacobi: integrates f(x) (1-x)^a (1+x)^b over [-1, 1].
@@ -45,14 +43,6 @@ print(f"\nGauss-Legendre(24) on cos: {leg.apply(np.cos):.12f}"
 
 shifted = mapped_jacobi_rule(40, 0.0, -0.5, 2.0, 5.0)
 print(f"singular endpoint integral on [2,5]: {shifted.apply(np.cos):.10f}")
-
-# The inner rule for the cosine kernel (cos phi - cos theta)^(alpha - 1/2)
-# on [0, theta].  At alpha = 1/2 the kernel is constant, so integrating
-# cos phi gives sin theta.
-theta = 1.3
-inner = mehler_inner_rule(theta, 0.5, 30)
-print(f"\ninner rule, alpha = 1/2, f = cos: {inner.apply(np.cos):.12f}"
-      f"  (sin theta = {math.sin(theta):.12f})")
 
 # converge_doubling() grows a rule until two consecutive sizes agree.
 from fourierjacobi import converge_doubling

@@ -27,7 +27,6 @@ from .quadrature import (
     gauss_legendre_rule,
     gauss_laguerre_rule,
     mapped_jacobi_rule,
-    mehler_inner_rule,
     converge_doubling,
 )
 from .series import (
@@ -92,7 +91,6 @@ __all__ = [
     "gauss_legendre_rule",
     "gauss_laguerre_rule",
     "mapped_jacobi_rule",
-    "mehler_inner_rule",
     "converge_doubling",
     "StepFunction",
     "PowerWeight",

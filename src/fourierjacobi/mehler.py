@@ -1,9 +1,9 @@
 """Integral-representation pathway for R_k(cos theta), independent of the recurrence.
 
 Two formulas are implemented: the cosine-kernel integral with an algebraic
-endpoint singularity for alpha > -1/2, and its alpha -> -1/2 limit, which has
-a separate non-integral leading term.  Both serve as cross-checks against the
-recurrence values, so nothing here is shared with the recurrence code path.
+endpoint singularity for alpha > -1/2, on a Gauss-Jacobi rule in phi, and
+its alpha -> -1/2 limit, with a separate non-integral leading term.  Both
+cross-check the recurrence values, which share no code with this module.
 
 Both formulas, like the kernel of the continuous transform in jtransform
 (the hyperbolic form of the same integral), reduce to nodes S and amplitudes
@@ -19,8 +19,7 @@ from math import lgamma, exp, cos, sin
 import numpy as np
 
 from .specfun import JacobiParams, PolyValue, _check_degree, _hyp2f1_array
-from .quadrature import (mehler_inner_rule, mapped_jacobi_rule, converge_doubling,
-                         ladder_size)
+from .quadrature import mapped_jacobi_rule, converge_doubling, ladder_size
 
 __all__ = ["mehler_r", "mehler_limit_r", "kernel_mass_h"]
 
@@ -49,6 +48,16 @@ def _converge_cosine(kernel, lams, n0: int, rtol: float) -> np.ndarray:
     return converge_doubling(lambda n: _cosine_sum(*kernel(n), lams), n0, rtol)
 
 
+def _singular_rule(theta: float, alpha: float, n: int):
+    """Nodes phi in (0, theta), gaps cos phi - cos theta (a product of sines, to
+    keep their low bits near theta) and weights against gap^(alpha - 1/2) dphi:
+    a rule for (theta - phi)^(alpha - 1/2) times (gap / (theta - phi))^(alpha - 1/2)."""
+    rule = mapped_jacobi_rule(n, alpha - 0.5, 0.0, 0.0, theta)
+    phi = rule.nodes
+    gap = 2.0 * np.sin((theta + phi) / 2.0) * np.sin((theta - phi) / 2.0)
+    return phi, gap, rule.weights * (gap / (theta - phi)) ** (alpha - 0.5)
+
+
 @lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _kernel_data(alpha: float, beta: float, theta: float,
                  n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -59,8 +68,8 @@ def _kernel_data(alpha: float, beta: float, theta: float,
     follow, with none when 1/4 - beta^2 is 0.  The arrays are read-only,
     since every caller shares them.
     """
-    c = cos(theta)
     if alpha == -0.5:
+        c = cos(theta)
         s, amp = np.array([theta]), np.array([cos(theta / 2.0) ** (-beta - 0.5)])
         scale = 0.25 * (beta * beta - 0.25) * sin(theta / 2.0)
         if scale != 0.0:
@@ -72,15 +81,15 @@ def _kernel_data(alpha: float, beta: float, theta: float,
             s = np.concatenate((s, rule.nodes))
             amp = np.concatenate((amp, scale * rule.weights * pw * f21))
     else:
-        rule = mehler_inner_rule(theta, alpha, n)
-        t = np.cos(rule.nodes)
+        s, gap, w = _singular_rule(theta, alpha, n)
+        t = np.cos(s)
         f21 = _hyp2f1_array((alpha + beta + 1.0) / 2.0, (alpha + beta) / 2.0,
-                            alpha + 0.5, (t - c) / (1.0 + t))
+                            alpha + 0.5, gap / (1.0 + t))
+        # 1 - cos theta as 2 sin^2(theta/2), which keeps its low bits at small theta.
         pref = (2.0 ** ((alpha + beta + 1.0) / 2.0)
                 * exp(lgamma(alpha + 1.0) - lgamma(0.5) - lgamma(alpha + 0.5))
-                * (1.0 - c) ** -alpha)
-        s = rule.nodes
-        amp = pref * rule.weights * (1.0 + t) ** (-(alpha + beta) / 2.0) * f21
+                * (2.0 * sin(theta / 2.0) ** 2) ** -alpha)
+        amp = pref * w * (1.0 + t) ** (-(alpha + beta) / 2.0) * f21
     s.setflags(write=False)
     amp.setflags(write=False)
     return s, amp
@@ -99,9 +108,9 @@ def mehler_r(k: int, params: JacobiParams, theta: float,
              rtol: float = 1e-10) -> PolyValue:
     """R_k(cos theta) through the singular-kernel integral, for alpha > -1/2.
 
-    The (cos phi - cos theta)^(alpha - 1/2) factor is absorbed by the
-    dedicated inner rule; the remaining integrand factor is smooth in phi and
-    its node count doubles until two sizes agree.
+    The (cos phi - cos theta)^(alpha - 1/2) factor is absorbed by a
+    Gauss-Jacobi rule in phi; the remaining integrand factor is smooth in phi
+    and its node count doubles until two sizes agree.
     """
     k = _check_degree(k)
     a, b = float(params.alpha), float(params.beta)
@@ -131,14 +140,10 @@ def kernel_mass_h(theta: float, alpha: float) -> float:
     Stays bounded as theta -> 0+ whenever alpha > -1/2, which is what makes
     the interchange of integrals behind the coefficient estimates legitimate.
     """
-    if not 0.0 < theta <= math.pi / 2.0:
-        raise ValueError("theta must lie in (0, pi/2]")
+    if not 1e-8 < theta <= math.pi / 2.0:
+        raise ValueError("theta must lie in (1e-8, pi/2]")
     if alpha <= -0.5:
         raise ValueError("kernel mass needs alpha > -1/2")
-
-    def evaluate(n: int) -> float:
-        rule = mehler_inner_rule(theta, alpha, n)
-        return float(np.sum(rule.weights))
-
-    mass = converge_doubling(evaluate, n0=ladder_size(16), rtol=1e-12)
+    mass = converge_doubling(lambda n: float(np.sum(_singular_rule(theta, alpha, n)[2])),
+                             ladder_size(16), 1e-12)
     return sin(theta) ** (-2.0 * alpha) * mass

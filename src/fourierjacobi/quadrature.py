@@ -6,6 +6,8 @@ are the Christoffel numbers summed in the same recurrence pass, at the
 unrounded Newton iterate.  No eigenvector is formed, so a rule costs O(n)
 memory and O(n^2) time.  Rules are cached per (n, exponents), and the
 node/weight arrays are frozen so cached rules cannot be mutated by callers.
+Mapped rules carry the endpoint exponents to a finite interval; every singular
+cosine kernel (Mehler in phi, the transform in s) takes its rule from them.
 converge_doubling is the package's one doubling loop; callers start it from
 ladder_size(n), a multiple of 32, so that the sizes they request repeat and
 hit that cache.
@@ -13,7 +15,7 @@ hit that cache.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lgamma, exp, log, cos
+from math import lgamma, exp, log
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -26,7 +28,6 @@ __all__ = [
     "gauss_laguerre_rule",
     "gauss_legendre_rule",
     "mapped_jacobi_rule",
-    "mehler_inner_rule",
     "converge_doubling",
     "ladder_size",
 ]
@@ -129,16 +130,23 @@ def _gauss_jacobi_cached(n: int, a: float, b: float) -> QuadratureRule:
     return _freeze(QuadratureRule(x, w))
 
 
+def _check_size(n) -> int:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"rule size must be an integer, got {n!r}")
+    if not 1 <= n <= _MAX_NODES:
+        raise ValueError(f"rule size must be between 1 and {_MAX_NODES}, got {n}")
+    return int(n)
+
+
 def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     """n-point rule for integrals of f(x) (1-x)^alpha (1+x)^beta over [-1, 1].
 
     Exact for polynomial f up to degree 2n - 1.
     """
-    if not 1 <= n <= _MAX_NODES:
-        raise ValueError(f"rule size must be between 1 and {_MAX_NODES}, got {n}")
+    n = _check_size(n)
     if not (-1.0 < alpha < np.inf and -1.0 < beta < np.inf):
         raise ValueError("Gauss-Jacobi exponents must be > -1 and finite")
-    return _gauss_jacobi_cached(int(n), float(alpha), float(beta))
+    return _gauss_jacobi_cached(n, float(alpha), float(beta))
 
 
 def gauss_legendre_rule(n: int) -> QuadratureRule:
@@ -160,11 +168,10 @@ def _gauss_laguerre_cached(n: int, a: float) -> QuadratureRule:
 
 def gauss_laguerre_rule(n: int, alpha: float) -> QuadratureRule:
     """n-point rule for integrals of f(x) x^alpha e^(-x) over [0, inf)."""
-    if not 1 <= n <= _MAX_NODES:
-        raise ValueError(f"rule size must be between 1 and {_MAX_NODES}, got {n}")
+    n = _check_size(n)
     if not -1.0 < alpha < np.inf:
         raise ValueError("Gauss-Laguerre exponent must be > -1 and finite")
-    return _gauss_laguerre_cached(int(n), float(alpha))
+    return _gauss_laguerre_cached(n, float(alpha))
 
 
 def mapped_jacobi_rule(n: int, alpha: float, beta: float,
@@ -174,36 +181,13 @@ def mapped_jacobi_rule(n: int, alpha: float, beta: float,
     Integrates f(x) (hi-x)^alpha (x-lo)^beta dx; the endpoint factors are
     absorbed into the weights, so callers supply only the smooth part f.
     """
-    if not hi > lo:
-        raise ValueError("interval must have positive length")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError("interval must be finite with positive length")
     base = gauss_jacobi_rule(n, alpha, beta)
     h = 0.5 * (hi - lo)
     x = lo + (base.nodes + 1.0) * h
     w = base.weights * h ** (alpha + beta + 1.0)
     return _freeze(QuadratureRule(x, w))
-
-
-def mehler_inner_rule(theta: float, alpha: float, n: int) -> QuadratureRule:
-    """Rule in phi over [0, theta] against the measure (cos phi - cos theta)^(alpha - 1/2) dphi.
-
-    Built in the variable t = cos phi: the substitution contributes a factor
-    (1 - t^2)^(-1/2), whose (1 - t)^(-1/2) endpoint part pairs with the
-    (t - cos theta)^(alpha - 1/2) singularity to give a Gauss-Jacobi rule
-    with exponents (-1/2, alpha - 1/2) on [cos theta, 1]; the remaining
-    smooth factor (1 + t)^(-1/2) is folded into the weights pointwise.
-    Nodes are returned as phi values in (0, theta).
-    """
-    if not theta > 1e-8:
-        raise ValueError("inner rule needs theta > 1e-8")
-    if alpha <= -0.5:
-        raise ValueError("inner rule needs alpha > -1/2")
-    c = cos(theta)
-    base = gauss_jacobi_rule(n, -0.5, alpha - 0.5)
-    h = 0.5 * (1.0 - c)
-    t = c + (base.nodes + 1.0) * h
-    w = base.weights * h ** alpha * (1.0 + t) ** -0.5
-    phi = np.arccos(np.clip(t, -1.0, 1.0))
-    return _freeze(QuadratureRule(phi, w))
 
 
 def ladder_size(n: int) -> int:
@@ -226,7 +210,10 @@ def converge_doubling(evaluate, n0: int, rtol: float = 1e-10,
     at the first size 2n with max|v(2n) - v(n)| <= rtol * max(1, max|v(2n)|)
     and returns v(2n) unchanged.  Otherwise it raises AccuracyError with the
     last relative difference as `achieved`; a NaN never counts as converged.
+    A NaN or negative rtol raises ValueError before the first evaluation.
     """
+    if not rtol >= 0.0:
+        raise ValueError(f"rtol must be a nonnegative number, got {rtol}")
     n = max(int(n0), 1)
     limit = max(nmax, 4 * n)
     prev = evaluate(n)

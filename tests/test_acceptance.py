@@ -27,6 +27,11 @@ def test_mehler_pathways():
     _run(selftest.check_mehler_pathways)
 
 
+def test_singular_form_near_rounding():
+    """The singular form takes its rule in phi, so no node map rounds it."""
+    assert selftest.mehler_pathway_discrepancies(50)[0] <= 1.5e-13
+
+
 def test_riemann_lebesgue_dichotomy():
     """Coefficients of integrable profiles die out; growth appears only
     outside the bounded region."""

@@ -46,6 +46,32 @@ class TestMehlerIntegral:
         np.testing.assert_allclose(got.value, ref, rtol=1e-8,
                                    atol=1e-8 * max(1.0, abs(ref)))
 
+    # 40-digit mpmath R_k(cos 3.14) at k = 5, 17, 50.  Near theta = pi the
+    # 2F1 argument is near 1; these pairs have beta <= 0, so it stays bounded.
+    @pytest.mark.parametrize("alpha,beta,want", [
+        (0.0, -0.5, (-0.2460851669142116, -0.13578251118655987, 0.07933449769673702)),
+        (0.5, 0.0, (-0.3694007561495776, -0.21029919792370252, 0.12419806598539565)),
+        (0.25, -0.4, (-0.2026596843700643, -0.09493937008877602, 0.04747662175165153)),
+        (0.01, 0.0, (-0.9774778949807825, -0.9660780071155612, 0.9545366742421968)),
+    ])
+    def test_near_pi_against_mpmath(self, alpha, beta, want):
+        params = JacobiParams(alpha, beta)
+        for k, ref in zip((0, 5, 17, 50), (1.0,) + want):
+            assert abs(mehler_r(k, params, 3.14).value - ref) <= 1e-11
+
+    # 40-digit mpmath R_k(cos 2e-6) at k = 3, 20.
+    @pytest.mark.parametrize("alpha,beta,want", [
+        (0.0, 0.0, (0.999999999988, 0.99999999958)),
+        (0.5, -0.25, (0.9999999999915, 0.9999999997166666)),
+        (1.5, 0.75, (0.9999999999925, 0.999999999814)),
+        (2.0, 1.0, (0.999999999993, 0.99999999984)),
+    ])
+    def test_small_angle_against_mpmath(self, alpha, beta, want):
+        """The (1 - cos theta)^(-alpha) prefactor must keep its low bits."""
+        params = JacobiParams(alpha, beta)
+        for k, ref in zip((0, 3, 20), (1.0,) + want):
+            assert abs(mehler_r(k, params, 2e-6).value - ref) <= 1e-13
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             mehler_r(3, JacobiParams(-0.5, -0.5), 1.0)   # needs alpha > -1/2
@@ -159,7 +185,6 @@ def test_argument_outside_unit_interval_raises(name, monkeypatch):
     refuses it on both pathways."""
     pathway, _ = PATHWAYS[name]
     past = QuadratureRule(np.array([2.5]), np.array([1.0]))
-    monkeypatch.setattr(mehler, "mehler_inner_rule", lambda *args: past)
     monkeypatch.setattr(mehler, "mapped_jacobi_rule", lambda *args: past)
     mehler._kernel_data.cache_clear()
     with pytest.raises(AccuracyError, match=r"left \[0, 1\)"):
@@ -208,6 +233,18 @@ class TestKernelMass:
     def test_frozen_legendre_value(self):
         got = kernel_mass_h(1.0, 0.0)
         np.testing.assert_allclose(got, 2.3687991130297004, rtol=1e-10)
+
+    # 40-digit mpmath, with cos(phi) - cos(theta) written as a product of sines.
+    @pytest.mark.parametrize("alpha,want", [
+        (-0.4, 10.564813713917061),
+        (0.0, 2.2214414690793220),
+        (0.25, 1.4248368919187569),
+        (0.75, 0.73495959933121924),
+        (2.0, 0.20826013772628189),
+    ])
+    def test_small_angle_against_mpmath(self, alpha, want):
+        """At theta = 1e-6 the gap cos(phi) - cos(theta) must keep its low bits."""
+        np.testing.assert_allclose(kernel_mass_h(1e-6, alpha), want, rtol=1e-13)
 
     def test_against_adaptive(self):
         for theta, alpha in [(0.8, 0.25), (1.4, 0.75), (1.1, 1.5)]:

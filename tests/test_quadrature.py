@@ -28,12 +28,12 @@ from fourierjacobi import (
     norm_l,
     parseval_check,
     step_identity_check,
+    transform,
     transform_sweep,
     gauss_jacobi_rule,
     gauss_legendre_rule,
     gauss_laguerre_rule,
     mapped_jacobi_rule,
-    mehler_inner_rule,
     converge_doubling,
 )
 from fourierjacobi import mehler, quadrature
@@ -110,6 +110,14 @@ class TestSizeBudget:
         with pytest.raises(ValueError, match="rule size"):
             build((1 << 16) + 1)
 
+    @pytest.mark.parametrize("build", BUILDERS, ids=["jacobi", "laguerre"])
+    def test_size_must_be_an_integer(self, build):
+        """A fractional or boolean size is refused, not truncated to int."""
+        for n in (8.5, 8.0, True, "8"):
+            with pytest.raises(ValueError, match="integer"):
+                build(n)
+        assert build(np.int64(8)).nodes.shape == (8,)
+
     def test_far_transform_edge_raises_at_once(self):
         """The outer rule on [1, 1e6] at tau 50 would have 15,915,520 nodes."""
         t0 = time.perf_counter()
@@ -161,49 +169,41 @@ class TestMappedRule:
                       points=[2.0])
         np.testing.assert_allclose(got, ref, rtol=1e-10)
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 0.0)])
+    def test_infinite_end_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            mapped_jacobi_rule(8, 0.0, 0.0, lo, hi)
+
 
 class TestMehlerInnerRule:
+    """The Mehler kernel's singular rule in phi, through kernel_mass_h."""
+
     def test_kernel_mass_frozen(self):
-        """Integral of (cos(phi) - cos(1))^(-1/2) over [0, 1]; frozen value."""
-        rule = mehler_inner_rule(1.0, 0.0, 24)
-        np.testing.assert_allclose(float(np.sum(rule.weights)),
-                                   2.3687991130297004, rtol=1e-12)
+        """Integral of (cos(phi) - cos(1))^(-1/2) over [0, 1]; 40-digit mpmath."""
+        np.testing.assert_allclose(kernel_mass_h(1.0, 0.0), 2.3687991130305955,
+                                   rtol=1e-14)
 
     def test_half_pi_zero_alpha(self):
         """At theta = pi/2 the mass is the B(1/4, 1/2)/2 cosine integral."""
-        rule = mehler_inner_rule(math.pi / 2, 0.0, 30)
-        np.testing.assert_allclose(float(np.sum(rule.weights)),
-                                   2.6220575542921196, rtol=1e-12)
-        np.testing.assert_allclose(float(np.sum(rule.weights)),
-                                   0.5 * sp.beta(0.25, 0.5), rtol=1e-12)
+        np.testing.assert_allclose(kernel_mass_h(math.pi / 2, 0.0),
+                                   0.5 * sp.beta(0.25, 0.5), rtol=1e-14)
 
     def test_alpha_half_is_plain_measure(self):
-        """Exponent 1/2 - 1/2 = 0 leaves d(phi), so smooth f integrate exactly."""
-        theta = 2.2
-        rule = mehler_inner_rule(theta, 0.5, 30)
-        got = float(rule.weights @ np.cos(rule.nodes))
-        np.testing.assert_allclose(got, math.sin(theta), rtol=1e-12)
+        """Exponent 1/2 - 1/2 = 0 leaves d(phi): the mass is theta / sin theta."""
+        for theta in (1e-6, 0.3, 1.2):
+            np.testing.assert_allclose(kernel_mass_h(theta, 0.5),
+                                       theta / math.sin(theta), rtol=1e-14)
 
     def test_nodes_inside(self):
         theta = 0.7
-        rule = mehler_inner_rule(theta, 1.25, 16)
-        assert np.all((rule.nodes > 0.0) & (rule.nodes < theta))
-
-    def test_oscillatory_against_adaptive(self):
-        """cos(7 phi) against the singular measure, adaptive oracle."""
-        theta, alpha = 1.3, 0.75
-        rule = mehler_inner_rule(theta, alpha, 48)
-        got = float(rule.weights @ np.cos(7.0 * rule.nodes))
-        ref, _ = quad(lambda p: math.cos(7.0 * p)
-                      * (math.cos(p) - math.cos(theta)) ** (alpha - 0.5),
-                      0.0, theta, points=[theta], limit=200)
-        np.testing.assert_allclose(got, ref, rtol=1e-9)
+        nodes, _ = mehler._kernel_data(1.25, 0.0, theta, 16)
+        assert np.all((nodes > 0.0) & (nodes < theta))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            mehler_inner_rule(1e-9, 0.5, 8)
+            kernel_mass_h(1e-9, 0.5)
         with pytest.raises(ValueError):
-            mehler_inner_rule(1.0, -0.5, 8)
+            kernel_mass_h(1.0, -0.5)
 
 
 class TestConvergeDoubling:
@@ -253,6 +253,26 @@ class TestConvergeDoubling:
     def test_nan_never_converges(self):
         with pytest.raises(AccuracyError):
             converge_doubling(lambda n: math.nan, 8)
+
+    @pytest.mark.parametrize("rtol", [math.nan, -1.0])
+    def test_invalid_rtol_raises_before_any_evaluation(self, rtol):
+        sizes = []
+        with pytest.raises(ValueError, match="rtol"):
+            converge_doubling(lambda n: sizes.append(n) or 1.0, 8, rtol)
+        assert sizes == []
+
+    @pytest.mark.parametrize("rtol", [math.nan, -1.0])
+    @pytest.mark.parametrize("call", [
+        lambda rtol: coefficient(np.cos, 3, JacobiParams(0.5, -0.25), rtol=rtol),
+        lambda rtol: mehler_r(40, JacobiParams(0.5, 0.0), 2.0, rtol=rtol),
+        lambda rtol: transform(Indicator(1.0, 2.0), 3.0, JacobiParams(0.5, 0.0),
+                               rtol=rtol),
+    ], ids=["coefficient", "mehler_r", "transform"])
+    def test_invalid_rtol_fails_at_once(self, call, rtol):
+        """Without the check these ran the whole doubling ladder and then
+        raised AccuracyError."""
+        with pytest.raises(ValueError, match="rtol"):
+            call(rtol)
 
 
 # Max |G - I| of the full Gram matrix (K = n - 1) of these rules, measured
