@@ -5,23 +5,23 @@ representation (an algebraic endpoint singularity absorbed by a weighted
 rule), with a separate printed formula at alpha = -1/2.  Both reduce phi to
 a finite cosine combination phi(tau) = sum_j A_j cos(tau S_j) whose nodes and
 amplitudes do not depend on tau, which makes frequency sweeps cheap.  This is
-the (S, A) form of the Mehler integrals, and mehler's evaluator and doubling
-helper sum it here too.  All hyperbolic prefactors are assembled in log space
-so large t cannot overflow.  The inputs are laguerre's half-line specs, split
-by its piece builder; the piece that runs to infinity is a damped tail.
+the (S, A) form of the Mehler integrals, summed by mehler's evaluator in one
+row builder, _phi_rows, whose whole grid doubles at once.  All hyperbolic
+prefactors are assembled in log space so large t cannot overflow.  The inputs
+are laguerre's half-line specs, split by its piece builder; the piece that
+runs to infinity is a damped tail.
 """
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from math import lgamma, log
 
 import numpy as np
 
 from .errors import AccuracyError
 from .specfun import JacobiParams, _hyp2f1_array
-from .quadrature import converge_doubling, ladder_size, mapped_jacobi_rule
-from .mehler import _converge_cosine, _cosine_sum
+from .quadrature import _check_size, converge_doubling, ladder_size, mapped_jacobi_rule
+from .mehler import _cosine_sum
 from .laguerre import LaguerreExpDamped, LaguerreStep, _pieces
 
 __all__ = [
@@ -46,6 +46,8 @@ def Indicator(a: float, b: float) -> LaguerreStep:
 def _check_half_line(name: str, values) -> np.ndarray:
     """values as a 1-d array, or ValueError unless each is finite and >= 0."""
     arr = np.atleast_1d(np.asarray(values, dtype=float))
+    if arr.ndim > 1:
+        raise ValueError(f"{name} must be a number or a 1-d sequence")
     if not np.all((0.0 <= arr) & (arr < math.inf)):
         raise ValueError(f"{name} must be finite and nonnegative")
     return arr
@@ -108,18 +110,28 @@ def _cosine_data(t: float, params: JacobiParams,
     return s, amp
 
 
+def _kernel_size(t: float, tau_max: float, factor: int) -> int:
+    """Size of the kernel rule for phi at t, up to frequency tau_max."""
+    return ladder_size(int(tau_max * t / math.pi) + 40) * factor
+
+
+def _phi_rows(params: JacobiParams, ts: np.ndarray, taus: np.ndarray,
+              factor: int) -> np.ndarray:
+    """phi on a (t, tau) product grid, one row per t, on kernel rules factor
+    times their base size; a row at t < 1e-8 is exactly 1."""
+    tau_max = float(np.max(taus, initial=0.0))
+    out = np.ones((ts.size, taus.size))
+    for i, t in enumerate(ts):
+        if t >= 1e-8:
+            n = _kernel_size(t, tau_max, factor)
+            out[i] = _cosine_sum(*_cosine_data(float(t), params, n), taus)
+    return out
+
+
 def _phi_grid(params: JacobiParams, ts: np.ndarray, taus: np.ndarray,
               rtol: float = 1e-8) -> np.ndarray:
-    """phi values on a (t, tau) product grid, shared data per t."""
-    tau_max = float(np.max(taus)) if taus.size else 0.0
-    out = np.empty((ts.size, taus.size))
-    for i, t in enumerate(ts):
-        if t < 1e-8:
-            out[i] = 1.0
-            continue
-        out[i] = _converge_cosine(partial(_cosine_data, float(t), params), taus,
-                                  ladder_size(int(tau_max * t / math.pi) + 40), rtol)
-    return out
+    """phi on a (t, tau) product grid; all rows double their rules together."""
+    return converge_doubling(lambda f: _phi_rows(params, ts, taus, f), 1, rtol, nmax=4)
 
 
 def jacobi_function(tau: float, t: float, params: JacobiParams,
@@ -131,6 +143,8 @@ def jacobi_function(tau: float, t: float, params: JacobiParams,
     as special cases.
     """
     _check_params(params)
+    if np.ndim(tau) or np.ndim(t):
+        raise ValueError("jacobi_function takes one frequency and one argument")
     return float(_phi_grid(params, _check_half_line("arguments", t),
                            _check_half_line("frequencies", tau), rtol)[0, 0])
 
@@ -149,21 +163,33 @@ def _transform_prefactor(params: JacobiParams) -> float:
     return 2.0 ** (2.0 * (a + b + 1.0) + 0.5) / math.exp(lgamma(a + 1.0))
 
 
+# Most kernel nodes one sweep piece may ask for: its outer rule size times
+# the kernel-rule size at its far edge.  A build costs O(n^2), so a far
+# support edge at a high frequency would otherwise run for hours.
+_MAX_KERNEL_WORK = 1 << 26
+
+# Largest log weight whose exponential is a finite double.
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 def _sweep_piece(lo: float, hi: float, g, taus: np.ndarray,
-                 params: JacobiParams, n_out: int, level: int) -> np.ndarray:
+                 params: JacobiParams, n_out: int, factor: int) -> np.ndarray:
+    n_in = _kernel_size(hi, float(np.max(taus)), factor)
+    if _check_size(n_out) * n_in > _MAX_KERNEL_WORK:
+        raise ValueError(f"the piece [{lo}, {hi}] needs {n_out} x {n_in} kernel nodes, "
+                         f"over the budget of {_MAX_KERNEL_WORK}")
+    if _log_weight(hi, params) > _LOG_MAX:
+        raise ValueError(f"the weight overflows at t = {hi} for {params}")
     # A piece at t = 0 puts the weight's t^(2a+1) into its rule.
     e = 2.0 * params.alpha + 1.0 if lo == 0.0 else 0.0
     rule = mapped_jacobi_rule(n_out, 0.0, e, lo, hi)
     t_nodes = rule.nodes
     u = rule.weights * np.asarray(g(t_nodes), dtype=float) * np.exp(
         _log_weight(t_nodes, params) - e * np.log(t_nodes))
-    tau_max = float(np.max(taus))
     out = np.zeros(taus.size)
-    for ti, ui in zip(t_nodes, u):
-        if ui == 0.0:
-            continue
-        n_in = ladder_size(int(tau_max * ti / math.pi) + 40) << level
-        out += ui * _cosine_sum(*_cosine_data(float(ti), params, n_in), taus)
+    # Summed in node order: u @ rows would change the order and the bits.
+    for ui, row in zip(u[u != 0.0], _phi_rows(params, t_nodes[u != 0.0], taus, factor)):
+        out += ui * row
     return out
 
 
@@ -175,7 +201,7 @@ def transform_sweep(f, taus, params: JacobiParams,
     rate > 2 (alpha + beta + 1), since the weight grows like that exponent.
     The cosine-combination form of the kernel is built once per outer node
     and reused across the whole frequency grid; both rule sizes double
-    together, at most twice, until the sweep settles.
+    together, by factors 1, 2 and 4, until the sweep settles.
     """
     _check_params(params)
     taus = _check_half_line("frequencies", taus)
@@ -191,25 +217,23 @@ def transform_sweep(f, taus, params: JacobiParams,
             raise ValueError(f"rate {rate} gives an infinite norm for {params}")
 
     def evaluate(factor: int) -> np.ndarray:
-        level = factor.bit_length() - 1
-
         def size(width: float) -> int:
-            return ladder_size(int(tau_max * width / math.pi) + 32) << level
+            return ladder_size(int(tau_max * width / math.pi) + 32) * factor
 
         total = np.zeros(taus.size)
         for lo, hi, p, rate in pieces:
             g = LaguerreExpDamped(p, rate)
             if hi < math.inf:
-                total += _sweep_piece(lo, hi, g, taus, params, size(hi - lo), level)
+                total += _sweep_piece(lo, hi, g, taus, params, size(hi - lo), factor)
                 continue
             # Chunks of one width until one adds below 1e-12 of the first.
             width = (20.0 + 5.0 * len(p)) / (rate - rho)
             n_out = size(width)
-            total += _sweep_piece(lo, lo + width, g, taus, params, n_out, level)
+            total += _sweep_piece(lo, lo + width, g, taus, params, n_out, factor)
             acc = float(np.max(np.abs(total))) or 1.0
             while True:
                 lo += width
-                inc = _sweep_piece(lo, lo + width, g, taus, params, n_out, level)
+                inc = _sweep_piece(lo, lo + width, g, taus, params, n_out, factor)
                 total += inc
                 if float(np.max(np.abs(inc))) <= 1e-12 * acc:
                     break
@@ -218,7 +242,7 @@ def transform_sweep(f, taus, params: JacobiParams,
                                         achieved=float(np.max(np.abs(inc))))
         return total
 
-    # nmax=4 allows two doublings: size factors 1, 2, 4 are levels 0, 1, 2.
+    # nmax=4 allows two doublings: size factors 1, 2 and 4.
     return _transform_prefactor(params) * converge_doubling(evaluate, 1, rtol,
                                                             nmax=4)
 
@@ -250,9 +274,10 @@ def envelope_check(params: JacobiParams, t_grid=None, tau_grid=None) -> Envelope
     """Calibrate the envelope constant, then verify it on a finer grid.
 
     The constant is the largest ratio |phi| / ((1+t) e^(-rho t)) over the
-    calibration grid; verification doubles both grid densities and demands
-    the ratio stay below _ENVELOPE_SLACK times that constant.  Failure is
-    reported in the returned record rather than raised.
+    calibration grid; verification inserts every midpoint into both grids (so
+    an uneven grid is refined, not replaced) and demands the ratio stay below
+    _ENVELOPE_SLACK times that constant.  phi is evaluated once, on the finer
+    grid.  Failure is reported in the returned record rather than raised.
     """
     _check_params(params)
     ts = np.linspace(0.0, 20.0, 41) if t_grid is None \
@@ -260,14 +285,9 @@ def envelope_check(params: JacobiParams, t_grid=None, tau_grid=None) -> Envelope
     taus = np.linspace(0.0, 50.0, 51) if tau_grid is None \
         else _check_half_line("frequencies", tau_grid)
     rho = params.alpha + params.beta + 1.0
-
-    def ratios(tv: np.ndarray, tauv: np.ndarray) -> float:
-        phi = _phi_grid(params, tv, tauv)
-        env = (1.0 + tv) * np.exp(-rho * tv)
-        return float(np.max(np.abs(phi) / env[:, None]))
-
-    c_star = ratios(ts, taus)
-    fine_t = np.linspace(float(ts[0]), float(ts[-1]), 2 * ts.size - 1)
-    fine_tau = np.linspace(float(taus[0]), float(taus[-1]), 2 * taus.size - 1)
-    worst = ratios(fine_t, fine_tau) / c_star
+    ts, taus = (np.insert(v, range(1, v.size), 0.5 * (v[:-1] + v[1:]))
+                for v in (ts, taus))
+    ratio = np.abs(_phi_grid(params, ts, taus)) / ((1.0 + ts) * np.exp(-rho * ts))[:, None]
+    c_star = float(np.max(ratio[::2, ::2]))  # on the calibration grid
+    worst = float(np.max(ratio)) / c_star
     return EnvelopeReport(params, c_star, _ENVELOPE_SLACK, worst, worst <= _ENVELOPE_SLACK)

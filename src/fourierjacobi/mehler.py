@@ -13,7 +13,7 @@ reused for every degree k; only the cosine factor is formed per degree.
 """
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import lgamma, exp, cos, sin
 
 import numpy as np
@@ -40,12 +40,6 @@ def _check_theta(theta: float) -> float:
 def _cosine_sum(s: np.ndarray, amp: np.ndarray, lams) -> np.ndarray:
     """A @ cos(lambda S) at every lambda in lams."""
     return np.cos(np.outer(lams, s)) @ amp
-
-
-def _converge_cosine(kernel, lams, n0: int, rtol: float) -> np.ndarray:
-    """A @ cos(lambda S) at every lambda in lams, with (S, A) = kernel(n) on
-    doubling rule sizes n from n0 until two sizes agree."""
-    return converge_doubling(lambda n: _cosine_sum(*kernel(n), lams), n0, rtol)
 
 
 def _singular_rule(theta: float, alpha: float, n: int):
@@ -99,8 +93,9 @@ def _pathway_value(k: int, alpha: float, beta: float, theta: float,
                    rtol: float, pathway: str) -> PolyValue:
     lam = k + (alpha + beta + 1.0) / 2.0
     # Rounding up adds 16 on average, so starts still average k + 48 points.
-    value = _converge_cosine(partial(_kernel_data, alpha, beta, theta), [lam],
-                             ladder_size(k + 32), rtol)
+    value = converge_doubling(
+        lambda n: _cosine_sum(*_kernel_data(alpha, beta, theta, n), [lam]),
+        ladder_size(k + 32), rtol)
     return PolyValue(k, float(value[0]), pathway)
 
 

@@ -174,8 +174,9 @@ def _pieces(f, params: JacobiParams, g=None) -> list[_XPiece]:
 
     Zero pieces are dropped, and a grid gives its linear interior pieces only
     (_values sums its constant ends in closed form).  abs cuts the pieces at
-    sign changes of f and drops those empty in x: cuts closer than the
-    resolution of cos() carry no mass.  np.square doubles the power weight's
+    sign changes of f.  Pieces empty in x are dropped for every g: ends
+    closer than the resolution of cos() carry no mass, and a neighbouring
+    piece reaches the rounded x.  np.square doubles the power weight's
     exponent.
     """
     if isinstance(f, PowerWeight):
@@ -210,7 +211,7 @@ def _pieces(f, params: JacobiParams, g=None) -> list[_XPiece]:
     for t0, t1, h in parts:
         hi = 1.0 if t0 <= 0.0 else float(np.cos(t0))
         lo = -1.0 if t1 >= math.pi else float(np.cos(t1))
-        if g is not abs or lo < hi:
+        if lo < hi:
             out.append(_XPiece(lo, hi, lambda x, h=h: h(np.arccos(np.clip(x, -1.0, 1.0)))))
     return out
 

@@ -190,6 +190,14 @@ class TestJacobiFunction:
         with pytest.raises(ValueError):
             jacobi_function(1.0, 1.0, JacobiParams(0.0, -1.5))
 
+    @pytest.mark.parametrize("tau,t", [([1.0, 2.0], 1.0), (1.0, [1.0, 3.0]),
+                                       (np.array([1.0]), 1.0), (1.0, [[1.0]])])
+    def test_one_frequency_and_one_argument(self, tau, t):
+        """A list is not read as its first entry: at tau = [1, 2] that entry
+        would even be 1 ulp off the scalar call, on the rule sized for 2."""
+        with pytest.raises(ValueError, match="one frequency and one argument"):
+            jacobi_function(tau, t, JacobiParams(0.5, 0.0))
+
 
 class TestProfiles:
     def test_indicator_validation(self):
@@ -337,6 +345,52 @@ def test_points_must_be_finite_and_nonnegative(call):
     """Each entry point checks its frequencies and arguments before any work."""
     with pytest.raises(ValueError, match="must be finite and nonnegative"):
         call(JacobiParams(0.5, 0.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: transform_sweep(Indicator(1.0, 2.0), [[1.0, 2.0], [3.0, 4.0]], p),
+    lambda p: envelope_check(p, t_grid=[[0.0, 1.0], [2.0, 3.0]]),
+    lambda p: envelope_check(p, tau_grid=[[0.0, 1.0], [2.0, 3.0]]),
+], ids=["sweep", "envelope-t", "envelope-tau"])
+def test_grids_must_be_one_dimensional(call):
+    with pytest.raises(ValueError, match="must be a number or a 1-d sequence"):
+        call(JacobiParams(0.5, 0.0))
+
+
+class TestSweepRefusals:
+    """Pieces that fit the rule-size limit but cannot be swept are refused
+    before any rule is built."""
+
+    @pytest.fixture
+    def no_rules(self, monkeypatch):
+        from fourierjacobi import quadrature
+
+        def refuse(*args):
+            raise AssertionError("a rule was built")
+
+        monkeypatch.setattr(quadrature, "_gauss_jacobi_cached", refuse)
+
+    @pytest.mark.parametrize("b,sizes", [(1000.0, "15936 x 15968"),
+                                         (4000.0, "63680 x 63712")])
+    def test_kernel_work_budget(self, no_rules, b, sizes):
+        """At tau 50 both rules of the piece [1, b] fit 65536 nodes, but
+        every outer node would build a kernel rule of about that size."""
+        with pytest.raises(ValueError, match=f"needs {sizes} kernel nodes"):
+            transform_sweep(Indicator(1.0, b), [0.0, 50.0], JacobiParams(0.5, 0.0))
+
+    def test_rule_size_limit_comes_first(self, no_rules):
+        with pytest.raises(ValueError, match="rule size must be between"):
+            transform_sweep(Indicator(1.0, 1e6), [0.0, 50.0], JacobiParams(0.5, 0.0))
+
+    def test_weight_overflow(self, no_rules):
+        """At (0.5, 0) the weight exp(3 t - 3 log 2 + ...) overflows past
+        t = 237.3, although the transform itself is finite."""
+        with pytest.raises(ValueError, match="weight overflows at t = 240.0"):
+            transform_sweep(Indicator(1.0, 240.0), [0.0, 1.0], JacobiParams(0.5, 0.0))
+
+    def test_far_edge_below_the_weight_limit(self):
+        value = transform(Indicator(1.0, 230.0), 0.0, JacobiParams(0.5, 0.0))
+        np.testing.assert_allclose(value, 5.522618461030743e+152, rtol=1e-9)
 
 
 class TestEnvelope:

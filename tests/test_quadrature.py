@@ -466,3 +466,25 @@ class TestDoublingLoops:
         for lower, upper in zip(levels, levels[1:]):
             assert upper[0] > lower[0]
             assert min(upper[1:]) > max(lower[1:])
+
+    def test_phi_grid_doubles_the_whole_grid(self, built_sizes):
+        """Both rows are built at size factor 1, then both at factor 2: one
+        doubling loop over the grid, not one per row."""
+        _phi_grid(P, np.array([0.5, 1.5]), np.array([0.0, 4.0]))
+        assert built_sizes == [64, 64, 128, 128]
+
+    def test_envelope_evaluates_phi_once(self, monkeypatch):
+        """The verification grid is the calibration grid with every midpoint
+        inserted, uneven spacing kept, and phi is evaluated on it alone."""
+        from fourierjacobi import jtransform
+        calls = []
+        phi_grid = jtransform._phi_grid
+
+        def recording(params, ts, taus, *args):
+            calls.append((ts.tolist(), taus.tolist()))
+            return phi_grid(params, ts, taus, *args)
+
+        monkeypatch.setattr(jtransform, "_phi_grid", recording)
+        rep = jtransform.envelope_check(P, [0.0, 1.0, 3.0], [0.0, 2.0, 3.0])
+        assert calls == [([0.0, 0.5, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 2.5, 3.0])]
+        assert rep.verified

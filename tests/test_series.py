@@ -703,6 +703,29 @@ class TestGridSampledSeries:
         np.testing.assert_allclose(norm_l(f, params), series.values[0], rtol=1e-12)
         assert 0.0 <= parseval_check(f, params, 64).rel_gap < 1e-4
 
+    def test_interior_piece_empty_in_x(self):
+        """Both abscissae round to x = cos t = 1, so the interior piece
+        [1e-9, 2e-9] is empty in x and is dropped for f and f^2 as for |f|;
+        the next piece reaches x = 1.  References: 40-digit mpmath."""
+        f = GridSampled((1e-9, 2e-9, 1.0), (1.0, 1.0, 0.0))
+        params = JacobiParams(0.5, -0.25)
+        ref = np.array([0.019650193989703766, 0.01688653900337214,
+                        0.012512272106516203, 0.0077372193236315085,
+                        0.0036859540121744033, 0.0010171022923240783,
+                        -0.00020959743690940928, -0.00039776040933043029,
+                        -0.00012153097542968908])
+        values = np.asarray(coefficient_series(f, 8, params).values)
+        assert np.max(np.abs(values - ref)) <= 1e-10
+        norm_sq = parseval_check(f, params, 8).norm_sq
+        assert abs(norm_sq - 0.0079932774141139282) <= 1e-10
+
+    def test_interior_piece_empty_in_x_at_negative_alpha(self):
+        """At (-0.9, 0) the same input reaches the x-rule limit near
+        theta = 0, which is an AccuracyError, not a malformed piece."""
+        f = GridSampled((1e-9, 2e-9, 1.0), (1.0, 1.0, 0.0))
+        with pytest.raises(AccuracyError):
+            coefficient_series(f, 8, JacobiParams(-0.9, 0.0))
+
     @pytest.mark.parametrize("a,b", [(0.5, -0.25), (-0.5, -0.5), (2.0, 1.0)])
     def test_constant_grid_is_the_weight_mass(self, a, b):
         f = GridSampled((1e-9, 2.0), (1.0, 1.0))
