@@ -51,8 +51,11 @@ rep = laguerre_decay(step, 512, 1.0)
 print(f"fitted slope {rep.slope:.3f} over k in "
       f"[{rep.window[0]}, {rep.window[1]}]")
 
-# A smooth damped profile decays much faster than any step.
+# A smooth damped profile decays much faster than any step: for e^(-x) at
+# alpha = 1, hat f(k) = Gamma(2) r^k / (1+r)^(k+2) with r = 1, i.e. 2^(-(k+2)).
+# Rounding leaves about 1e-16 of hat f(0) in each value, so k stops at 32.
 smooth = LaguerreExpDamped((1.0,), rate=1.0)
-sm = np.abs(laguerre_coefficient_series(smooth, 64, 1.0))
-print(f"\nsmooth profile e^(-x): |hat f(k)| at k = 0, 8, 32, 64: "
-      + ", ".join(f"{sm[k]:.2e}" for k in (0, 8, 32, 64)))
+sm = laguerre_coefficient_series(smooth, 32, 1.0)
+print("\nsmooth profile e^(-x) at alpha = 1, hat f(k) against 2^(-(k+2)):")
+for k in (0, 8, 16, 32):
+    print(f"  k = {k:2d}: {sm[k]:.3e}  (exact {2.0 ** -(k + 2):.3e})")

@@ -284,6 +284,9 @@ def envelope_check(params: JacobiParams, t_grid=None, tau_grid=None) -> Envelope
         else _check_half_line("arguments", t_grid)
     taus = np.linspace(0.0, 50.0, 51) if tau_grid is None \
         else _check_half_line("frequencies", tau_grid)
+    for name, grid in (("t_grid", ts), ("tau_grid", taus)):
+        if grid.size == 0:
+            raise ValueError(f"{name} is empty: the envelope needs at least one point")
     rho = params.alpha + params.beta + 1.0
     ts, taus = (np.insert(v, range(1, v.size), 0.5 * (v[:-1] + v[1:]))
                 for v in (ts, taus))

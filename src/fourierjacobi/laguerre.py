@@ -182,9 +182,10 @@ def _coefficient_values(f, kmax: int, alpha: float,
 
     Each pass sums R_k against the weighted nodes degree by degree
     (specfun._laguerre_r_sums), over the nodes of all pieces at once.  A
-    polynomial p of degree d (rate 0) takes one pass: R_k is orthogonal to
-    it for k > d, so hat(k) = 0 there, and d + 1 Gauss-Laguerre nodes
-    integrate R_k p, of degree at most 2d, exactly for k <= d.
+    damped polynomial p e^(-rate x), p of degree d, takes one pass: its
+    Gauss-Laguerre rule in (1 + rate) x absorbs the exponential, and n nodes
+    with 2n - 1 >= k + d integrate R_k p exactly.  At rate 0, R_k is
+    orthogonal to p for k > d, so hat(k) = 0 there and d + 1 nodes suffice.
     """
     alpha = _check_alpha(alpha)
     pieces = _pieces(f, 1.0)
@@ -194,15 +195,12 @@ def _coefficient_values(f, kmax: int, alpha: float,
     def one(n: int, top: int = kmax) -> np.ndarray:
         return _laguerre_r_sums(top, alpha, *_weighted_nodes(pieces, n, alpha, 1.0))
 
-    if not isinstance(f, LaguerreExpDamped):
-        # Exact for R_k times a polynomial of degree below 64, as in series.
-        n0 = (kmax + 1) // 2 + 32
-    elif f.rate == 0.0:
-        top = min(len(f.coefficients) - 1, kmax)
-        return np.pad(one(len(f.coefficients), top), (0, kmax - top))
-    else:
-        n0 = (kmax + len(f.coefficients)) // 2 + 8
-    return converge_doubling(one, ladder_size(n0), rtol)
+    if isinstance(f, LaguerreExpDamped):
+        d = len(f.coefficients) - 1
+        top = kmax if f.rate > 0.0 else min(d, kmax)
+        return np.pad(one(max(d + 1, (top + d) // 2 + 1), top), (0, kmax - top))
+    # Exact for R_k times a polynomial of degree below 64, as in series.
+    return converge_doubling(one, ladder_size((kmax + 1) // 2 + 32), rtol)
 
 
 def laguerre_coefficient(f, k: int, alpha: float) -> float:

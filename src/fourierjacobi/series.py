@@ -176,16 +176,11 @@ def _pieces(f, params: JacobiParams, g=None) -> list[_XPiece]:
     (_values sums its constant ends in closed form).  abs cuts the pieces at
     sign changes of f.  Pieces empty in x are dropped for every g: ends
     closer than the resolution of cos() carry no mass, and a neighbouring
-    piece reaches the rounded x.  np.square doubles the power weight's
-    exponent.
+    piece reaches the rounded x.  The power weight, which _values sums in
+    closed form, gives one reference piece, for f itself.
     """
     if isinstance(f, PowerWeight):
-        rho = 2.0 * f.rho if g is np.square else f.rho
-        if params.beta + rho <= -1.0:
-            raise ValueError("need beta + 2 rho > -1 for a square-integrable weight"
-                             if g is np.square else
-                             "need beta + rho > -1 for an integrable weight")
-        return [_XPiece(-1.0, 1.0, np.ones_like, rho)]
+        return [_XPiece(-1.0, 1.0, np.ones_like, f.rho)]
     if isinstance(f, StepFunction):
         cuts = (0.0, *f.breakpoints, math.pi)
         parts = [(a, b, lambda th, v=v: np.full_like(th, v))
@@ -377,9 +372,10 @@ def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10,
     """Hat coefficients of g(f) for k = 0..kmax, g as in _pieces; entry 0 is
     the weighted integral of g(f).
 
-    Steps, a grid's constant ends and the power weight itself are summed in
-    closed form.  A step's masses come from the half angles, so a breakpoint
-    next to 0 or pi, where quadrature pieces would be empty, keeps its mass.
+    Steps, a grid's constant ends and the power weight (|f| = f, and f^2 is
+    the power weight of exponent 2 rho) are summed in closed form.  A step's
+    masses come from the half angles, so a breakpoint next to 0 or pi, where
+    quadrature pieces would be empty, keeps its mass.
     A cosine polynomial and its square take one rule of the exact size.
     Everything else, |cosine polynomial| included, takes the doubling
     quadrature to rtol, from n0 if given.
@@ -388,8 +384,10 @@ def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10,
         if g is not None:
             f = StepFunction(f.breakpoints, tuple(g(v) for v in f.values))
         return _step_values(f, params, kmax)
-    if isinstance(f, PowerWeight) and g is None:
-        return _power_values(f.rho, params, kmax)
+    if isinstance(f, PowerWeight):
+        if g is np.square and params.beta + 2.0 * f.rho <= -1.0:
+            raise ValueError("need beta + 2 rho > -1 for a square-integrable weight")
+        return _power_values(2.0 * f.rho if g is np.square else f.rho, params, kmax)
     if isinstance(f, CosinePoly) and g in (None, np.square):
         c = np.array(f.coefficients)
         return _cospoly_values(c if g is None else chebmul(c, c), params, kmax)

@@ -11,6 +11,7 @@ from fourierjacobi import (
     JacobiParams,
     Indicator,
     LaguerreExpDamped,
+    LaguerreStep,
     jacobi_function,
     transform,
     transform_sweep,
@@ -307,6 +308,34 @@ class TestTransform:
         np.testing.assert_allclose(transform(f, tau, params), pref * ref,
                                    rtol=1e-7)
 
+    # (D phi')' = -(tau^2 + rho^2) D phi with D = sinh^(2a+1) t cosh^(2b+1) t, and
+    # phi' = -(tau^2 + rho^2) sinh(2t) phi^(a+1,b+1) / (4 (a+1)) from the derivative
+    # of 2F1 (Koornwinder 1984, section 2): the Jacobi-function analogue of the
+    # antiderivative (DLMF 18.9.16) behind the closed form of series' steps.
+    @pytest.mark.parametrize("a, b", [(0.5, 0.0), (-0.5, -0.5), (-0.5, 0.25),
+                                      (0.0, 0.9), (1.2, 0.7), (-0.3, -0.6)])
+    @pytest.mark.parametrize("f, edges", [(Indicator(1.0, 2.0), (1.0, 2.0)),
+                                          (LaguerreStep((1.5,), (1.0,)), (0.0, 1.5))],
+                             ids=["indicator", "from-zero"])
+    def test_step_is_a_boundary_term(self, a, b, f, edges):
+        """The weighted integral of phi over [lo, hi] is the boundary term
+        [sinh^(2a+2) t cosh^(2b+2) t phi^(a+1,b+1)(t)] from lo to hi over
+        2 (a+1); the term vanishes at t = 0."""
+        from fourierjacobi.jtransform import _transform_prefactor
+        params, shifted = JacobiParams(a, b), JacobiParams(a + 1.0, b + 1.0)
+        taus = [0.0, 0.7, 5.0, 23.0, 50.0]
+        got = transform_sweep(f, taus, params)
+        pref = _transform_prefactor(params)
+
+        def term(tau, t):
+            return (math.sinh(t) ** (2.0 * a + 2.0) * math.cosh(t) ** (2.0 * b + 2.0)
+                    * jacobi_function(tau, t, shifted)) if t > 0.0 else 0.0
+
+        want = [pref * (term(tau, edges[1]) - term(tau, edges[0])) / (2.0 * (a + 1.0))
+                for tau in taus]
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-12 * max(pref, float(np.max(np.abs(got)))))
+
     def test_sweep_matches_scalar(self):
         params = JacobiParams(0.5, 0.0)
         f = Indicator(1.0, 2.0)
@@ -355,6 +384,16 @@ def test_points_must_be_finite_and_nonnegative(call):
 def test_grids_must_be_one_dimensional(call):
     with pytest.raises(ValueError, match="must be a number or a 1-d sequence"):
         call(JacobiParams(0.5, 0.0))
+
+
+@pytest.mark.parametrize("grid", ["t_grid", "tau_grid"])
+def test_envelope_grids_must_not_be_empty(grid):
+    with pytest.raises(ValueError, match=f"{grid} is empty"):
+        envelope_check(JacobiParams(0.5, 0.0), **{grid: []})
+
+
+def test_sweep_of_no_frequencies_is_empty():
+    assert transform_sweep(Indicator(1.0, 2.0), [], JacobiParams(0.5, 0.0)).shape == (0,)
 
 
 class TestSweepRefusals:

@@ -175,6 +175,28 @@ class TestCoefficient:
             np.testing.assert_allclose(got[k], ref, rtol=1e-9)
             assert laguerre_coefficient(f, k, alpha) == got[k]
 
+    # 400-digit mpmath sums of p(x) x^a e^(-(1+r) x) L_k^a(x) / L_k^a(0) from the
+    # monomial expansion of L_k^a, at k = 0, 1, kmax/2 and kmax; they agree to 60
+    # digits with (-d/dr)^m of Gamma(a+1) r^k (1+r)^(-k-a-1) for each x^m.
+    @pytest.mark.parametrize("coefficients, rate, alpha, kmax, want", [
+        ((1.0, -2.0, 0.5), 0.5, 1.5, 256,
+         (-0.1876003252558471709459668, -0.134000232325605122104262,
+          5.888757713425273424163596e-58, 2.009736671307412580861895e-118)),
+        ((0.5, 1.0, -0.25), 40.0, -0.5, 400,
+         (0.1417502584410691060792624, 0.1381312770194030090985229,
+          0.000770874992329138213578289, 0.000003663810411858679812978798)),
+        ((2.0, 0.0, 1.0, -0.3), 0.05, 0.0, 300,
+         (2.151572647199469408628978, 1.042687240104982542403556,
+          3.028946196034555968263516e-189, 1.050799522585659273456447e-309)),
+    ])
+    def test_damped_polynomial_against_mpmath(self, coefficients, rate, alpha, kmax, want):
+        """A damped polynomial's one Gauss-Laguerre rule is exact for every
+        R_k p, so the series holds to rounding up to a high degree."""
+        got = laguerre_coefficient_series(LaguerreExpDamped(coefficients, rate), kmax, alpha)
+        scale = max(1.0, float(np.max(np.abs(got))))
+        np.testing.assert_allclose(got[[0, 1, kmax // 2, kmax]], want, rtol=0.0,
+                                   atol=1e-12 * scale)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             laguerre_coefficient(UNIT_STEP, -1, 0.0)

@@ -367,8 +367,6 @@ SINGLE_RULE_LOOPS = {
     "coefficient_series": lambda: coefficient_series(np.cos, 64, P),
     "norm_l": lambda: norm_l(CosinePoly((1.0, 0.5)), P),
     "laguerre_step_series": lambda: laguerre_coefficient_series(UNIT_STEP, 8, 0.5),
-    "laguerre_poly_series": lambda: laguerre_coefficient_series(
-        LaguerreExpDamped((1.0, 2.0), 0.5), 8, 0.5),
     "laguerre_step_norm": lambda: laguerre_norm(UNIT_STEP, 0.5),
     "laguerre_damped_norm": lambda: laguerre_norm(
         LaguerreExpDamped((1.0,), 0.5), 0.5),
@@ -406,9 +404,12 @@ class TestDoublingLoops:
     @pytest.mark.parametrize("f", [StepFunction((1.0, 2.5), (0.5, 1.0, -2.0)),
                                    PowerWeight(-0.3)])
     def test_closed_forms_request_no_rule(self, f, built_sizes):
-        """Step functions and the power weight are summed in closed form."""
+        """Step functions and the power weight are summed in closed form,
+        their L1 norms and squared norms included."""
         coefficient_series(f, 512, P)
         coefficient(f, 7, P)
+        norm_l(f, P)
+        parseval_check(f, P, 8)
         assert built_sizes == []
 
     def test_coefficient_quadrature_starts_at_the_exact_size(self, built_sizes):
@@ -426,7 +427,9 @@ class TestDoublingLoops:
     def test_polynomials_request_one_rule_of_the_exact_size(self, built_sizes):
         """A cosine polynomial of degree 24 takes one 25-point rule at any
         kmax, its square (the Parseval norm) one 49-point rule, and a
-        Laguerre polynomial of degree 2 one 3-point rule."""
+        Laguerre polynomial of degree 2 one 3-point rule.  A damped
+        polynomial of degree 1 at kmax 8 takes one 5-point rule, the least n
+        with 2n - 1 >= 8 + 1."""
         f = CosinePoly(tuple(1.0 / (m + 1.0) for m in range(25)))
         coefficient_series(f, 1024, P)
         coefficient(f, 7, P)
@@ -437,6 +440,9 @@ class TestDoublingLoops:
         built_sizes.clear()
         laguerre_coefficient_series(LaguerreExpDamped((1.0, 2.0, 0.5)), 512, 0.5)
         assert built_sizes == [3]
+        built_sizes.clear()
+        laguerre_coefficient_series(LaguerreExpDamped((1.0, 2.0), 0.5), 8, 0.5)
+        assert built_sizes == [5]
 
     @pytest.mark.parametrize("theta", [0.3, 1.5, 2.9])
     def test_chebyshev_limit_requests_no_rule(self, theta, built_sizes):
