@@ -8,8 +8,10 @@ amplitudes do not depend on tau, which makes frequency sweeps cheap.  This is
 the (S, A) form of the Mehler integrals, summed by mehler's evaluator in one
 row builder, _phi_rows, whose whole grid doubles at once.  All hyperbolic
 prefactors are assembled in log space so large t cannot overflow.  The inputs
-are laguerre's half-line specs, split by its piece builder; the piece that
-runs to infinity is a damped tail.
+are laguerre's half-line specs, split by its piece builder.  A constant piece
+needs no integral: its transform is a boundary term, one phi row at
+(alpha + 1, beta + 1) per jump.  Linear pieces and the damped tail, the piece
+that runs to infinity, are integrated against phi rows at outer nodes.
 """
 
 import math
@@ -73,27 +75,37 @@ def _check_params(params: JacobiParams):
         raise ValueError("kernel needs alpha + beta >= -1")
 
 
-def _cosine_data(t: float, params: JacobiParams,
-                 n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes S and amplitudes A with phi_tau(t) = A @ cos(tau * S).
+def _log_prefactor(t: float, params: JacobiParams) -> float:
+    """Log of the factor that every amplitude of phi at t shares, alpha > -1/2."""
+    a, b = params.alpha, params.beta
+    return ((1.5 - a) * log(2.0) + lgamma(a + 1.0) - lgamma(a + 0.5)
+            - lgamma(0.5) - 2.0 * a * float(_log_sinh(t)) - (a + b) * float(_log_cosh(t))
+            + (2.0 * a - 1.0) * t)
+
+
+def _cosine_data(t: float, params: JacobiParams, n: int,
+                 log_scale: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes S and amplitudes A with exp(log_scale) phi_tau(t) = A @ cos(tau * S).
 
     For alpha > -1/2 this encodes the singular-kernel integral; at
     alpha = -1/2 the exact leading cosine plus the correction integral.
+    log_scale joins the log prefactors before they are exponentiated, so a
+    large factor times a small phi stays finite.
     """
     a, b = params.alpha, params.beta
     lc_t = float(_log_cosh(t))
     if a == -0.5:
         scale = 0.25 - b * b
+        first_amp = math.exp(-(b + 0.5) * lc_t + log_scale)
         if scale == 0.0:
-            return np.array([t]), np.array([math.exp(-(b + 0.5) * lc_t)])
+            return np.array([t]), np.array([first_amp])
         rule = mapped_jacobi_rule(n, 0.0, 0.0, 0.0, t)
         s = rule.nodes
         q = np.exp(_log_cosh(s) - lc_t)
         z = 0.5 * (1.0 - q)
         f21 = _hyp2f1_array(0.5 + b, 0.5 - b, 2.0, z)
         amp = rule.weights * f21 / (1.0 + q)
-        amp *= scale * math.exp(float(_log_sinh(t)) - (b + 1.5) * lc_t)
-        first_amp = math.exp(-(b + 0.5) * lc_t)
+        amp *= scale * math.exp(float(_log_sinh(t)) - (b + 1.5) * lc_t + log_scale)
         return (np.concatenate(([t], s)),
                 np.concatenate(([first_amp], amp)))
     rule = mapped_jacobi_rule(n, a - 0.5, 0.0, 0.0, t)
@@ -103,10 +115,8 @@ def _cosine_data(t: float, params: JacobiParams,
     q = np.exp(_log_cosh(s) - lc_t)
     z = 0.5 * (1.0 - q)
     f21 = _hyp2f1_array(a + b, a - b, a + 0.5, z)
-    lp = ((1.5 - a) * log(2.0) + lgamma(a + 1.0) - lgamma(a + 0.5)
-          - lgamma(0.5) - 2.0 * a * float(_log_sinh(t)) - (a + b) * lc_t
-          + (2.0 * a - 1.0) * t)
-    amp = rule.weights * psi ** (a - 0.5) * f21 * math.exp(lp)
+    amp = rule.weights * psi ** (a - 0.5) * f21 * math.exp(_log_prefactor(t, params)
+                                                           + log_scale)
     return s, amp
 
 
@@ -116,15 +126,19 @@ def _kernel_size(t: float, tau_max: float, factor: int) -> int:
 
 
 def _phi_rows(params: JacobiParams, ts: np.ndarray, taus: np.ndarray,
-              factor: int) -> np.ndarray:
+              factor: int, log_scales=None) -> np.ndarray:
     """phi on a (t, tau) product grid, one row per t, on kernel rules factor
-    times their base size; a row at t < 1e-8 is exactly 1."""
+    times their base size; row i is scaled by exp(log_scales[i]) through
+    _cosine_data, and a row at t < 1e-8 is exactly that factor."""
     tau_max = float(np.max(taus, initial=0.0))
-    out = np.ones((ts.size, taus.size))
-    for i, t in enumerate(ts):
+    scales = np.zeros(ts.size) if log_scales is None else log_scales
+    out = np.empty((ts.size, taus.size))
+    for i, (t, ls) in enumerate(zip(ts, scales)):
         if t >= 1e-8:
             n = _kernel_size(t, tau_max, factor)
-            out[i] = _cosine_sum(*_cosine_data(float(t), params, n), taus)
+            out[i] = _cosine_sum(*_cosine_data(float(t), params, n, float(ls)), taus)
+        else:
+            out[i] = math.exp(ls)
     return out
 
 
@@ -199,9 +213,17 @@ def transform_sweep(f, taus, params: JacobiParams,
 
     f is a laguerre half-line spec; a damped polynomial needs
     rate > 2 (alpha + beta + 1), since the weight grows like that exponent.
-    The cosine-combination form of the kernel is built once per outer node
-    and reused across the whole frequency grid; both rule sizes double
-    together, by factors 1, 2 and 4, until the sweep settles.
+    A constant piece (a step's, or a grid's flat segment) is a boundary term:
+    with W the weight of _log_weight,
+        integral_a^b W phi_tau dt
+            = [sinh^(2a+2) t cosh^(2b+2) t phi_tau^(a+1,b+1)(t)]_a^b / (2 (a+1))
+    (Koornwinder 1984, section 2), so the constant pieces cost one phi row at
+    (alpha + 1, beta + 1) per jump, with the weight folded into the row's log
+    prefactor; the row at t = 0 vanishes.  Linear pieces and the damped tail
+    are integrated on outer rules, with the cosine-combination form of the
+    kernel built once per outer node and reused across the frequency grid.
+    All rule sizes double together, by factors 1, 2 and 4, until the sum
+    settles.
     """
     _check_params(params)
     taus = _check_half_line("frequencies", taus)
@@ -215,13 +237,35 @@ def transform_sweep(f, taus, params: JacobiParams,
     for _, hi, _, rate in pieces:
         if hi == math.inf and rate <= 2.0 * rho:
             raise ValueError(f"rate {rate} gives an infinite norm for {params}")
+    # A constant piece c on [lo, hi) adds c to the jump at hi and takes it
+    # from the jump at lo, so adjacent pieces share one row.
+    jumps, swept = {}, []
+    for lo, hi, p, rate in pieces:
+        if hi < math.inf and not any(p[1:]):
+            jumps[lo] = jumps.get(lo, 0.0) - p[0]
+            jumps[hi] = jumps.get(hi, 0.0) + p[0]
+        else:
+            swept.append((lo, hi, p, rate))
+    edges = np.array([e for e in sorted(jumps) if e > 0.0 and jumps[e] != 0.0])
+    shifted = JacobiParams(params.alpha + 1.0, params.beta + 1.0)
+    for e in edges:   # at size factor 4, the last doubling
+        _check_size(_kernel_size(e, tau_max, 4))
+    # log of sinh^(2a+2) t cosh^(2b+2) t / (2 (a+1)) at each edge.
+    log_weights = (_log_weight(edges, params) + _log_sinh(edges) + _log_cosh(edges)
+                   - log(2.0 * (params.alpha + 1.0)))
+    for e, lw in zip(edges, log_weights):
+        if _log_prefactor(e, shifted) + lw > _LOG_MAX:
+            raise ValueError(f"the boundary term overflows at t = {e} for {params}")
 
     def evaluate(factor: int) -> np.ndarray:
         def size(width: float) -> int:
             return ladder_size(int(tau_max * width / math.pi) + 32) * factor
 
         total = np.zeros(taus.size)
-        for lo, hi, p, rate in pieces:
+        rows = _phi_rows(shifted, edges, taus, factor, log_weights)
+        for e, row in zip(edges, rows):
+            total += jumps[e] * row
+        for lo, hi, p, rate in swept:
             g = LaguerreExpDamped(p, rate)
             if hi < math.inf:
                 total += _sweep_piece(lo, hi, g, taus, params, size(hi - lo), factor)
@@ -242,9 +286,15 @@ def transform_sweep(f, taus, params: JacobiParams,
                                         achieved=float(np.max(np.abs(inc))))
         return total
 
-    # nmax=4 allows two doublings: size factors 1, 2 and 4.
-    return _transform_prefactor(params) * converge_doubling(evaluate, 1, rtol,
-                                                            nmax=4)
+    # A boundary term that passes the test above can still be within a few
+    # powers of e of the largest double; its overflow is refused, not
+    # returned as inf.  nmax=4 allows two doublings: size factors 1, 2 and 4.
+    with np.errstate(over="raise"):
+        try:
+            return _transform_prefactor(params) * converge_doubling(evaluate, 1, rtol,
+                                                                    nmax=4)
+        except FloatingPointError:
+            raise ValueError(f"the transform overflows for {params}") from None
 
 
 def transform(f, tau: float, params: JacobiParams, rtol: float = 1e-9) -> float:

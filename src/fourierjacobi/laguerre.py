@@ -220,6 +220,9 @@ def laguerre_norm(f, alpha: float) -> float:
     """Space norm of f: the integral of |f| x^a e^(-x/2).
 
     Pieces are cut at the positive real roots of p, so |p| is smooth on each.
+    A damped polynomial p e^(-rate x) with no positive root has |p| = +-p, so
+    one Gauss-Laguerre rule in (rate + 1/2) x of ceil((d + 1) / 2) points, d
+    the degree of p, is exact.
     """
     alpha = _check_alpha(alpha)
     pieces = []
@@ -230,11 +233,13 @@ def laguerre_norm(f, alpha: float) -> float:
         pieces += [(a, b, p, rate) for a, b in zip(edges, edges[1:])]
     if not pieces:
         return 0.0
-    n0 = max(24, len(f.coefficients) + 8) if isinstance(f, LaguerreExpDamped) else 48
 
     def one(n: int) -> float:
         return float(np.sum(np.abs(_weighted_nodes(pieces, n, alpha, 0.5)[1])))
 
+    if isinstance(f, LaguerreExpDamped) and len(pieces) == 1:
+        return one((len(f.coefficients) + 1) // 2)
+    n0 = max(24, len(f.coefficients) + 8) if isinstance(f, LaguerreExpDamped) else 48
     return converge_doubling(one, ladder_size(n0), 1e-11)
 
 

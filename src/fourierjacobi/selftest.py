@@ -239,7 +239,7 @@ def check_transform() -> CriterionResult:
     ratio = float(np.max(np.abs(high)) / np.max(np.abs(low)))
     ok = ok and ratio < 0.2
     parts.append(f"high/low frequency ratio {ratio:.3e} (tol 0.2)")
-    return _result("transform", t0, ok, "; ".join(parts), budget=8.0)
+    return _result("transform", t0, ok, "; ".join(parts), budget=2.0)
 
 
 def check_fit_sanity() -> CriterionResult:

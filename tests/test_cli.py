@@ -253,17 +253,16 @@ class TestErrors:
         assert captured.err.startswith("error: rule size must be between 1 and 65536")
 
     @pytest.mark.parametrize("function,tau_max,message", [
-        ("indicator:1,1000", "50",
-         "error: the piece [1.0, 1000.0] needs 15936 x 15968 kernel nodes"),
-        ("indicator:1,4000", "50",
-         "error: the piece [1.0, 4000.0] needs 63680 x 63712 kernel nodes"),
-        ("indicator:1,240", "1", "error: the weight overflows at t = 240.0"),
+        ("indicator:1,1000", "50", "error: the boundary term overflows at t = 1000.0"),
+        ("indicator:1,4000", "50", "error: rule size must be between 1 and 65536"),
+        ("indicator:1,500", "1", "error: the boundary term overflows at t = 500.0"),
     ], ids=["budget-1000", "budget-4000", "weight-overflow"])
     def test_sweep_refusals(self, function, tau_max, message):
-        """Each rule fits the size limit, but the kernel work would take
-        hours, or the weight exp((2a+1) log sinh t + (2b+1) log cosh t)
-        overflows past t = 237.3 at (0.5, 0): a usage error, found before
-        any rule is built and with no warning."""
+        """A step's transform is one kernel row per edge.  At tau 50 the row
+        at t = 4000 needs a rule past the size limit at the last doubling, and
+        at (0.5, 0) the boundary term sinh^3 t cosh^2 t phi^(1.5,1)(t) grows
+        like e^(1.5 t), past the largest double beyond t = 473: a usage error,
+        found before any rule is built and with no warning."""
         proc = subprocess.run([sys.executable, "-W", "error", "-m", "fourierjacobi.cli",
                                "transform", "--alpha", "0.5", "--beta", "0",
                                "--function", function, "--tau-max", tau_max],
@@ -274,14 +273,15 @@ class TestErrors:
         assert proc.stderr.count("\n") == 1
 
     def test_far_edge_below_the_weight_limit(self):
-        """At t = 230 the weight is still a finite double."""
+        """At t = 230 the boundary term is still a finite double; 30-digit
+        mpmath gives 5.52261846103078656e+152."""
         proc = subprocess.run([sys.executable, "-W", "error", "-m", "fourierjacobi.cli",
                                "transform", "--alpha", "0.5", "--beta", "0",
                                "--function", "indicator:1,230", "--tau-max", "1"],
                               env=package_env(), capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0
         assert proc.stderr == ""
-        assert proc.stdout.splitlines()[:2] == ["tau,value", "0.0,5.522618461030743e+152"]
+        assert proc.stdout.splitlines()[:2] == ["tau,value", "0.0,5.522618461030618e+152"]
 
     @pytest.mark.parametrize("bound", [("--tau-max", "inf"), ("--tau-max", "nan"),
                                        ("--tau-min", "-1", "--tau-max", "3")])

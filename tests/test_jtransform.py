@@ -120,6 +120,24 @@ PHI_LIMIT_REFERENCE = {
 }
 
 
+def step_transform_mp(params: JacobiParams, tau: float, lo: float, hi: float) -> float:
+    """The transform of the indicator of [lo, hi) as its boundary term, with
+    phi^(a+1,b+1) = 2F1((r + i tau)/2, (r - i tau)/2; a + 2; -sinh^2 t),
+    r = a + b + 3, in 30-digit mpmath."""
+    import mpmath as mp
+    a, b = params.alpha, params.beta
+    with mp.workdps(30):
+        def term(t):
+            if t == 0.0:
+                return mp.mpf(0)
+            t, r = mp.mpf(t), mp.mpf(a) + b + 3
+            phi = mp.hyp2f1((r + 1j * tau) / 2, (r - 1j * tau) / 2, a + 2,
+                            -mp.sinh(t) ** 2).real
+            return mp.sinh(t) ** (2 * a + 2) * mp.cosh(t) ** (2 * b + 2) * phi
+        pref = mp.mpf(2) ** (2 * (a + b + 1) + mp.mpf(0.5)) / mp.gamma(a + 1)
+        return float(pref * (term(hi) - term(lo)) / (2 * (a + 1)))
+
+
 class TestJacobiFunction:
     @pytest.mark.parametrize("key", sorted(PHI_REFERENCE))
     def test_frozen_grid(self, key):
@@ -312,6 +330,7 @@ class TestTransform:
     # phi' = -(tau^2 + rho^2) sinh(2t) phi^(a+1,b+1) / (4 (a+1)) from the derivative
     # of 2F1 (Koornwinder 1984, section 2): the Jacobi-function analogue of the
     # antiderivative (DLMF 18.9.16) behind the closed form of series' steps.
+    # The reference takes phi^(a+1,b+1) from mpmath's 2F1, not from the package.
     @pytest.mark.parametrize("a, b", [(0.5, 0.0), (-0.5, -0.5), (-0.5, 0.25),
                                       (0.0, 0.9), (1.2, 0.7), (-0.3, -0.6)])
     @pytest.mark.parametrize("f, edges", [(Indicator(1.0, 2.0), (1.0, 2.0)),
@@ -322,19 +341,25 @@ class TestTransform:
         [sinh^(2a+2) t cosh^(2b+2) t phi^(a+1,b+1)(t)] from lo to hi over
         2 (a+1); the term vanishes at t = 0."""
         from fourierjacobi.jtransform import _transform_prefactor
-        params, shifted = JacobiParams(a, b), JacobiParams(a + 1.0, b + 1.0)
+        params = JacobiParams(a, b)
         taus = [0.0, 0.7, 5.0, 23.0, 50.0]
         got = transform_sweep(f, taus, params)
-        pref = _transform_prefactor(params)
+        want = [step_transform_mp(params, tau, *edges) for tau in taus]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * max(
+            _transform_prefactor(params), float(np.max(np.abs(got)))))
 
-        def term(tau, t):
-            return (math.sinh(t) ** (2.0 * a + 2.0) * math.cosh(t) ** (2.0 * b + 2.0)
-                    * jacobi_function(tau, t, shifted)) if t > 0.0 else 0.0
-
-        want = [pref * (term(tau, edges[1]) - term(tau, edges[0])) / (2.0 * (a + 1.0))
-                for tau in taus]
-        np.testing.assert_allclose(got, want, rtol=0.0,
-                                   atol=1e-12 * max(pref, float(np.max(np.abs(got)))))
+    @pytest.mark.parametrize("hi, rtol", [(240.0, 1e-12), (300.0, 1e-12), (1.0 + 1e-6, 1e-9)],
+                             ids=["far-240", "far-300", "narrow"])
+    def test_far_and_narrow_steps(self, hi, rtol):
+        """At (0.5, 0) the weight alone overflows past t = 237.3, but the
+        boundary term folds it into the row's log prefactor and stays a finite
+        double.  On a narrow step the two boundary terms nearly cancel, and the
+        difference still meets the default rtol."""
+        params = JacobiParams(0.5, 0.0)
+        taus = [0.0, 0.7]
+        got = transform_sweep(Indicator(1.0, hi), taus, params)
+        want = [step_transform_mp(params, tau, 1.0, hi) for tau in taus]
+        np.testing.assert_allclose(got, want, rtol=rtol)
 
     def test_sweep_matches_scalar(self):
         params = JacobiParams(0.5, 0.0)
@@ -412,24 +437,40 @@ class TestSweepRefusals:
     @pytest.mark.parametrize("b,sizes", [(1000.0, "15936 x 15968"),
                                          (4000.0, "63680 x 63712")])
     def test_kernel_work_budget(self, no_rules, b, sizes):
-        """At tau 50 both rules of the piece [1, b] fit 65536 nodes, but
-        every outer node would build a kernel rule of about that size."""
+        """At tau 50 both rules of the linear piece [1, b] fit 65536 nodes,
+        but every outer node would build a kernel rule of about that size."""
         with pytest.raises(ValueError, match=f"needs {sizes} kernel nodes"):
-            transform_sweep(Indicator(1.0, b), [0.0, 50.0], JacobiParams(0.5, 0.0))
+            transform_sweep(HalfLineGrid((1.0, b), (1.0, 2.0)), [0.0, 50.0],
+                            JacobiParams(0.5, 0.0))
 
     def test_rule_size_limit_comes_first(self, no_rules):
         with pytest.raises(ValueError, match="rule size must be between"):
             transform_sweep(Indicator(1.0, 1e6), [0.0, 50.0], JacobiParams(0.5, 0.0))
 
     def test_weight_overflow(self, no_rules):
-        """At (0.5, 0) the weight exp(3 t - 3 log 2 + ...) overflows past
-        t = 237.3, although the transform itself is finite."""
+        """At (0.5, 0) a step's boundary term at t is about e^(1.5 t), past
+        the largest double beyond t = 473: the edge is named before any rule
+        is built, even when a nearer edge could be built."""
+        with pytest.raises(ValueError, match="boundary term overflows at t = 1000.0"):
+            transform_sweep(Indicator(1.0, 1000.0), [0.0, 1.0], JacobiParams(0.5, 0.0))
+
+    def test_swept_weight_overflow(self, no_rules):
+        """A linear piece is still swept, and its weight
+        exp(3 t - 3 log 2 + ...) overflows past t = 237.3 at (0.5, 0)."""
         with pytest.raises(ValueError, match="weight overflows at t = 240.0"):
-            transform_sweep(Indicator(1.0, 240.0), [0.0, 1.0], JacobiParams(0.5, 0.0))
+            transform_sweep(HalfLineGrid((1.0, 240.0), (1.0, 2.0)), [0.0, 1.0],
+                            JacobiParams(0.5, 0.0))
+
+    def test_overflow_next_to_the_limit(self):
+        """At t = 470 the row's log prefactor is a finite double, but the
+        transform itself is 2.5e309 at tau 0 by mpmath: refused, not inf."""
+        with pytest.raises(ValueError, match="the transform overflows"):
+            transform_sweep(Indicator(1.0, 470.0), [0.0, 1.0], JacobiParams(0.5, 0.0))
 
     def test_far_edge_below_the_weight_limit(self):
+        """The reference is the boundary term in 30-digit mpmath."""
         value = transform(Indicator(1.0, 230.0), 0.0, JacobiParams(0.5, 0.0))
-        np.testing.assert_allclose(value, 5.522618461030743e+152, rtol=1e-9)
+        np.testing.assert_allclose(value, 5.52261846103078656e+152, rtol=1e-9)
 
 
 class TestEnvelope:

@@ -243,11 +243,17 @@ class TestNorm:
 
     def test_start_above_half_the_cap(self, monkeypatch):
         """A start size past 2048 (a polynomial of 2041 or more coefficients)
-        must still compare two rule sizes rather than skip the loop."""
+        must still compare two rule sizes rather than skip the loop.  The
+        root at x = 1 keeps the input on the loop: |1 - x| is (x - 1) plus
+        2 (1 - x) on [0, 1], so the norm is 2^2.5 Gamma(2.5) - 2^1.5 Gamma(1.5)
+        + 2 (2^1.5 gamma(1.5, 1/2) - 2^2.5 gamma(2.5, 1/2))."""
+        from scipy.special import gammainc
         from fourierjacobi import laguerre
         monkeypatch.setattr(laguerre, "ladder_size", lambda n: 2080)
-        got = laguerre_norm(LaguerreExpDamped((1.0,)), 0.5)
-        np.testing.assert_allclose(got, math.gamma(1.5) * 2.0 ** 1.5,
+        got = laguerre_norm(LaguerreExpDamped((1.0, -1.0)), 0.5)
+        whole = [2.0 ** (m + 1.5) * math.gamma(m + 1.5) for m in (0, 1)]
+        head = [w * gammainc(m + 1.5, 0.5) for m, w in enumerate(whole)]
+        np.testing.assert_allclose(got, whole[1] - whole[0] + 2.0 * (head[0] - head[1]),
                                    rtol=1e-12)
 
 

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from fourierjacobi import (
     AccuracyError,
     CosinePoly,
+    HalfLineGrid,
     Indicator,
     JacobiParams,
     LaguerreExpDamped,
@@ -368,8 +369,6 @@ SINGLE_RULE_LOOPS = {
     "norm_l": lambda: norm_l(CosinePoly((1.0, 0.5)), P),
     "laguerre_step_series": lambda: laguerre_coefficient_series(UNIT_STEP, 8, 0.5),
     "laguerre_step_norm": lambda: laguerre_norm(UNIT_STEP, 0.5),
-    "laguerre_damped_norm": lambda: laguerre_norm(
-        LaguerreExpDamped((1.0,), 0.5), 0.5),
     "step_identity_check": lambda: step_identity_check(1.5, 4, 0.5),
     "phi_grid": lambda: _phi_grid(P, np.array([1.5]), np.array([0.0, 4.0])),
 }
@@ -444,6 +443,17 @@ class TestDoublingLoops:
         laguerre_coefficient_series(LaguerreExpDamped((1.0, 2.0), 0.5), 8, 0.5)
         assert built_sizes == [5]
 
+    def test_damped_norm_without_a_root_requests_one_rule(self, built_sizes):
+        """p = 1 + 2x + x^2/2 has no positive root, so |p| = p and one
+        2-point rule in (rate + 1/2) x integrates p x^a e^(-(rate + 1/2) x)
+        exactly: sum_m c_m Gamma(a + m + 1) / (rate + 1/2)^(a + m + 1)."""
+        c, rate, a = (1.0, 2.0, 0.5), 0.5, 0.5
+        got = laguerre_norm(LaguerreExpDamped(c, rate), a)
+        assert built_sizes == [2]
+        want = sum(cm * math.gamma(a + m + 1.0) / (rate + 0.5) ** (a + m + 1.0)
+                   for m, cm in enumerate(c))
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
     @pytest.mark.parametrize("theta", [0.3, 1.5, 2.9])
     def test_chebyshev_limit_requests_no_rule(self, theta, built_sizes):
         """At beta = -1/2 the limit form has no correction nodes: R_k is the
@@ -455,7 +465,8 @@ class TestDoublingLoops:
     def test_transform_sweep_levels(self, built_sizes, monkeypatch):
         """Each sweep level uses a larger outer rule and larger kernel rules
         than the level before.  tau * t / pi stays below 2 on this support,
-        so every kernel rule of one level has the same size."""
+        so every kernel rule of one level has the same size.  The grid's one
+        piece is linear, so it is swept."""
         from fourierjacobi import jtransform
         levels = []
         sweep_piece = jtransform._sweep_piece
@@ -467,11 +478,17 @@ class TestDoublingLoops:
             return out
 
         monkeypatch.setattr(jtransform, "_sweep_piece", recording)
-        transform_sweep(Indicator(1.0, 2.0), [0.5, 3.0], P)
+        transform_sweep(HalfLineGrid((1.0, 2.0), (1.0, 2.0)), [0.5, 3.0], P)
         assert len(levels) >= 2
         for lower, upper in zip(levels, levels[1:]):
             assert upper[0] > lower[0]
             assert min(upper[1:]) > max(lower[1:])
+
+    def test_step_transform_builds_edge_rules_only(self, built_sizes):
+        """A step's transform is one boundary row per jump: each level builds
+        one kernel rule per edge, and no outer rule."""
+        transform_sweep(Indicator(1.0, 2.0), [0.5, 3.0], P)
+        assert built_sizes == [64, 64, 128, 128]
 
     def test_phi_grid_doubles_the_whole_grid(self, built_sizes):
         """Both rows are built at size factor 1, then both at factor 2: one
