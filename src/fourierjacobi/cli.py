@@ -185,6 +185,8 @@ def _cmd_laguerre(args) -> int:
                     args.out, {"alpha": args.alpha, "kmax": args.kmax})
         return 0
     if args.mode == "identity":
+        if args.kmax < 1:
+            raise ValueError(f"the identity needs --kmax >= 1, got {args.kmax}")
         worst = 0.0
         for k in range(1, args.kmax + 1):
             lhs, rhs = step_identity_check(args.a, k, args.alpha)
@@ -206,9 +208,10 @@ def _cmd_laguerre(args) -> int:
 def _cmd_transform(args) -> int:
     params = JacobiParams(args.alpha, args.beta)
     f = _parse_half_line_function(args.function)
-    taus = np.linspace(*_check_half_line("--tau-min and --tau-max",
-                                         [args.tau_min, args.tau_max]),
-                       args.tau_count)
+    bounds = _check_half_line("--tau-min and --tau-max", [args.tau_min, args.tau_max])
+    if args.tau_count < 1:
+        raise ValueError(f"--tau-count must be at least 1, got {args.tau_count}")
+    taus = np.linspace(*bounds, args.tau_count)
     values = transform_sweep(f, taus, params)
     _emit_pairs((repr(float(t)) for t in taus), values, "tau,value",
                 args.format, args.out,

@@ -121,21 +121,21 @@ def _cosine_data(t: float, params: JacobiParams, n: int,
 
 
 def _kernel_size(t: float, tau_max: float, factor: int) -> int:
-    """Size of the kernel rule for phi at t, up to frequency tau_max."""
+    """Size of the kernel rules for phi at arguments up to t, up to frequency tau_max."""
     return ladder_size(int(tau_max * t / math.pi) + 40) * factor
 
 
 def _phi_rows(params: JacobiParams, ts: np.ndarray, taus: np.ndarray,
               factor: int, log_scales=None) -> np.ndarray:
-    """phi on a (t, tau) product grid, one row per t, on kernel rules factor
-    times their base size; row i is scaled by exp(log_scales[i]) through
-    _cosine_data, and a row at t < 1e-8 is exactly that factor."""
+    """phi on a (t, tau) product grid, one row per t, every row on the kernel
+    size of the largest t: one Gauss-Jacobi rule per level.  Row i is scaled
+    by exp(log_scales[i]) through _cosine_data; a row at t < 1e-8 is exactly that factor."""
     tau_max = float(np.max(taus, initial=0.0))
+    n = _kernel_size(float(np.max(ts, initial=0.0)), tau_max, factor)
     scales = np.zeros(ts.size) if log_scales is None else log_scales
     out = np.empty((ts.size, taus.size))
     for i, (t, ls) in enumerate(zip(ts, scales)):
         if t >= 1e-8:
-            n = _kernel_size(t, tau_max, factor)
             out[i] = _cosine_sum(*_cosine_data(float(t), params, n, float(ls)), taus)
         else:
             out[i] = math.exp(ls)
@@ -248,8 +248,8 @@ def transform_sweep(f, taus, params: JacobiParams,
             swept.append((lo, hi, p, rate))
     edges = np.array([e for e in sorted(jumps) if e > 0.0 and jumps[e] != 0.0])
     shifted = JacobiParams(params.alpha + 1.0, params.beta + 1.0)
-    for e in edges:   # at size factor 4, the last doubling
-        _check_size(_kernel_size(e, tau_max, 4))
+    # The rows share the far edge's size; at factor 4, the last doubling.
+    _check_size(_kernel_size(np.max(edges, initial=0.0), tau_max, 4))
     # log of sinh^(2a+2) t cosh^(2b+2) t / (2 (a+1)) at each edge.
     log_weights = (_log_weight(edges, params) + _log_sinh(edges) + _log_cosh(edges)
                    - log(2.0 * (params.alpha + 1.0)))

@@ -176,8 +176,7 @@ def _weighted_nodes(pieces, n: int, alpha: float,
     return x[keep], u[keep]
 
 
-def _coefficient_values(f, kmax: int, alpha: float,
-                        rtol: float = 1e-10) -> np.ndarray:
+def _coefficient_values(f, kmax: int, alpha: float) -> np.ndarray:
     """hat(k) for k = 0..kmax against the x^a e^(-x) weight.
 
     Each pass sums R_k against the weighted nodes degree by degree
@@ -200,7 +199,7 @@ def _coefficient_values(f, kmax: int, alpha: float,
         top = kmax if f.rate > 0.0 else min(d, kmax)
         return np.pad(one(max(d + 1, (top + d) // 2 + 1), top), (0, kmax - top))
     # Exact for R_k times a polynomial of degree below 64, as in series.
-    return converge_doubling(one, ladder_size((kmax + 1) // 2 + 32), rtol)
+    return converge_doubling(one, ladder_size((kmax + 1) // 2 + 32), 1e-10)
 
 
 def laguerre_coefficient(f, k: int, alpha: float) -> float:
@@ -222,7 +221,8 @@ def laguerre_norm(f, alpha: float) -> float:
     Pieces are cut at the positive real roots of p, so |p| is smooth on each.
     A damped polynomial p e^(-rate x) with no positive root has |p| = +-p, so
     one Gauss-Laguerre rule in (rate + 1/2) x of ceil((d + 1) / 2) points, d
-    the degree of p, is exact.
+    the degree of p, is exact.  Any other input doubles from 32 nodes, where
+    _coefficient_values starts at kmax 0.
     """
     alpha = _check_alpha(alpha)
     pieces = []
@@ -239,8 +239,7 @@ def laguerre_norm(f, alpha: float) -> float:
 
     if isinstance(f, LaguerreExpDamped) and len(pieces) == 1:
         return one((len(f.coefficients) + 1) // 2)
-    n0 = max(24, len(f.coefficients) + 8) if isinstance(f, LaguerreExpDamped) else 48
-    return converge_doubling(one, ladder_size(n0), 1e-11)
+    return converge_doubling(one, 32, 1e-11)
 
 
 def step_identity_check(a: float, k: int, alpha: float) -> tuple[float, float]:

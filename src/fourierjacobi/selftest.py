@@ -267,11 +267,10 @@ CRITERIA = [
 
 
 def run_all(names: list[str] | None = None) -> list[CriterionResult]:
-    """Run the acceptance battery (or a named subset), in declaration order."""
-    wanted = set(names) if names else None
-    results = []
-    for name, fn in CRITERIA:
-        if wanted is not None and name not in wanted:
-            continue
-        results.append(fn())
-    return results
+    """Run the acceptance battery (or a named subset), in declaration order;
+    an unknown name raises ValueError before any criterion runs."""
+    unknown = sorted(set(names or ()) - set(dict(CRITERIA)))
+    if unknown:
+        raise ValueError(f"not a criterion: {', '.join(unknown)}; "
+                         f"the criteria are {', '.join(dict(CRITERIA))}")
+    return [fn() for name, fn in CRITERIA if not names or name in names]

@@ -282,17 +282,16 @@ def _integrate_pieces(pieces: list[_XPiece], params: JacobiParams,
             * 2.0 ** (-params.alpha - params.beta - 1.0))
 
 
-def _converged_values(pieces, params, kmax, n0=None,
-                      rtol=1e-10) -> np.ndarray:
+def _converged_values(pieces, params, kmax, rtol=1e-10) -> np.ndarray:
     """Hat coefficients of the pieces for k = 0..kmax, by doubling to rtol.
 
-    The first size n is the ladder size at or above (kmax + 1) // 2 + 32, so
-    its rule is exact for R_k times any polynomial of degree below 64: the
-    first comparison, n against 2n, already settles a polynomial input.
+    Every caller, the norms at kmax 0 too, starts at the ladder size n at or
+    above (kmax + 1) // 2 + 32: its rule is exact for R_k times any polynomial
+    of degree below 64, so n against 2n already settles a polynomial input.
     """
     if not pieces:
         return np.zeros(kmax + 1)
-    n = ladder_size(n0 if n0 is not None else (kmax + 1) // 2 + 32)
+    n = ladder_size((kmax + 1) // 2 + 32)
     return converge_doubling(
         lambda m: _integrate_pieces(pieces, params, kmax, m), n, rtol)
 
@@ -367,8 +366,7 @@ def _cospoly_values(c: np.ndarray, params: JacobiParams, kmax: int) -> np.ndarra
     return np.pad(_integrate_pieces([piece], params, top, len(c)), (0, kmax - top))
 
 
-def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10,
-            n0: int | None = None) -> np.ndarray:
+def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10) -> np.ndarray:
     """Hat coefficients of g(f) for k = 0..kmax, g as in _pieces; entry 0 is
     the weighted integral of g(f).
 
@@ -378,7 +376,7 @@ def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10,
     quadrature pieces would be empty, keeps its mass.
     A cosine polynomial and its square take one rule of the exact size.
     Everything else, |cosine polynomial| included, takes the doubling
-    quadrature to rtol, from n0 if given.
+    quadrature to rtol.
     """
     if isinstance(f, StepFunction):
         if g is not None:
@@ -391,7 +389,7 @@ def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10,
     if isinstance(f, CosinePoly) and g in (None, np.square):
         c = np.array(f.coefficients)
         return _cospoly_values(c if g is None else chebmul(c, c), params, kmax)
-    vals = _converged_values(_pieces(f, params, g), params, kmax, n0, rtol)
+    vals = _converged_values(_pieces(f, params, g), params, kmax, rtol)
     if isinstance(f, GridSampled):
         vals = _values(_grid_ends(f), params, kmax, g) + vals
     return vals
@@ -463,7 +461,7 @@ def coefficient_series(f, kmax: int, params: JacobiParams,
 
 def norm_l(f, params: JacobiParams) -> float:
     """Weighted L1 norm of f: the integral of |f| against the expansion weight."""
-    return float(_values(f, params, 0, abs, n0=64)[0])
+    return float(_values(f, params, 0, abs)[0])
 
 
 def synthesize(series: CoefficientSeries, theta):
@@ -496,7 +494,7 @@ def parseval_check(f, params: JacobiParams, kmax: int) -> ParsevalReport:
     series = coefficient_series(f, kmax, params)
     h = h_normalizer_table(kmax, params)
     partial = float(h @ series.values ** 2)
-    norm_sq = float(_values(f, params, 0, np.square, n0=64)[0])
+    norm_sq = float(_values(f, params, 0, np.square)[0])
     return ParsevalReport(kmax, partial, norm_sq, norm_sq - partial)
 
 

@@ -75,3 +75,12 @@ def test_battery_is_complete():
     for name, _ in selftest.CRITERIA:
         func = "test_" + name.replace("-", "_")
         assert hasattr(module, func), f"missing acceptance test for {name}"
+
+
+def test_unknown_criterion_is_refused():
+    """A misspelt --only name is a usage error naming it and every criterion,
+    not an empty run that passes."""
+    with pytest.raises(ValueError, match="not a criterion: nosuch") as exc:
+        selftest.run_all(["fit-sanity", "nosuch"])
+    for name, _ in selftest.CRITERIA:
+        assert name in str(exc.value)

@@ -8,7 +8,8 @@ use no such product and are also run at the default thread count.  Each
 demo runs under -W error with single-threaded BLAS, its stdout pinned
 against DEMO_GOLDEN.
 After an intended output change, refreeze both with
-`PYTHONPATH=src python tests/test_cli.py --freeze` and review the diff.
+`PYTHONPATH=src python tests/test_cli.py --freeze`, which prints the entries
+that changed, and review the diff.
 """
 
 import json
@@ -26,6 +27,7 @@ import pytest
 
 import fourierjacobi
 from fourierjacobi.cli import main
+from fourierjacobi.selftest import CRITERIA
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 README_CLI_GOLDEN = Path(__file__).resolve().parent / "readme_cli_golden.json"
@@ -296,6 +298,20 @@ class TestErrors:
         assert proc.stdout == ""
         assert proc.stderr == "error: --tau-min and --tau-max must be finite and nonnegative\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("laguerre", "identity", "--alpha", "0.5", "--kmax", "0"),
+         "error: the identity needs --kmax >= 1, got 0\n"),
+        (("transform", "--alpha", "0.5", "--beta", "0", "--function", "indicator:1,2",
+          "--tau-max", "3", "--tau-count", "0"), "error: --tau-count must be at least 1, got 0\n"),
+        (("transform", "--alpha", "0.5", "--beta", "0", "--function", "indicator:1,2",
+          "--tau-max", "3", "--tau-count", "-2"), "error: --tau-count must be at least 1, got -2\n"),
+    ], ids=["identity-kmax-0", "tau-count-0", "tau-count-negative"])
+    def test_vacuous_runs_are_usage_errors(self, argv, message):
+        """A run that would check or print nothing is refused, not passed."""
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "fourierjacobi.cli", *argv],
+                              env=package_env(), capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["coeffs", "--alpha", "0"])
@@ -313,6 +329,19 @@ class TestSelftest:
         assert code == 0
         assert out.startswith("PASS fit-sanity")
         assert "1/1 criteria passed" in out
+
+    def test_unknown_criterion_is_a_usage_error(self, capsys):
+        code = main(["selftest", "--only", "nosuch"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: not a criterion: nosuch; the criteria are ")
+
+    def test_readme_names_real_criteria(self):
+        names = [name for line in README.read_text().splitlines()
+                 if line.startswith("fourierjacobi selftest")
+                 for name in re.findall(r"--only\s+(\S+)", line)]
+        assert names
+        assert set(names) <= set(dict(CRITERIA))
 
 
 def readme_commands() -> list[str]:
@@ -419,12 +448,24 @@ class TestDemoGolden:
         assert got["stdout"] == json.loads(DEMO_GOLDEN.read_text())[name]
 
 
+def print_changed(path: Path, entries: dict):
+    """Print each key of entries whose value differs from the one frozen at path."""
+    old = json.loads(path.read_text())
+    if isinstance(old, list):
+        old = {g["command"]: g for g in old}
+    for key in sorted(old.keys() | entries.keys()):
+        if old.get(key) != entries.get(key):
+            print(f"{path.name}: {key}")
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--freeze"]:
     frozen = [run_readme_command(command) for command in readme_commands()]
+    print_changed(README_CLI_GOLDEN, {g["command"]: g for g in frozen})
     README_CLI_GOLDEN.write_text(json.dumps(frozen, indent=1) + "\n")
     demos = {name: run_demo(name) for name in demo_names()}
     failed = [name for name, run in demos.items() if run["exit"] or run["stderr"]]
     if failed:
         sys.exit(f"demos failed: {failed}")
-    DEMO_GOLDEN.write_text(json.dumps({name: run["stdout"] for name, run in demos.items()},
-                                      indent=1) + "\n")
+    outputs = {name: run["stdout"] for name, run in demos.items()}
+    print_changed(DEMO_GOLDEN, outputs)
+    DEMO_GOLDEN.write_text(json.dumps(outputs, indent=1) + "\n")

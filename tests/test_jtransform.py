@@ -348,6 +348,23 @@ class TestTransform:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * max(
             _transform_prefactor(params), float(np.max(np.abs(got)))))
 
+    def test_readme_golden_against_mpmath(self):
+        """Every value of the README's frozen transform example is within
+        2e-15 of max(prefactor, max|F|) of the 30-digit boundary term."""
+        import json
+        from pathlib import Path
+        from fourierjacobi.jtransform import _transform_prefactor
+        golden = json.loads((Path(__file__).parent / "readme_cli_golden.json").read_text())
+        [entry] = [g for g in golden if g["command"].split()[1] == "transform"]
+        assert "--alpha 0.5 --beta 0 --function indicator:1,2" in entry["command"]
+        params = JacobiParams(0.5, 0.0)
+        rows = [line.split(",") for line in entry["stdout"].splitlines()[1:]]
+        assert len(rows) == 101
+        got = np.array([float(v) for _, v in rows])
+        want = np.array([step_transform_mp(params, float(tau), 1.0, 2.0) for tau, _ in rows])
+        scale = max(_transform_prefactor(params), float(np.max(np.abs(want))))
+        assert float(np.max(np.abs(got - want))) <= 2e-15 * scale
+
     @pytest.mark.parametrize("hi, rtol", [(240.0, 1e-12), (300.0, 1e-12), (1.0 + 1e-6, 1e-9)],
                              ids=["far-240", "far-300", "narrow"])
     def test_far_and_narrow_steps(self, hi, rtol):

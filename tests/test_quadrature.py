@@ -464,9 +464,9 @@ class TestDoublingLoops:
 
     def test_transform_sweep_levels(self, built_sizes, monkeypatch):
         """Each sweep level uses a larger outer rule and larger kernel rules
-        than the level before.  tau * t / pi stays below 2 on this support,
-        so every kernel rule of one level has the same size.  The grid's one
-        piece is linear, so it is swept."""
+        than the level before; every kernel rule of one level has the same
+        size by construction (see test_a_level_builds_one_kernel_rule).  The
+        grid's one piece is linear, so it is swept."""
         from fourierjacobi import jtransform
         levels = []
         sweep_piece = jtransform._sweep_piece
@@ -485,8 +485,9 @@ class TestDoublingLoops:
             assert min(upper[1:]) > max(lower[1:])
 
     def test_step_transform_builds_edge_rules_only(self, built_sizes):
-        """A step's transform is one boundary row per jump: each level builds
-        one kernel rule per edge, and no outer rule."""
+        """A step's transform is one boundary row per jump: each level
+        requests one kernel rule per edge, all of the far edge's size, and no
+        outer rule."""
         transform_sweep(Indicator(1.0, 2.0), [0.5, 3.0], P)
         assert built_sizes == [64, 64, 128, 128]
 
@@ -495,6 +496,13 @@ class TestDoublingLoops:
         doubling loop over the grid, not one per row."""
         _phi_grid(P, np.array([0.5, 1.5]), np.array([0.0, 4.0]))
         assert built_sizes == [64, 64, 128, 128]
+
+    def test_a_level_builds_one_kernel_rule(self, built_sizes):
+        """Every row of a level takes the kernel size of the largest t: at
+        tau 50 the row at t = 12 needs 256 nodes, and the row at t = 0.5,
+        which alone would take 64, maps the same rule."""
+        _phi_grid(P, np.array([0.5, 12.0]), np.array([0.0, 50.0]))
+        assert built_sizes == [256, 256, 512, 512]
 
     def test_envelope_evaluates_phi_once(self, monkeypatch):
         """The verification grid is the calibration grid with every midpoint
