@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import AccuracyError
 from .specfun import JacobiParams, _hyp2f1_array
-from .quadrature import _check_size, converge_doubling, ladder_size, mapped_jacobi_rule
+from .quadrature import (_check_rtol, _check_size, converge_doubling, ladder_size,
+                         mapped_jacobi_rule)
 from .mehler import _cosine_sum
 from .laguerre import LaguerreExpDamped, LaguerreStep, _pieces
 
@@ -31,7 +32,6 @@ __all__ = [
     "jacobi_function",
     "transform",
     "transform_sweep",
-    "EnvelopeReport",
     "envelope_check",
 ]
 
@@ -226,6 +226,7 @@ def transform_sweep(f, taus, params: JacobiParams,
     settles.
     """
     _check_params(params)
+    _check_rtol(rtol)
     taus = _check_half_line("frequencies", taus)
     if taus.size == 0:
         return np.zeros(0)

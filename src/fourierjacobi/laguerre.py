@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval, polyroots
 
-from .specfun import _check_degree, _check_finite, _laguerre_r_sums, laguerre_r, laguerre_r_table
+from .specfun import (_check_degree, _check_exponent, _check_finite, _check_knots,
+                      _laguerre_r_sums, laguerre_r, laguerre_r_table)
 from .quadrature import (converge_doubling, gauss_laguerre_rule, ladder_size,
                          mapped_jacobi_rule)
 from .series import DecayReport, _decay_report
@@ -45,13 +46,8 @@ class LaguerreStep:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        bp = tuple(float(t) for t in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
-        _check_finite(*bp, *vals)
-        if not bp or len(vals) != len(bp):
-            raise ValueError("need one value per breakpoint")
-        if bp[0] <= 0.0 or any(t1 <= t0 for t0, t1 in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be positive and strictly increasing")
+        bp, vals = _check_knots("breakpoints", self.breakpoints, self.values, math.inf,
+                                least=1)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
@@ -92,13 +88,8 @@ class HalfLineGrid:
     ordinates: tuple[float, ...]
 
     def __post_init__(self):
-        ts = tuple(float(t) for t in self.abscissae)
-        ys = tuple(float(y) for y in self.ordinates)
-        _check_finite(*ts, *ys)
-        if len(ts) < 2 or len(ts) != len(ys):
-            raise ValueError("need matching abscissae/ordinates, at least two")
-        if ts[0] <= 0.0 or any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
-            raise ValueError("abscissae must be positive and strictly increasing")
+        ts, ys = _check_knots("abscissae", self.abscissae, self.ordinates, math.inf,
+                              least=2)
         object.__setattr__(self, "abscissae", ts)
         object.__setattr__(self, "ordinates", ys)
 
@@ -108,12 +99,6 @@ class HalfLineGrid:
         out = np.where((arr < self.abscissae[0]) | (arr > self.abscissae[-1]),
                        0.0, out)
         return float(out) if np.isscalar(t) else out
-
-
-def _check_alpha(alpha: float) -> float:
-    if not -1.0 < alpha < math.inf:
-        raise ValueError("Laguerre exponent must be > -1 and finite")
-    return float(alpha)
 
 
 def _pieces(f, d: float) -> list[tuple[float, float, tuple[float, ...], float]]:
@@ -186,7 +171,7 @@ def _coefficient_values(f, kmax: int, alpha: float) -> np.ndarray:
     with 2n - 1 >= k + d integrate R_k p exactly.  At rate 0, R_k is
     orthogonal to p for k > d, so hat(k) = 0 there and d + 1 nodes suffice.
     """
-    alpha = _check_alpha(alpha)
+    kmax, alpha = _check_degree(kmax), _check_exponent(alpha)
     pieces = _pieces(f, 1.0)
     if not pieces:
         return np.zeros(kmax + 1)
@@ -204,8 +189,7 @@ def _coefficient_values(f, kmax: int, alpha: float) -> np.ndarray:
 
 def laguerre_coefficient(f, k: int, alpha: float) -> float:
     """k-th coefficient: integral of f R_k^a x^a e^(-x) over the half-line."""
-    k = _check_degree(k)
-    return float(_coefficient_values(f, k, alpha)[k])
+    return float(_coefficient_values(f, k, alpha)[-1])
 
 
 def laguerre_coefficient_series(f, kmax: int, alpha: float) -> np.ndarray:
@@ -224,7 +208,7 @@ def laguerre_norm(f, alpha: float) -> float:
     the degree of p, is exact.  Any other input doubles from 32 nodes, where
     _coefficient_values starts at kmax 0.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_exponent(alpha)
     pieces = []
     for lo, hi, p, rate in _pieces(f, 0.5):
         cuts = sorted({float(r.real) for r in polyroots(p)
@@ -250,9 +234,9 @@ def step_identity_check(a: float, k: int, alpha: float) -> tuple[float, float]:
     """
     if a <= 0.0:
         raise ValueError("endpoint must be positive")
-    if k < 1:
+    if _check_degree(k) < 1:
         raise ValueError("the identity needs degree k >= 1")
-    alpha = _check_alpha(alpha)
+    alpha = _check_exponent(alpha)
 
     def one(n: int) -> float:
         rule = mapped_jacobi_rule(n, 0.0, alpha, 0.0, a)

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import AccuracyError
+from .specfun import _check_exponent
 
 __all__ = [
     "QuadratureRule",
@@ -29,7 +30,6 @@ __all__ = [
     "gauss_legendre_rule",
     "mapped_jacobi_rule",
     "converge_doubling",
-    "ladder_size",
 ]
 
 
@@ -144,9 +144,7 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     Exact for polynomial f up to degree 2n - 1.
     """
     n = _check_size(n)
-    if not (-1.0 < alpha < np.inf and -1.0 < beta < np.inf):
-        raise ValueError("Gauss-Jacobi exponents must be > -1 and finite")
-    return _gauss_jacobi_cached(n, float(alpha), float(beta))
+    return _gauss_jacobi_cached(n, _check_exponent(alpha), _check_exponent(beta))
 
 
 def gauss_legendre_rule(n: int) -> QuadratureRule:
@@ -169,9 +167,7 @@ def _gauss_laguerre_cached(n: int, a: float) -> QuadratureRule:
 def gauss_laguerre_rule(n: int, alpha: float) -> QuadratureRule:
     """n-point rule for integrals of f(x) x^alpha e^(-x) over [0, inf)."""
     n = _check_size(n)
-    if not -1.0 < alpha < np.inf:
-        raise ValueError("Gauss-Laguerre exponent must be > -1 and finite")
-    return _gauss_laguerre_cached(n, float(alpha))
+    return _gauss_laguerre_cached(n, _check_exponent(alpha))
 
 
 def mapped_jacobi_rule(n: int, alpha: float, beta: float,
@@ -200,6 +196,11 @@ def ladder_size(n: int) -> int:
     return -(-int(n) // 32) * 32
 
 
+def _check_rtol(rtol: float) -> None:
+    if not rtol >= 0.0:
+        raise ValueError(f"rtol must be a nonnegative number, got {rtol}")
+
+
 def converge_doubling(evaluate, n0: int, rtol: float = 1e-10,
                       nmax: int = 4096):
     """Evaluate at doubling rule sizes until two consecutive sizes agree.
@@ -212,8 +213,7 @@ def converge_doubling(evaluate, n0: int, rtol: float = 1e-10,
     last relative difference as `achieved`; a NaN never counts as converged.
     A NaN or negative rtol raises ValueError before the first evaluation.
     """
-    if not rtol >= 0.0:
-        raise ValueError(f"rtol must be a nonnegative number, got {rtol}")
+    _check_rtol(rtol)
     n = max(int(n0), 1)
     limit = max(nmax, 4 * n)
     prev = evaluate(n)

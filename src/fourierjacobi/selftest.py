@@ -36,7 +36,7 @@ from .laguerre import (
 )
 from .jtransform import Indicator, transform, transform_sweep, envelope_check
 
-__all__ = ["CriterionResult", "CRITERIA", "run_all"]
+__all__ = ["run_all"]
 
 
 @dataclass(frozen=True)

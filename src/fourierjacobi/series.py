@@ -26,9 +26,9 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import beta as beta_function, betainc
 
 from .specfun import (JacobiParams, _binomial_ratios, _check_degree, _check_finite,
-                      _jacobi_p_table, _jacobi_r_sums, h_normalizer_table, jacobi_r,
-                      jacobi_r_table)
-from .quadrature import (_jacobi_coeffs, converge_doubling, ladder_size,
+                      _check_knots, _jacobi_p_table, _jacobi_r_sums, h_normalizer_table,
+                      jacobi_r, jacobi_r_table)
+from .quadrature import (_check_rtol, _jacobi_coeffs, converge_doubling, ladder_size,
                          mapped_jacobi_rule)
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "GridSampled",
     "CoefficientSeries",
     "DecayReport",
-    "ParsevalReport",
-    "CounterexampleReport",
     "coefficient",
     "coefficient_series",
     "norm_l",
@@ -69,15 +67,8 @@ class StepFunction:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        bp = tuple(float(t) for t in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
-        _check_finite(*bp, *vals)
-        if any(not 0.0 < t < math.pi for t in bp):
-            raise ValueError("breakpoints must lie strictly inside (0, pi)")
-        if any(t1 <= t0 for t0, t1 in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        if len(vals) != len(bp) + 1:
-            raise ValueError("need exactly one more value than breakpoints")
+        bp, vals = _check_knots("breakpoints", self.breakpoints, self.values,
+                                math.pi, least=0, extra=1)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
@@ -139,15 +130,7 @@ class GridSampled:
     ordinates: tuple[float, ...]
 
     def __post_init__(self):
-        ts = tuple(float(t) for t in self.abscissae)
-        ys = tuple(float(y) for y in self.ordinates)
-        _check_finite(*ts, *ys)
-        if len(ts) < 2 or len(ts) != len(ys):
-            raise ValueError("need matching abscissae/ordinates, at least two")
-        if any(not 0.0 < t < math.pi for t in ts):
-            raise ValueError("abscissae must lie strictly inside (0, pi)")
-        if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
-            raise ValueError("abscissae must be strictly increasing")
+        ts, ys = _check_knots("abscissae", self.abscissae, self.ordinates, math.pi, least=2)
         object.__setattr__(self, "abscissae", ts)
         object.__setattr__(self, "ordinates", ys)
 
@@ -378,6 +361,7 @@ def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10) -> 
     Everything else, |cosine polynomial| included, takes the doubling
     quadrature to rtol.
     """
+    _check_rtol(rtol)
     if isinstance(f, StepFunction):
         if g is not None:
             f = StepFunction(f.breakpoints, tuple(g(v) for v in f.values))
@@ -399,6 +383,11 @@ def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10) -> 
 # public coefficient surface
 
 
+def _check_normalization(normalization: str) -> None:
+    if normalization not in ("hat", "unnormalized"):
+        raise ValueError(f"unknown normalization {normalization!r}")
+
+
 @dataclass(frozen=True)
 class CoefficientSeries:
     """Expansion coefficients for k = 0..kmax at one parameter pair.
@@ -416,8 +405,7 @@ class CoefficientSeries:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.kmax + 1,):
             raise ValueError("values must have length kmax + 1")
-        if self.normalization not in ("hat", "unnormalized"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
+        _check_normalization(self.normalization)
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -447,15 +435,15 @@ def coefficient_series(f, kmax: int, params: JacobiParams,
     exact up to rounding, and exact zeros past d (see _cospoly_values).
     Every other input is integrated with Gauss rules, doubling the rule size
     until two sizes agree to rtol relative to max(1, max|hat|); rtol governs
-    only this quadrature pathway.
+    only this quadrature pathway, but a NaN or negative rtol is refused on
+    every pathway.
     """
     if _check_degree(kmax) < 1:
         raise ValueError("kmax must be at least 1")
+    _check_normalization(normalization)
     vals = _values(f, params, kmax, rtol=rtol)
     if normalization == "unnormalized":
         vals = vals * _binomial_ratios(kmax, params.alpha, 0.0)
-    elif normalization != "hat":
-        raise ValueError(f"unknown normalization {normalization!r}")
     return CoefficientSeries(params, kmax, vals, normalization)
 
 

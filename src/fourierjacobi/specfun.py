@@ -16,6 +16,7 @@ need: [0, 1) for arrays, and z = 1 through the Gauss sum when c - a - b > 0.
 """
 
 from dataclasses import dataclass
+from itertools import pairwise
 from math import exp, isfinite
 
 import numpy as np
@@ -25,7 +26,6 @@ from .errors import AccuracyError
 
 __all__ = [
     "JacobiParams",
-    "PolyValue",
     "jacobi_p",
     "jacobi_r",
     "jacobi_p_one",
@@ -48,9 +48,8 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
-        if not (-1.0 < self.alpha < np.inf and -1.0 < self.beta < np.inf):
-            raise ValueError("Jacobi exponents must be > -1 and finite, "
-                             f"got ({self.alpha}, {self.beta})")
+        _check_exponent(self.alpha)
+        _check_exponent(self.beta)
 
     @property
     def in_s(self) -> bool:
@@ -71,6 +70,32 @@ def _check_finite(*values: float) -> None:
     """Raise ValueError unless every number of a function spec is finite."""
     if not all(isfinite(v) for v in values):
         raise ValueError("function spec parameters must be finite")
+
+
+def _check_knots(name: str, knots, values, top: float, least: int,
+                 extra: int = 0) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The knots and values of a piecewise spec, as float tuples.
+
+    Raises ValueError unless every number is finite, there are at least
+    `least` knots and `extra` more values than knots, and the knots
+    increase strictly inside (0, top).
+    """
+    ks, vs = tuple(float(t) for t in knots), tuple(float(v) for v in values)
+    _check_finite(*ks, *vs)
+    if len(ks) < least:
+        raise ValueError(f"{name}: need at least {least}, got {len(ks)}")
+    if len(vs) != len(ks) + extra:
+        raise ValueError(f"values: need {len(ks) + extra} for {len(ks)} {name}, got {len(vs)}")
+    if not all(t0 < t1 for t0, t1 in pairwise((0.0, *ks, top))):
+        raise ValueError(f"{name} must increase strictly inside (0, {top:g}), got {ks}")
+    return ks, vs
+
+
+def _check_exponent(e: float) -> float:
+    """e as a float, or ValueError unless it is a weight exponent: > -1 and finite."""
+    if not -1.0 < e < np.inf:
+        raise ValueError(f"exponent must be > -1 and finite, got {e}")
+    return float(e)
 
 
 def _check_degree(k) -> int:
@@ -141,8 +166,7 @@ def _jacobi(k: int, params: JacobiParams, x, rows=None, weights=None):
 
 def _laguerre(k: int, alpha: float, x, rows=None, weights=None):
     """L_k^alpha(x) by the Laguerre step, for x (0-d or array of floats) >= 0."""
-    if not -1.0 < alpha < np.inf:
-        raise ValueError("Laguerre exponent must be > -1 and finite")
+    _check_exponent(alpha)
     if not np.all((x >= 0.0) & (x < np.inf)):
         raise ValueError("Laguerre argument must be finite and nonnegative")
     m = np.arange(2.0, k + 1.0)

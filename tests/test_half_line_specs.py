@@ -1,7 +1,8 @@
 """The half-line function specs, shared by the Laguerre series and the transform.
 
 Every spec goes through every consumer and is checked against SciPy quad;
-the package exports each public name from exactly one module.
+the four piecewise specs share one knot check; the package exports each
+public name from exactly one module.
 """
 
 import importlib
@@ -18,6 +19,8 @@ from fourierjacobi import (
     JacobiParams,
     LaguerreExpDamped,
     LaguerreStep,
+    GridSampled,
+    StepFunction,
     jacobi_function,
     laguerre_coefficient_series,
     laguerre_norm,
@@ -90,7 +93,8 @@ def test_indicator_is_the_two_value_step():
 
 def test_every_export_has_one_owner():
     """Each name in fourierjacobi.__all__ is listed by exactly one submodule
-    and is that submodule's object."""
+    and is that submodule's object.  The package list is the module lists
+    in order, and leaves out the return types, which stay at their modules."""
     names = ("errors", "specfun", "quadrature", "series", "mehler", "laguerre",
              "jtransform", "selftest", "cli")
     modules = [importlib.import_module(f"fourierjacobi.{n}") for n in names]
@@ -99,3 +103,34 @@ def test_every_export_has_one_owner():
         owners = [m for m in modules if name in m.__all__]
         assert len(owners) == 1, (name, [m.__name__ for m in owners])
         assert getattr(fourierjacobi, name) is getattr(owners[0], name)
+    assert fourierjacobi.__all__ == [n for m in modules[:-1] for n in m.__all__]
+    assert len(fourierjacobi.__all__) == 51
+    for module, name in [("specfun", "PolyValue"), ("series", "ParsevalReport"),
+                         ("series", "CounterexampleReport"),
+                         ("jtransform", "EnvelopeReport"), ("selftest", "CriterionResult")]:
+        assert name not in fourierjacobi.__all__
+        assert getattr(getattr(fourierjacobi, module), name).__module__ == \
+            f"fourierjacobi.{module}"
+
+
+# each piecewise spec, and how many more values than knots it takes
+PIECEWISE = {"StepFunction": (StepFunction, 1), "GridSampled": (GridSampled, 0),
+             "LaguerreStep": (LaguerreStep, 0), "HalfLineGrid": (HalfLineGrid, 0)}
+
+
+@pytest.mark.parametrize("knots, more, match", [
+    ((math.nan, 2.0), 0, "finite"),
+    ((-1.0, 2.0), 0, "increase strictly inside"),
+    ((0.0, 2.0), 0, "increase strictly inside"),
+    ((1.0, 1.0), 0, "increase strictly inside"),
+    ((1.0, 2.0), 1, "values: need"),
+], ids=["nan", "out-of-domain", "at-zero", "repeated", "length-mismatch"])
+@pytest.mark.parametrize("name", list(PIECEWISE))
+def test_every_piecewise_spec_checks_its_knots(name, knots, more, match):
+    """One knot check for the four piecewise specs: finite numbers, knots
+    strictly increasing inside the open domain ((0, pi) or (0, inf)), and
+    the right number of values."""
+    spec, extra = PIECEWISE[name]
+    spec((1.0, 2.0), (1.0,) * (2 + extra))
+    with pytest.raises(ValueError, match=match):
+        spec(knots, (1.0,) * (len(knots) + extra + more))

@@ -210,6 +210,14 @@ class TestCoefficient:
         assert laguerre_coefficient(UNIT_STEP, np.int64(3), 0.5) \
             == laguerre_coefficient(UNIT_STEP, 3, 0.5)
 
+    @pytest.mark.parametrize("f", [LaguerreStep((1.0,), (0.0,)), UNIT_STEP],
+                             ids=["zero-step", "unit-step"])
+    def test_fractional_degree_is_refused(self, f):
+        """A zero step, which has no pieces, used to reach np.zeros(3.5) and
+        raise numpy's TypeError; every spec now refuses the degree first."""
+        with pytest.raises(ValueError, match=r"^degree must be a nonnegative integer, got 2\.5$"):
+            laguerre_coefficient_series(f, 2.5, 0.5)
+
 
 class TestNorm:
     def test_unit_step_frozen(self):

@@ -268,12 +268,31 @@ class TestConvergeDoubling:
         lambda rtol: mehler_r(40, JacobiParams(0.5, 0.0), 2.0, rtol=rtol),
         lambda rtol: transform(Indicator(1.0, 2.0), 3.0, JacobiParams(0.5, 0.0),
                                rtol=rtol),
-    ], ids=["coefficient", "mehler_r", "transform"])
-    def test_invalid_rtol_fails_at_once(self, call, rtol):
-        """Without the check these ran the whole doubling ladder and then
-        raised AccuracyError."""
+        lambda rtol: coefficient_series(StepFunction((1.0,), (0.0, 1.0)), 8,
+                                        JacobiParams(0.5, -0.25), rtol=rtol),
+        lambda rtol: coefficient_series(PowerWeight(-0.3), 8, JacobiParams(0.5, -0.25),
+                                        rtol=rtol),
+        lambda rtol: coefficient_series(CosinePoly((1.0, 0.5)), 8,
+                                        JacobiParams(0.5, -0.25), rtol=rtol),
+        lambda rtol: transform_sweep(Indicator(1.0, 2.0), [], JacobiParams(0.5, 0.0),
+                                     rtol=rtol),
+    ], ids=["coefficient", "mehler_r", "transform", "step", "power", "cospoly",
+            "no-frequencies"])
+    def test_invalid_rtol_fails_at_once(self, call, rtol, built_sizes):
+        """Without the check the quadrature pathways ran the whole doubling
+        ladder and then raised AccuracyError, and the closed forms, the exact
+        cosine-polynomial rule and an empty sweep accepted it."""
         with pytest.raises(ValueError, match="rtol"):
             call(rtol)
+        assert built_sizes == []
+
+    def test_unknown_normalization_fails_at_once(self, built_sizes):
+        """sin theta is not smooth in cos theta, so its quadrature never
+        settles: without the check first this ran to n = 4096 and raised
+        AccuracyError."""
+        with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
+            coefficient_series(np.sin, 64, JacobiParams(0.5, -0.25), normalization="bogus")
+        assert built_sizes == []
 
 
 # Max |G - I| of the full Gram matrix (K = n - 1) of these rules, measured
