@@ -84,7 +84,7 @@ def _log_prefactor(t: float, params: JacobiParams) -> float:
 
 
 def _cosine_data(t: float, params: JacobiParams, n: int,
-                 log_scale: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+                 log_scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes S and amplitudes A with exp(log_scale) phi_tau(t) = A @ cos(tau * S).
 
     For alpha > -1/2 this encodes the singular-kernel integral; at

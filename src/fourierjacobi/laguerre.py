@@ -249,24 +249,23 @@ def step_identity_check(a: float, k: int, alpha: float) -> tuple[float, float]:
     return lhs, rhs
 
 
-_DEFAULT_BOUND_GRID = np.concatenate(([0.0], np.geomspace(1e-3, 200.0, 2000)))
-_DEFAULT_BOUND_GRID.setflags(write=False)
+_BOUND_GRID = np.concatenate(([0.0], np.geomspace(1e-3, 200.0, 2000)))
+_BOUND_GRID.setflags(write=False)
 
 
-def laguerre_bound_profile(kmax: int, alpha: float, grid=None) -> np.ndarray:
-    """Max of |e^(-x/2) R_k^a(x)| over a grid for every k = 0..kmax.
+def laguerre_bound_profile(kmax: int, alpha: float) -> np.ndarray:
+    """Max of |e^(-x/2) R_k^a(x)| over _BOUND_GRID for every k = 0..kmax.
 
     At most 1 when a >= 0; for a < 0 the value is still computed and
     returned, it just is not covered by the bound.  One table sweep.
     """
-    grid = _DEFAULT_BOUND_GRID if grid is None else np.asarray(grid, dtype=float)
-    tab = laguerre_r_table(kmax, alpha, grid)
-    return np.max(np.abs(tab * np.exp(-grid / 2.0)), axis=1)
+    tab = laguerre_r_table(kmax, alpha, _BOUND_GRID)
+    return np.max(np.abs(tab * np.exp(-_BOUND_GRID / 2.0)), axis=1)
 
 
-def laguerre_decay(f, kmax: int, alpha: float,
-                   window: tuple[int, int] | None = None) -> DecayReport:
-    """Decay-exponent fit of the coefficient magnitudes, for alpha >= 0."""
+def laguerre_decay(f, kmax: int, alpha: float) -> DecayReport:
+    """Decay-exponent fit of the coefficient magnitudes over (kmax/8, kmax),
+    for alpha >= 0."""
     if alpha < 0.0:
         raise ValueError("the decay statement needs alpha >= 0")
-    return _decay_report(laguerre_coefficient_series(f, kmax, alpha), window)
+    return _decay_report(laguerre_coefficient_series(f, kmax, alpha))

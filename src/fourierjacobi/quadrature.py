@@ -15,7 +15,8 @@ hit that cache.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lgamma, exp, log
+from math import inf, lgamma, exp, log
+from numbers import Real
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -211,9 +212,12 @@ def converge_doubling(evaluate, n0: int, rtol: float = 1e-10,
     at the first size 2n with max|v(2n) - v(n)| <= rtol * max(1, max|v(2n)|)
     and returns v(2n) unchanged.  Otherwise it raises AccuracyError with the
     last relative difference as `achieved`; a NaN never counts as converged.
-    A NaN or negative rtol raises ValueError before the first evaluation.
+    A NaN or negative rtol, or an nmax that is not a finite number >= 1,
+    raises ValueError before the first evaluation.
     """
     _check_rtol(rtol)
+    if not (isinstance(nmax, Real) and 1 <= nmax < inf):
+        raise ValueError(f"nmax must be a finite number >= 1, got {nmax!r}")
     n = max(int(n0), 1)
     limit = max(nmax, 4 * n)
     prev = evaluate(n)

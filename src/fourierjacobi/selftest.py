@@ -109,7 +109,7 @@ def closed_form_gap(f, params: JacobiParams, kmax: int = 256) -> float:
     quadrature series, relative to max(1, max|hat|): the second pathway keeps
     the evidence independent of the closed form."""
     exact = coefficient_series(f, kmax, params).values
-    quad = _converged_values(_pieces(f, params), params, kmax)
+    quad = _converged_values(_pieces(f), params, kmax)
     return float(np.max(np.abs(exact - quad))) / max(1.0, float(np.max(np.abs(exact))))
 
 

@@ -152,7 +152,7 @@ class _XPiece:
     rho: float = 0.0  # power of (1+x) beyond beta, for the power weight
 
 
-def _pieces(f, params: JacobiParams, g=None) -> list[_XPiece]:
+def _pieces(f, g=None) -> list[_XPiece]:
     """g(f) as x-pieces on which it is smooth; g is None (f), abs or np.square.
 
     Zero pieces are dropped, and a grid gives its linear interior pieces only
@@ -373,7 +373,7 @@ def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10) -> 
     if isinstance(f, CosinePoly) and g in (None, np.square):
         c = np.array(f.coefficients)
         return _cospoly_values(c if g is None else chebmul(c, c), params, kmax)
-    vals = _converged_values(_pieces(f, params, g), params, kmax, rtol)
+    vals = _converged_values(_pieces(f, g), params, kmax, rtol)
     if isinstance(f, GridSampled):
         vals = _values(_grid_ends(f), params, kmax, g) + vals
     return vals
@@ -522,15 +522,24 @@ def decade_max(values: np.ndarray, lo: int, hi: int) -> float:
     return float(np.max(np.abs(values[lo:hi + 1])))
 
 
-def _fit_loglog(ks: np.ndarray, vals: np.ndarray) -> tuple[float, float, float, int]:
-    keep = vals != 0.0
-    skipped = int(np.sum(~keep))
+def _fit(ks: np.ndarray, values: np.ndarray) -> DecayReport:
+    """Log-log fit of |values| against ks + 1, over the window (ks[0], ks[-1]).
+
+    Zero entries are skipped: 1 to 7 nonzero entries are too few for a slope,
+    and none at all give the empty fit.  max_abs_tail is taken over
+    ks >= ks[-1] // 2.
+    """
+    if ks.size < 2:
+        raise ValueError(f"a fit window needs at least two degrees, got {ks.size}")
+    keep = values != 0.0
+    window, skipped = (int(ks[0]), int(ks[-1])), int(np.sum(~keep))
+    tail = float(np.max(np.abs(values[ks >= ks[-1] // 2])))
     if not keep.any():
-        return 0.0, 0.0, 0.0, skipped
+        return DecayReport(window, 0.0, 0.0, 0.0, tail, skipped)
     if int(np.sum(keep)) < 8:
         raise ValueError("fewer than 8 nonzero points in the fit window")
     lx = np.log(ks[keep] + 1.0)
-    ly = np.log(np.abs(vals[keep]))
+    ly = np.log(np.abs(values[keep]))
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     ss_res = float(resid @ resid)
@@ -539,30 +548,18 @@ def _fit_loglog(ks: np.ndarray, vals: np.ndarray) -> tuple[float, float, float, 
         r2 = 1.0 if ss_res <= 1e-28 else 0.0
     else:
         r2 = max(0.0, 1.0 - ss_res / ss_tot)
-    return float(slope), float(intercept), r2, skipped
+    return DecayReport(window, float(slope), float(intercept), r2, tail, skipped)
 
 
-def _decay_report(values: np.ndarray,
-                  window: tuple[int, int] | None) -> DecayReport:
-    """Log-log fit of |values[k]| over a checked window, by default (kmax/8, kmax)."""
-    kmax = len(values) - 1
-    if window is None:
-        window = (max(kmax // 8, 1), kmax)
-    k0, k1 = int(window[0]), int(window[1])
-    if not 0 <= k0 < k1 <= kmax:
-        raise ValueError(f"window {window} outside the series range")
-    if k1 < 2 * k0:
-        raise ValueError("window must span at least one doubling (k1 >= 2 k0)")
-    ks = np.arange(k0, k1 + 1)
-    slope, intercept, r2, skipped = _fit_loglog(ks, np.asarray(values[k0:k1 + 1]))
-    tail = decade_max(values, max(k0, k1 // 2), k1)
-    return DecayReport((k0, k1), slope, intercept, r2, tail, skipped)
+def _decay_report(values: np.ndarray) -> DecayReport:
+    """Log-log fit of |values[k]| over the window (max(kmax/8, 1), kmax)."""
+    k0 = max((len(values) - 1) // 8, 1)
+    return _fit(np.arange(k0, len(values)), values[k0:])
 
 
-def decay_fit(series: CoefficientSeries,
-              window: tuple[int, int] | None = None) -> DecayReport:
-    """Fit the decay (or growth) exponent of |coefficients| over a degree window."""
-    return _decay_report(series.values, window)
+def decay_fit(series: CoefficientSeries) -> DecayReport:
+    """Fit the decay (or growth) exponent of |coefficients| over (kmax/8, kmax)."""
+    return _decay_report(series.values)
 
 
 @dataclass(frozen=True)
@@ -592,7 +589,7 @@ def counterexample_slope(params: JacobiParams, rho: float,
     if kmax < 256:
         raise ValueError("need kmax >= 256 for a stable exponent fit")
     series = coefficient_series(PowerWeight(rho), kmax, params)
-    fit = decay_fit(series, (kmax // 8, kmax))
+    fit = decay_fit(series)
     predicted = -2.0 * rho - params.alpha - params.beta - 2.0
     margin = params.beta + rho + 1.0
     regime = 0.0 < margin < (params.beta - params.alpha) / 2.0
@@ -655,16 +652,11 @@ def sup_norm_r(k: int, params: JacobiParams, region: str = "full") -> float:
     return max(abs(jacobi_r(k, params, t)) for t in x)
 
 
-def sup_norm_slope(params: JacobiParams, ks=None,
-                   region: str = "full") -> DecayReport:
-    """Growth exponent of the sup norms over a geometric ladder of degrees."""
-    if ks is None:
-        ks = np.unique(np.rint(np.geomspace(64, 1024, 9)).astype(int))
-    ks = np.asarray(ks, dtype=int)
-    if ks.size < 8:
-        raise ValueError("fewer than 8 degrees in the fit window")
-    sups = np.array([sup_norm_r(int(k), params, region) for k in ks])
-    slope, intercept, r2, skipped = _fit_loglog(ks.astype(float), sups)
-    k0, k1 = int(ks[0]), int(ks[-1])
-    tail = float(np.max(sups[ks >= k1 // 2]))
-    return DecayReport((k0, k1), slope, intercept, r2, tail, skipped)
+# Degrees of the sup-norm fit: nine rungs of a geometric ladder from 64 to 1024.
+_SUP_DEGREES = (64, 91, 128, 181, 256, 362, 512, 724, 1024)
+
+
+def sup_norm_slope(params: JacobiParams, region: str = "full") -> DecayReport:
+    """Growth exponent of the sup norms over the degree ladder _SUP_DEGREES."""
+    sups = np.array([sup_norm_r(k, params, region) for k in _SUP_DEGREES])
+    return _fit(np.array(_SUP_DEGREES), sups)

@@ -2,10 +2,12 @@
 
 Every spec goes through every consumer and is checked against SciPy quad;
 the four piecewise specs share one knot check; the package exports each
-public name from exactly one module.
+public name from exactly one module, and each public function's parameters
+are pinned.
 """
 
 import importlib
+import inspect
 import math
 
 import numpy as np
@@ -111,6 +113,58 @@ def test_every_export_has_one_owner():
         assert name not in fourierjacobi.__all__
         assert getattr(getattr(fourierjacobi, module), name).__module__ == \
             f"fourierjacobi.{module}"
+
+
+# The parameter names of every public function, in order: a knob added to or
+# taken from the public surface shows up here.
+PUBLIC_PARAMETERS = {
+    "jacobi_p": ("k", "params", "x"),
+    "jacobi_r": ("k", "params", "x"),
+    "jacobi_p_one": ("k", "params"),
+    "jacobi_r_table": ("kmax", "params", "x"),
+    "laguerre_l": ("k", "alpha", "x"),
+    "laguerre_r": ("k", "alpha", "x"),
+    "laguerre_r_table": ("kmax", "alpha", "x"),
+    "hyp2f1": ("a", "b", "c", "z"),
+    "h_normalizer_table": ("kmax", "params"),
+    "gauss_jacobi_rule": ("n", "alpha", "beta"),
+    "gauss_laguerre_rule": ("n", "alpha"),
+    "gauss_legendre_rule": ("n",),
+    "mapped_jacobi_rule": ("n", "alpha", "beta", "lo", "hi"),
+    "converge_doubling": ("evaluate", "n0", "rtol", "nmax"),
+    "coefficient": ("f", "k", "params", "rtol"),
+    "coefficient_series": ("f", "kmax", "params", "normalization", "rtol"),
+    "norm_l": ("f", "params"),
+    "synthesize": ("series", "theta"),
+    "parseval_check": ("f", "params", "kmax"),
+    "decay_fit": ("series",),
+    "counterexample_slope": ("params", "rho", "kmax"),
+    "sup_norm_r": ("k", "params", "region"),
+    "sup_norm_slope": ("params", "region"),
+    "decade_max": ("values", "lo", "hi"),
+    "mehler_r": ("k", "params", "theta", "rtol"),
+    "mehler_limit_r": ("k", "beta", "theta", "rtol"),
+    "kernel_mass_h": ("theta", "alpha"),
+    "laguerre_coefficient": ("f", "k", "alpha"),
+    "laguerre_coefficient_series": ("f", "kmax", "alpha"),
+    "laguerre_norm": ("f", "alpha"),
+    "step_identity_check": ("a", "k", "alpha"),
+    "laguerre_bound_profile": ("kmax", "alpha"),
+    "laguerre_decay": ("f", "kmax", "alpha"),
+    "Indicator": ("a", "b"),
+    "jacobi_function": ("tau", "t", "params", "rtol"),
+    "transform": ("f", "tau", "params", "rtol"),
+    "transform_sweep": ("f", "taus", "params", "rtol"),
+    "envelope_check": ("params", "t_grid", "tau_grid"),
+    "run_all": ("names",),
+}
+
+
+def test_every_public_function_has_its_pinned_parameters():
+    functions = {name: getattr(fourierjacobi, name) for name in fourierjacobi.__all__
+                 if inspect.isfunction(getattr(fourierjacobi, name))}
+    assert {name: tuple(inspect.signature(f).parameters)
+            for name, f in functions.items()} == PUBLIC_PARAMETERS
 
 
 # each piecewise spec, and how many more values than knots it takes

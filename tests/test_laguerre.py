@@ -324,13 +324,3 @@ class TestDecay:
         with pytest.raises(ValueError):
             laguerre_decay(UNIT_STEP, 256, -0.25)
 
-    @pytest.mark.parametrize("window, match", [
-        ((0, 100), "outside the series range"),
-        ((-4, 64), "outside the series range"),
-        ((8, 8), "outside the series range"),
-        ((40, 64), "doubling"),
-    ])
-    def test_window_checked(self, window, match):
-        """Bad windows raise the same ValueError as decay_fit."""
-        with pytest.raises(ValueError, match=match):
-            laguerre_decay(UNIT_STEP, 64, 1.0, window=window)

@@ -262,6 +262,15 @@ class TestConvergeDoubling:
             converge_doubling(lambda n: sizes.append(n) or 1.0, 8, rtol)
         assert sizes == []
 
+    @pytest.mark.parametrize("nmax", [math.nan, "x", math.inf, 0, 0.5])
+    def test_invalid_nmax_raises_before_any_evaluation(self, nmax):
+        """A NaN cap made the loop skip every doubling and then read an unset
+        difference (UnboundLocalError); a string failed in max() (TypeError)."""
+        sizes = []
+        with pytest.raises(ValueError, match="nmax"):
+            converge_doubling(lambda n: sizes.append(n) or 1.0, 8, 1e-10, nmax)
+        assert sizes == []
+
     @pytest.mark.parametrize("rtol", [math.nan, -1.0])
     @pytest.mark.parametrize("call", [
         lambda rtol: coefficient(np.cos, 3, JacobiParams(0.5, -0.25), rtol=rtol),

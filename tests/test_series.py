@@ -471,18 +471,19 @@ class TestDecayFit:
         values = (np.arange(257) + 1.0) ** -1.0
         values[::2] = 0.0
         series = CoefficientSeries(JacobiParams(0.0, 0.0), 256, values)
-        rep = decay_fit(series, (16, 256))
-        assert rep.skipped > 0
+        rep = decay_fit(series)
+        assert rep.window == (32, 256)
+        assert rep.skipped == 113
         np.testing.assert_allclose(rep.slope, -1.0, atol=1e-8)
 
     def test_insufficient_data(self):
-        """3 nonzero entries in the window are too few for a slope."""
+        """3 nonzero entries in the window (8, 64) are too few for a slope."""
         values = np.zeros(65)
         values[:3] = 1.0
         values[8:11] = 1.0
         series = CoefficientSeries(JacobiParams(0.0, 0.0), 64, values)
         with pytest.raises(ValueError, match="fewer than 8"):
-            decay_fit(series, (8, 64))
+            decay_fit(series)
 
     @pytest.mark.parametrize("nonzero", [1, 7])
     def test_one_to_seven_nonzero_entries_raise(self, nonzero):
@@ -490,7 +491,15 @@ class TestDecayFit:
         values[64 - nonzero + 1:] = 1.0
         series = CoefficientSeries(JacobiParams(0.0, 0.0), 64, values)
         with pytest.raises(ValueError, match="fewer than 8"):
-            decay_fit(series, (8, 64))
+            decay_fit(series)
+
+    @pytest.mark.parametrize("values", [[1.0, 1.0], [1.0, 0.0], [1.0]])
+    def test_kmax_below_two_has_no_window(self, values):
+        """The window (max(kmax/8, 1), kmax) holds the one degree 1 at kmax 1
+        and no degree at kmax 0: no fit, whatever the entries."""
+        series = CoefficientSeries(JacobiParams(0.0, 0.0), len(values) - 1, values)
+        with pytest.raises(ValueError, match="two degrees"):
+            decay_fit(series)
 
     def test_terminating_series(self):
         """Past the degree every entry is exactly 0: the fit is that of the
@@ -500,8 +509,11 @@ class TestDecayFit:
         assert rep.window == (128, 1024)
         assert (rep.slope, rep.intercept, rep.r_squared, rep.max_abs_tail) == (0.0,) * 4
         assert rep.skipped == 1024 - 128 + 1
-        # A window that reaches back into the nonzero entries still fits them.
-        assert decay_fit(series, (4, 1024)).skipped == 1024 - 24
+        # A window that reaches back into the nonzero entries (k <= 24)
+        # still fits them: at kmax 128 it is (16, 128).
+        short = decay_fit(coefficient_series(COSPOLY, 128, JacobiParams(0.5, -0.25)))
+        assert short.window == (16, 128)
+        assert short.skipped == 128 - 24
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -519,6 +531,8 @@ class TestCounterexample:
         np.testing.assert_allclose(rep.predicted_slope, -0.9, atol=1e-12)
         assert abs(rep.fit.slope - rep.predicted_slope) < 0.08
         assert not rep.divergence_regime
+        assert rep.fit == decay_fit(rep.series)
+        assert rep.fit.window == (64, 512)
 
     def test_rejects_integer_rho(self):
         with pytest.raises(ValueError):
@@ -668,15 +682,15 @@ class TestSupNorm:
         assert all(sup_norm_r(k, CHEB) == 1.0 for k in range(4097))
 
     def test_slope_report_window(self):
-        ks = (16, 24, 32, 48, 64, 96, 128, 192)
-        rep = sup_norm_slope(JacobiParams(0.5, -0.25), ks=ks, region="right")
-        assert rep.window == (16, 192)
+        """The fit runs over the nine-degree ladder 64, 91, ..., 1024; its
+        tail is the largest sup at 512, 724 and 1024."""
+        params = JacobiParams(0.5, -0.25)
+        rep = sup_norm_slope(params, region="right")
+        assert rep.window == (64, 1024)
         assert rep.slope < 0.0
-
-    @pytest.mark.parametrize("ks", [(), (16,), (16, 24, 32, 48, 64, 96, 128)])
-    def test_slope_needs_eight_degrees(self, ks):
-        with pytest.raises(ValueError, match="fewer than 8"):
-            sup_norm_slope(JacobiParams(0.5, -0.25), ks=ks)
+        assert rep.skipped == 0
+        assert rep.max_abs_tail == max(sup_norm_r(k, params, "right")
+                                       for k in (512, 724, 1024))
 
 
 class TestGridSampledSeries:
