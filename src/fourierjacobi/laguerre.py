@@ -6,17 +6,21 @@ splits once into pieces p(x) e^(-rate x) on [lo, hi) (_pieces).
 Coefficients integrate f R_k^a x^a e^(-x); the space norm integrates
 |f| x^a e^(-x/2), the split that makes |e^(-x/2) R_k| <= 1 usable.  Both
 take their nodes from one builder for the weight x^a e^(-d x), with d = 1
-and d = 1/2.
+and d = 1/2.  A step's coefficients need no nodes: they are a closed form
+summed over its jumps (_step_values).  The step identity checks that
+closed form against the quadrature of the [0, a] indicator, one sweep of
+degrees per rule size.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval, polyroots
 
 from .specfun import (_check_degree, _check_exponent, _check_finite, _check_knots,
-                      _laguerre_r_sums, laguerre_r, laguerre_r_table)
+                      _laguerre_r_sums, laguerre_r_table)
 from .quadrature import (converge_doubling, gauss_laguerre_rule, ladder_size,
                          mapped_jacobi_rule)
 from .series import DecayReport, _decay_report
@@ -161,30 +165,125 @@ def _weighted_nodes(pieces, n: int, alpha: float,
     return x[keep], u[keep]
 
 
+def _sums(pieces, top: int, alpha: float, n: int) -> np.ndarray:
+    """hat(k) for k = 0..top from n-point rules on the pieces.
+
+    The weighted nodes of all pieces are summed against R_k degree by
+    degree (specfun._laguerre_r_sums), with no table and no BLAS product.
+    """
+    return _laguerre_r_sums(top, alpha, *_weighted_nodes(pieces, n, alpha, 1.0))
+
+
+def _quadrature_values(pieces, kmax: int, alpha: float) -> np.ndarray:
+    """hat(k) for k = 0..kmax by the doubling quadrature.
+
+    The first rule is exact for R_k times a polynomial of degree below 64,
+    as in series.
+    """
+    return converge_doubling(lambda n: _sums(pieces, kmax, alpha, n),
+                             ladder_size((kmax + 1) // 2 + 32), 1e-10)
+
+
+def _power_exp(s: float, x: float) -> float:
+    """x^s e^(-x) for x > 0, through logarithms where x^s alone overflows."""
+    try:
+        return x ** s * math.exp(-x)
+    except OverflowError:
+        return math.exp(s * math.log(x) - x)
+
+
+def _incomplete_gammas(s: float, x: float) -> tuple[float, float]:
+    """The lower and upper incomplete gamma functions (gamma(s, x), Gamma(s, x)),
+    for s > 0 and x in [0, infinity].
+
+    Below x = s + 1 the lower one is the series of positive terms
+    x^s e^(-x) sum_n x^n / (s (s+1) ... (s+n)) (DLMF 8.7.1); from there on the
+    upper one is x^s e^(-x) times the continued fraction of DLMF 8.9.2 in its
+    even form, 1 / (x + 1 - s - 1 (1 - s) / (x + 3 - s - 2 (2 - s) / ...)).
+    The other one is Gamma(s) minus it, infinite once Gamma(s) overflows.
+    """
+    whole = math.gamma(s) if s < 171.0 else math.inf
+    if x == 0.0:
+        return 0.0, whole
+    if x == math.inf:
+        return whole, 0.0
+    front = _power_exp(s, x)
+    if x < s + 1.0:
+        term = total = 1.0 / s
+        m = s
+        while term > 1e-17 * total:
+            m += 1.0
+            term *= x / m
+            total += term
+        lower = front * total
+        return lower, whole - lower
+    # Lentz's method for the denominator b_0 + a_1 / (b_1 + a_2 / (b_2 + ...)),
+    # whose b_i are at least 2 here.
+    den = c = b = x + 1.0 - s
+    d = 0.0
+    for i in range(1, 10_000):
+        a = i * (s - i)
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        c = b + a / c
+        den *= c * d
+        if abs(c * d - 1.0) <= 3e-16:
+            break
+    upper = front / den
+    return whole - upper, upper
+
+
+def _step_values(f: LaguerreStep, kmax: int, alpha: float) -> np.ndarray:
+    """hat(k) of a step for k = 0..kmax, in closed form.
+
+    hat(0) sums the incomplete gamma masses of the pieces.  For k >= 1,
+    F_k(x) = e^(-x) x^(a+1) R_(k-1)^(a+1)(x) / (a+1) is the antiderivative
+    of R_k x^a e^(-x) that vanishes at 0 and at infinity, so summing by
+    parts leaves the drops dv_i = v_(i-1) - v_i at the breakpoints e_i:
+        hat(k) = sum_i dv_i F_k(e_i).
+    An edge e with e^(-e) = 0 in double precision counts as infinity, as in
+    _pieces: the pieces past it are dropped and it adds no jump.
+    """
+    s = alpha + 1.0
+    edges = [e if math.exp(-e) > 0.0 else math.inf for e in (0.0, *f.breakpoints)]
+    # Masses of [0, e] and of [e, infinity).  Each piece takes the
+    # difference of whichever is smaller, so a thin piece at either end does
+    # not cancel against the whole mass; a piece past infinity has mass 0.
+    head, tail = zip(*(_incomplete_gammas(s, e) for e in edges))
+    masses = [h1 - h0 if h1 <= t0 else t0 - t1
+              for h0, h1, t0, t1 in zip(head, head[1:], tail, tail[1:])]
+    out = np.zeros(kmax + 1)
+    out[0] = sum(v * m for v, m in zip(f.values, masses))
+    if kmax >= 1:
+        e = [x for x in edges[1:] if x < math.inf]
+        drops = [v0 - v1 for v0, v1 in zip(f.values, f.values[1:] + (0.0,))]
+        out[1:] = _laguerre_r_sums(kmax - 1, s, e, [dv * _power_exp(s, x) / s
+                                                    for dv, x in zip(drops, e)])
+    return out
+
+
 def _coefficient_values(f, kmax: int, alpha: float) -> np.ndarray:
     """hat(k) for k = 0..kmax against the x^a e^(-x) weight.
 
-    Each pass sums R_k against the weighted nodes degree by degree
-    (specfun._laguerre_r_sums), over the nodes of all pieces at once.  A
-    damped polynomial p e^(-rate x), p of degree d, takes one pass: its
-    Gauss-Laguerre rule in (1 + rate) x absorbs the exponential, and n nodes
-    with 2n - 1 >= k + d integrate R_k p exactly.  At rate 0, R_k is
-    orthogonal to p for k > d, so hat(k) = 0 there and d + 1 nodes suffice.
+    A step is summed in closed form (_step_values).  A damped polynomial
+    p e^(-rate x), p of degree d, takes one pass: its Gauss-Laguerre rule in
+    (1 + rate) x absorbs the exponential, and n nodes with 2n - 1 >= k + d
+    integrate R_k p exactly.  At rate 0, R_k is orthogonal to p for k > d,
+    so hat(k) = 0 there and d + 1 nodes suffice.  Anything else takes the
+    doubling quadrature (_quadrature_values).
     """
     kmax, alpha = _check_degree(kmax), _check_exponent(alpha)
+    if isinstance(f, LaguerreStep):
+        return _step_values(f, kmax, alpha)
     pieces = _pieces(f, 1.0)
     if not pieces:
         return np.zeros(kmax + 1)
-
-    def one(n: int, top: int = kmax) -> np.ndarray:
-        return _laguerre_r_sums(top, alpha, *_weighted_nodes(pieces, n, alpha, 1.0))
-
     if isinstance(f, LaguerreExpDamped):
         d = len(f.coefficients) - 1
         top = kmax if f.rate > 0.0 else min(d, kmax)
-        return np.pad(one(max(d + 1, (top + d) // 2 + 1), top), (0, kmax - top))
-    # Exact for R_k times a polynomial of degree below 64, as in series.
-    return converge_doubling(one, ladder_size((kmax + 1) // 2 + 32), 1e-10)
+        return np.pad(_sums(pieces, top, alpha, max(d + 1, (top + d) // 2 + 1)),
+                      (0, kmax - top))
+    return _quadrature_values(pieces, kmax, alpha)
 
 
 def laguerre_coefficient(f, k: int, alpha: float) -> float:
@@ -193,7 +292,11 @@ def laguerre_coefficient(f, k: int, alpha: float) -> float:
 
 
 def laguerre_coefficient_series(f, kmax: int, alpha: float) -> np.ndarray:
-    """Coefficients for k = 0..kmax in one recurrence sweep."""
+    """Coefficients for k = 0..kmax in one recurrence sweep.
+
+    A step's series is a closed form: incomplete gamma masses at k = 0, and
+    one sum over its jumps for k >= 1.  Other inputs take Gauss rules.
+    """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     return _coefficient_values(f, kmax, alpha)
@@ -229,23 +332,35 @@ def laguerre_norm(f, alpha: float) -> float:
 def step_identity_check(a: float, k: int, alpha: float) -> tuple[float, float]:
     """Both sides of the closed form for the [0, a] indicator coefficient.
 
-    lhs integrates R_k^a x^a e^(-x) over [0, a] by quadrature; rhs is
-    e^(-a) a^(a+1) R_{k-1}^{a+1}(a) / (a+1), entirely recurrence-based.
+    lhs integrates R_k^a x^a e^(-x) over [0, a] by the doubling quadrature;
+    rhs is e^(-a) a^(a+1) R_(k-1)^(a+1)(a) / (a+1), the closed form that
+    laguerre_coefficient_series takes for the step (_step_values).  Both come
+    from one sweep over the degrees that start on the rule of
+    ladder_size(k + 24) points, cached per (a, rung, alpha), so a loop over
+    k costs one sweep per rung.  The values depend on (a, k, alpha) alone.
     """
-    if a <= 0.0:
-        raise ValueError("endpoint must be positive")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"endpoint must be positive and finite, got {a}")
     if _check_degree(k) < 1:
         raise ValueError("the identity needs degree k >= 1")
-    alpha = _check_exponent(alpha)
+    lhs, rhs = _identity_sides(float(a), ladder_size(k + 24) - 24, _check_exponent(alpha))
+    return float(lhs[k]), float(rhs[k])
 
-    def one(n: int) -> float:
-        rule = mapped_jacobi_rule(n, 0.0, alpha, 0.0, a)
-        x = rule.nodes
-        return float(rule.weights @ (laguerre_r(k, alpha, x) * np.exp(-x)))
 
-    lhs = converge_doubling(one, ladder_size(k + 24), 1e-12)
-    rhs = (math.exp(-a) * a ** (alpha + 1.0)
-           * laguerre_r(k - 1, alpha + 1.0, a) / (alpha + 1.0))
+@lru_cache(maxsize=64)
+def _identity_sides(a: float, top: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the step identity for k = 0..top, as read-only arrays.
+
+    The quadrature takes the piece [0, a] itself rather than _pieces, so an
+    endpoint past the underflow of e^(-a) stays a finite interval.  Its
+    first rule has ladder_size(top + 24) points, where each degree of the
+    rung started on its own.
+    """
+    piece = [(0.0, a, (1.0,), 0.0)]
+    lhs = converge_doubling(lambda n: _sums(piece, top, alpha, n), top + 24, 1e-12)
+    rhs = _step_values(LaguerreStep((a,), (1.0,)), top, alpha)
+    for side in (lhs, rhs):
+        side.setflags(write=False)
     return lhs, rhs
 
 

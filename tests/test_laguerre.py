@@ -18,6 +18,7 @@ from fourierjacobi import (
     laguerre_bound_profile,
     laguerre_decay,
 )
+from fourierjacobi import laguerre
 
 UNIT_STEP = LaguerreStep((1.0,), (1.0,))
 
@@ -219,6 +220,64 @@ class TestCoefficient:
             laguerre_coefficient_series(f, 2.5, 0.5)
 
 
+def quadrature_series(f, kmax, alpha):
+    """The doubling-quadrature series of f, the pathway a step no longer takes."""
+    return laguerre._quadrature_values(laguerre._pieces(f, 1.0), kmax, alpha)
+
+
+class TestStepClosedForm:
+    def test_thin_head_piece_against_mpmath(self):
+        """A piece of width 1e-9 at 0 with alpha = -0.9 holds 1.26 of mass in
+        x^(-0.9), which the doubling quadrature does not resolve (it raises
+        AccuracyError).  30-digit mpmath, x = y^10 on both pieces."""
+        got = laguerre_coefficient_series(LaguerreStep((1e-9, 2.0), (1.0, -1.0)), 64, -0.9)
+        want = (-6.941678907196464712902681, 1.067363169892140226308523,
+                1.525917381732334947707719, 2.970238748148669635060732)
+        scale = max(1.0, float(np.max(np.abs(got))))
+        np.testing.assert_allclose(got[[0, 1, 7, 64]], want, rtol=0.0, atol=1e-13 * scale)
+
+    def test_edge_past_the_underflow(self):
+        """e^(-800) = 0, so the edge at 800 counts as infinity: the 0.5 piece
+        runs to infinity, as it does for the quadrature."""
+        f = LaguerreStep((1.0, 800.0), (1.0, 0.5))
+        got = laguerre_coefficient_series(f, 64, 0.5)
+        assert np.all(np.isfinite(got))
+        quad_vals = quadrature_series(f, 64, 0.5)
+        scale = max(1.0, float(np.max(np.abs(got))))
+        assert float(np.max(np.abs(got - quad_vals))) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_against_the_quadrature(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 6))
+        f = LaguerreStep(tuple(np.sort(rng.uniform(0.05, 40.0, m))),
+                         tuple(rng.normal(size=m)))
+        alpha = 3.0 if seed == 0 else float(rng.uniform(-0.95, 3.0))
+        got = laguerre_coefficient_series(f, 512, alpha)
+        scale = max(1.0, float(np.max(np.abs(got))))
+        assert float(np.max(np.abs(got - quadrature_series(f, 512, alpha)))) <= 1e-9 * scale
+
+    def test_large_exponents(self):
+        """Gamma(201) overflows, but the mass of [0, 1) against x^200 e^(-x)
+        does not; and 300^151 overflows, but hat(0) of the step below,
+        gamma(151, 1) + 2 Gamma(151, 1) - 2 Gamma(151, 300), does not (30-digit
+        mpmath).  The quadrature refuses the second one."""
+        f = LaguerreStep((1.0,), (1.0,))
+        got = laguerre_coefficient_series(f, 8, 200.0)
+        np.testing.assert_allclose(got, quadrature_series(f, 8, 200.0), rtol=1e-12)
+        got = laguerre_coefficient_series(LaguerreStep((1.0, 300.0), (1.0, 2.0)), 8, 150.0)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got[0], 1.14267679128917091809503e+263, rtol=1e-13)
+
+    def test_requests_no_rule(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Gauss rule was requested")
+
+        monkeypatch.setattr(laguerre, "mapped_jacobi_rule", refuse)
+        monkeypatch.setattr(laguerre, "gauss_laguerre_rule", refuse)
+        laguerre_coefficient_series(LaguerreStep((0.5, 3.0, 900.0), (1.0, -2.0, 0.25)), 256, 0.5)
+
+
 class TestNorm:
     def test_unit_step_frozen(self):
         """Weighted L-norm of the indicator at alpha = 0: 2 (1 - e^(-1/2))."""
@@ -283,10 +342,33 @@ class TestStepIdentity:
         np.testing.assert_allclose(lhs, ref, rtol=1e-9)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            step_identity_check(0.0, 3, 0.5)
-        with pytest.raises(ValueError):
-            step_identity_check(1.0, 0, 0.5)
+        for a, k in [(0.0, 3), (-1.0, 3), (math.inf, 3), (math.nan, 3), (1.0, 0), (1.0, 2.5)]:
+            with pytest.raises(ValueError):
+                step_identity_check(a, k, 0.5)
+
+    def test_rhs_is_the_step_series(self):
+        """The rhs is the closed form of the [0, a) indicator's series."""
+        series = laguerre_coefficient_series(LaguerreStep((2.5,), (1.0,)), 50, 0.5)
+        for k in (1, 8, 9, 50):
+            assert step_identity_check(2.5, k, 0.5)[1] == series[k]
+
+    def test_values_do_not_depend_on_earlier_calls(self):
+        """Degrees share one cached sweep per rung; a degree asked for on a
+        cold cache and after a sweep over k = 1..50 has the same bits."""
+        ks = (1, 8, 9, 40, 41, 50)
+        cold = {}
+        for k in ks:
+            laguerre._identity_sides.cache_clear()
+            cold[k] = step_identity_check(2.5, k, 0.5)
+        laguerre._identity_sides.cache_clear()
+        warm = {k: step_identity_check(2.5, k, 0.5) for k in range(1, 51)}
+        assert {k: warm[k] for k in ks} == cold
+
+    def test_endpoint_past_the_underflow_stays_finite(self):
+        """At a = 800 the quadrature keeps the finite interval [0, 800]."""
+        lhs, rhs = step_identity_check(800.0, 5, 0.5)
+        assert math.isfinite(lhs) and rhs == 0.0
+        assert abs(lhs) < 1e-12
 
 
 class TestBound:

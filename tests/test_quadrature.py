@@ -37,7 +37,7 @@ from fourierjacobi import (
     mapped_jacobi_rule,
     converge_doubling,
 )
-from fourierjacobi import mehler, quadrature
+from fourierjacobi import laguerre, mehler, quadrature
 from fourierjacobi.jtransform import _phi_grid
 from fourierjacobi.quadrature import _jacobi_coeffs, ladder_size
 
@@ -385,6 +385,7 @@ class TestRuleAccuracy:
 
 P = JacobiParams(0.3, -0.2)
 UNIT_STEP = LaguerreStep((1.0,), (1.0,))
+UNIT_RAMP = HalfLineGrid((0.5, 1.5), (1.0, 0.0))
 
 # Each call runs one doubling loop whose evaluations build one rule each.
 SINGLE_RULE_LOOPS = {
@@ -395,7 +396,7 @@ SINGLE_RULE_LOOPS = {
     "coefficient": lambda: coefficient(lambda th: CosinePoly((0.5, 1.0, 0.25))(th), 3, P),
     "coefficient_series": lambda: coefficient_series(np.cos, 64, P),
     "norm_l": lambda: norm_l(CosinePoly((1.0, 0.5)), P),
-    "laguerre_step_series": lambda: laguerre_coefficient_series(UNIT_STEP, 8, 0.5),
+    "laguerre_grid_series": lambda: laguerre_coefficient_series(UNIT_RAMP, 8, 0.5),
     "laguerre_step_norm": lambda: laguerre_norm(UNIT_STEP, 0.5),
     "step_identity_check": lambda: step_identity_check(1.5, 4, 0.5),
     "phi_grid": lambda: _phi_grid(P, np.array([1.5]), np.array([0.0, 4.0])),
@@ -406,10 +407,11 @@ SINGLE_RULE_LOOPS = {
 def built_sizes(monkeypatch):
     """Sizes of every Gauss rule requested, cache hits included, in order.
 
-    The Mehler kernel cache is emptied first: on a warm cache the Mehler
-    loops request no rule at all.
+    The Mehler kernel and step identity caches are emptied first: on a warm
+    cache those loops request no rule at all.
     """
     mehler._kernel_data.cache_clear()
+    laguerre._identity_sides.cache_clear()
     sizes = []
     for name in ("_gauss_jacobi_cached", "_gauss_laguerre_cached"):
         cached = getattr(quadrature, name)
@@ -448,7 +450,7 @@ class TestDoublingLoops:
         coefficient_series(lambda th: f(th), 1024, JacobiParams(0.5, -0.25))
         assert built_sizes == [544, 1088]
         built_sizes.clear()
-        laguerre_coefficient_series(UNIT_STEP, 1024, 0.5)
+        laguerre_coefficient_series(UNIT_RAMP, 1024, 0.5)
         assert built_sizes[0] == 544
 
     def test_polynomials_request_one_rule_of_the_exact_size(self, built_sizes):

@@ -788,7 +788,8 @@ class TestTableFree:
 
     @pytest.mark.parametrize("f", [laguerre_module.LaguerreStep((1.0, 2.0), (1.0, -0.5)),
                                    laguerre_module.LaguerreExpDamped((1.0, 2.0)),
-                                   laguerre_module.LaguerreExpDamped((1.0, 2.0), 0.5)])
+                                   laguerre_module.LaguerreExpDamped((1.0, 2.0), 0.5),
+                                   laguerre_module.HalfLineGrid((0.5, 1.5), (1.0, 0.0))])
     def test_laguerre_series_without_tables(self, f, no_tables):
         laguerre_module.laguerre_coefficient_series(f, 64, 0.5)
 
