@@ -7,7 +7,8 @@ Coefficients integrate f R_k^a x^a e^(-x); the space norm integrates
 |f| x^a e^(-x/2), the split that makes |e^(-x/2) R_k| <= 1 usable.  Both
 take their nodes from one builder for the weight x^a e^(-d x), with d = 1
 and d = 1/2.  A step's coefficients need no nodes: they are a closed form
-summed over its jumps (_step_values).  The step identity checks that
+summed over its jumps (_step_values), and its norm is a sum of incomplete
+gamma masses (_step_masses).  The step identity checks that
 closed form against the quadrature of the [0, a] indicator, one sweep of
 degrees per rule size.
 """
@@ -233,6 +234,21 @@ def _incomplete_gammas(s: float, x: float) -> tuple[float, float]:
     return whole - upper, upper
 
 
+def _step_masses(s: float, edges) -> list[float]:
+    """The masses of [e_i, e_(i+1)) against x^(s-1) e^(-x) for ascending edges.
+
+    An edge e with e^(-e) = 0 in double precision counts as infinity, as in
+    _pieces.  From the masses of [0, e] and of [e, infinity), each piece
+    takes the difference of whichever is smaller, so a thin piece at either
+    end does not cancel against the whole mass; a piece past infinity has
+    mass 0.
+    """
+    edges = [e if math.exp(-e) > 0.0 else math.inf for e in edges]
+    head, tail = zip(*(_incomplete_gammas(s, e) for e in edges))
+    return [h1 - h0 if h1 <= t0 else t0 - t1
+            for h0, h1, t0, t1 in zip(head, head[1:], tail, tail[1:])]
+
+
 def _step_values(f: LaguerreStep, kmax: int, alpha: float) -> np.ndarray:
     """hat(k) of a step for k = 0..kmax, in closed form.
 
@@ -245,17 +261,10 @@ def _step_values(f: LaguerreStep, kmax: int, alpha: float) -> np.ndarray:
     _pieces: the pieces past it are dropped and it adds no jump.
     """
     s = alpha + 1.0
-    edges = [e if math.exp(-e) > 0.0 else math.inf for e in (0.0, *f.breakpoints)]
-    # Masses of [0, e] and of [e, infinity).  Each piece takes the
-    # difference of whichever is smaller, so a thin piece at either end does
-    # not cancel against the whole mass; a piece past infinity has mass 0.
-    head, tail = zip(*(_incomplete_gammas(s, e) for e in edges))
-    masses = [h1 - h0 if h1 <= t0 else t0 - t1
-              for h0, h1, t0, t1 in zip(head, head[1:], tail, tail[1:])]
     out = np.zeros(kmax + 1)
-    out[0] = sum(v * m for v, m in zip(f.values, masses))
+    out[0] = sum(v * m for v, m in zip(f.values, _step_masses(s, (0.0, *f.breakpoints))))
     if kmax >= 1:
-        e = [x for x in edges[1:] if x < math.inf]
+        e = [x for x in f.breakpoints if math.exp(-x) > 0.0]
         drops = [v0 - v1 for v0, v1 in zip(f.values, f.values[1:] + (0.0,))]
         out[1:] = _laguerre_r_sums(kmax - 1, s, e, [dv * _power_exp(s, x) / s
                                                     for dv, x in zip(drops, e)])
@@ -308,10 +317,15 @@ def laguerre_norm(f, alpha: float) -> float:
     Pieces are cut at the positive real roots of p, so |p| is smooth on each.
     A damped polynomial p e^(-rate x) with no positive root has |p| = +-p, so
     one Gauss-Laguerre rule in (rate + 1/2) x of ceil((d + 1) / 2) points, d
-    the degree of p, is exact.  Any other input doubles from 32 nodes, where
-    _coefficient_values starts at kmax 0.
+    the degree of p, is exact.  A step needs no nodes: x = 2 y turns each
+    piece's integral into 2^(a+1) times an incomplete gamma mass at the
+    halved edges (_step_masses).  Any other input doubles from 32 nodes,
+    where _coefficient_values starts at kmax 0.
     """
     alpha = _check_exponent(alpha)
+    if isinstance(f, LaguerreStep):
+        masses = _step_masses(alpha + 1.0, [e / 2.0 for e in (0.0, *f.breakpoints)])
+        return 2.0 ** (alpha + 1.0) * sum(abs(v) * m for v, m in zip(f.values, masses) if v)
     pieces = []
     for lo, hi, p, rate in _pieces(f, 0.5):
         cuts = sorted({float(r.real) for r in polyroots(p)

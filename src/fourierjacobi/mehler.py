@@ -10,6 +10,13 @@ Both formulas, like the kernel of the continuous transform in jtransform
 A with value(lambda) = A @ cos(lambda S), where lambda = k + (alpha+beta+1)/2.
 The kernel data is built once per parameter set, angle and rule size and
 reused for every degree k; only the cosine factor is formed per degree.
+
+One evaluator, _cosine_sum, sums every such kernel.  A single lambda (each
+Mehler value), a short grid or an uneven one is summed directly,
+cos(outer(lambdas, S)) @ A.  An evenly spaced grid of m frequencies, as the
+transform sweeps take, is split by angle addition into blocks of
+b = ceil(sqrt m) steps: about 4 sqrt(m) cosines and sines per node instead
+of m, used whenever that count is below m.
 """
 
 import math
@@ -29,6 +36,10 @@ _THETA_MIN = 1e-6
 # at one angle touches only a few sizes, so this holds many angles' worth.
 _KERNEL_CACHE_SIZE = 128
 
+# A frequency grid counts as evenly spaced to within this fraction (8 ulps)
+# of its largest value.
+_GRID_RTOL = 8.0 * np.finfo(float).eps
+
 
 def _check_theta(theta: float) -> float:
     theta = float(theta)
@@ -38,7 +49,30 @@ def _check_theta(theta: float) -> float:
 
 
 def _cosine_sum(s: np.ndarray, amp: np.ndarray, lams) -> np.ndarray:
-    """A @ cos(lambda S) at every lambda in lams."""
+    """A @ cos(lambda S) at every lambda in lams.
+
+    An evenly spaced grid lambda_j = lambda_0 + j h of m values is summed by
+    angle addition: with b = ceil(sqrt m), q = ceil(m / b) and j = i b + r,
+        cos(lambda_j S) = cos(H_i S) cos(r h S) - sin(H_i S) sin(r h S),
+    H_i = lambda_0 + i b h, so the sums are two (q x n) @ (n x b) products
+    and each node needs 2 (b + q) cosines and sines instead of m.  The grid
+    is taken as evenly spaced when every lambda is within 8 ulps of
+    max|lambda| of lambda_0 + j h.  Any other input, and any grid too short
+    for the split to save trig calls (2 (b + q) >= m, a single lambda
+    included), is summed directly, cos(outer(lams, S)) @ A.
+    """
+    m = len(lams)
+    b = math.isqrt(m - 1) + 1 if m else 1
+    q = -(-m // b)
+    if 2 * (b + q) < m:
+        lams = np.asarray(lams, dtype=float)
+        h = (lams[-1] - lams[0]) / (m - 1)
+        off = np.max(np.abs(lams - (lams[0] + h * np.arange(m))))
+        if off <= _GRID_RTOL * np.max(np.abs(lams)):
+            hs = np.outer(lams[0] + h * np.arange(0, q * b, b), s)
+            rs = np.outer(h * np.arange(b), s)
+            out = (np.cos(hs) * amp) @ np.cos(rs).T - (np.sin(hs) * amp) @ np.sin(rs).T
+            return out.ravel()[:m]
     return np.cos(np.outer(lams, s)) @ amp
 
 

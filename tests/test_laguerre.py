@@ -308,6 +308,13 @@ class TestNorm:
         got = laguerre_norm(LaguerreStep((745.2, 1e6), (0.0, 1.0)), 0.5)
         np.testing.assert_allclose(got, 8.310441222909508e-161, rtol=1e-12)
 
+    def test_step_with_a_thin_head_against_mpmath(self):
+        """sum_i |v_i| 2^(a+1) (gamma(a+1, e_(i+1)/2) - gamma(a+1, e_i/2)) in
+        30-digit mpmath.  The doubling quadrature did not settle on the thin
+        head piece at a = -0.9."""
+        f = LaguerreStep((1e-9, 2.0, 50.0), (3.0, -1.0, 0.5))
+        np.testing.assert_allclose(laguerre_norm(f, -0.9), 12.591170790480829557, rtol=1e-14)
+
     def test_start_above_half_the_cap(self, monkeypatch):
         """A start size past 2048 (a polynomial of 2041 or more coefficients)
         must still compare two rule sizes rather than skip the loop.  The

@@ -224,6 +224,74 @@ def test_kernel_sums_share_one_evaluator(name, monkeypatch):
     assert calls
 
 
+# Kernels of many nodes, as the evaluator sees them: the transform kernel at
+# an outer node and the Mehler singular kernel.
+GRID_KERNELS = {
+    "transform": lambda: jtransform._cosine_data(3.0, KERNEL_P, 256, 0.0),
+    "mehler": lambda: mehler._kernel_data(0.5, -0.25, 1.2, 128),
+}
+
+GRIDS = {"from-0": (0.0, 50.0), "above-0": (3.5, 200.0), "descending-to-0": (50.0, 0.0),
+         "descending": (400.0, 0.25)}
+
+
+def direct_sum(s, amp, lams):
+    return np.cos(np.outer(lams, s)) @ amp
+
+
+class TestCosineSum:
+    @pytest.mark.parametrize("kernel", sorted(GRID_KERNELS))
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("m", [21, 41, 101, 801, 3200])
+    def test_arithmetic_grid_matches_the_direct_sum(self, kernel, grid, m):
+        """Angle addition moves each value by rounding only: within
+        eps (1 + max|lambda| max|S|) sum|A| of the direct sum."""
+        s, amp = GRID_KERNELS[kernel]()
+        lams = np.linspace(*GRIDS[grid], m)
+        got = mehler._cosine_sum(s, amp, lams)
+        bound = (np.finfo(float).eps * (1.0 + np.max(np.abs(lams)) * np.max(np.abs(s)))
+                 * np.sum(np.abs(amp)))
+        assert got.shape == (m,)
+        assert float(np.max(np.abs(got - direct_sum(s, amp, lams)))) <= bound
+
+    @pytest.mark.parametrize("lams, trig_rows", [
+        (np.linspace(0.0, 50.0, 101), 2 * (11 + 10)),
+        (np.linspace(0.0, 50.0, 3200), 2 * (57 + 57)),
+        # The midpoint-refined grid of envelope_check.
+        (np.insert(np.linspace(0.0, 50.0, 51), range(1, 51), np.arange(0.5, 50.0)),
+         2 * (11 + 10)),
+        ([1.7], 1),
+        (np.linspace(0.0, 50.0, 18), 18),
+        (np.geomspace(1.0, 50.0, 101), 101),
+    ], ids=["101", "3200", "envelope", "one", "short", "irregular"])
+    def test_trig_calls_per_node(self, lams, trig_rows, monkeypatch):
+        """2 (b + q) cosines and sines per node on an evenly spaced grid of
+        m > 18 values, b = ceil(sqrt m) and q = ceil(m / b); m otherwise."""
+        s, amp = GRID_KERNELS["transform"]()
+        count = []
+        for name in ("cos", "sin"):
+            ufunc = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda x, ufunc=ufunc: count.append(np.size(x))
+                                or ufunc(x))
+        mehler._cosine_sum(s, amp, lams)
+        assert sum(count) == trig_rows * s.size
+
+    @pytest.mark.parametrize("lams", [
+        [1.7],
+        np.array([0.0]),
+        np.linspace(0.0, 50.0, 18),
+        np.geomspace(1.0, 50.0, 101),
+        np.linspace(0.0, 50.0, 101) + np.eye(101)[40] * 1e-12,
+    ], ids=["one-list", "one-array", "short", "geometric", "perturbed"])
+    @pytest.mark.parametrize("kernel", sorted(GRID_KERNELS))
+    def test_direct_form_keeps_its_bits(self, kernel, lams):
+        """A single lambda (every Mehler pathway call), a grid too short for
+        the split and an uneven grid take the direct sum, bit for bit."""
+        s, amp = GRID_KERNELS[kernel]()
+        assert mehler._cosine_sum(s, amp, lams).tobytes() == \
+            direct_sum(s, amp, lams).tobytes()
+
+
 class TestKernelMass:
     def test_chebyshev_endpoint_frozen(self):
         """alpha = 1/2, theta = pi/2: the mass is exactly pi/2."""

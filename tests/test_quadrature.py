@@ -397,7 +397,6 @@ SINGLE_RULE_LOOPS = {
     "coefficient_series": lambda: coefficient_series(np.cos, 64, P),
     "norm_l": lambda: norm_l(CosinePoly((1.0, 0.5)), P),
     "laguerre_grid_series": lambda: laguerre_coefficient_series(UNIT_RAMP, 8, 0.5),
-    "laguerre_step_norm": lambda: laguerre_norm(UNIT_STEP, 0.5),
     "step_identity_check": lambda: step_identity_check(1.5, 4, 0.5),
     "phi_grid": lambda: _phi_grid(P, np.array([1.5]), np.array([0.0, 4.0])),
 }
@@ -439,6 +438,12 @@ class TestDoublingLoops:
         coefficient(f, 7, P)
         norm_l(f, P)
         parseval_check(f, P, 8)
+        assert built_sizes == []
+
+    def test_laguerre_step_norm_requests_no_rule(self, built_sizes):
+        """A step's half-line norm is a sum of incomplete gamma masses."""
+        laguerre_norm(UNIT_STEP, 0.5)
+        laguerre_norm(LaguerreStep((0.5, 3.0, 900.0), (1.0, -2.0, 0.25)), 0.5)
         assert built_sizes == []
 
     def test_coefficient_quadrature_starts_at_the_exact_size(self, built_sizes):
