@@ -14,6 +14,7 @@ degrees per rule size.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -185,6 +186,10 @@ def _quadrature_values(pieces, kmax: int, alpha: float) -> np.ndarray:
                              ladder_size((kmax + 1) // 2 + 32), 1e-10)
 
 
+# Log of the largest double: exp(t) overflows exactly when t exceeds it.
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def _power_exp(s: float, x: float) -> float:
     """x^s e^(-x) for x > 0, through logarithms where x^s alone overflows."""
     try:
@@ -234,17 +239,22 @@ def _incomplete_gammas(s: float, x: float) -> tuple[float, float]:
     return whole - upper, upper
 
 
-def _step_masses(s: float, edges) -> list[float]:
-    """The masses of [e_i, e_(i+1)) against x^(s-1) e^(-x) for ascending edges.
+def _step_masses(s: float, edges, d: float = 1.0) -> list[float]:
+    """The masses of [e_i, e_(i+1)) against (d x)^(s-1) e^(-d x) d dx for
+    ascending edges: incomplete gamma masses between the edges d e_i.
 
-    An edge e with e^(-e) = 0 in double precision counts as infinity, as in
-    _pieces.  From the masses of [0, e] and of [e, infinity), each piece
+    An edge e with e^(-d e) = 0 in double precision counts as infinity, as in
+    _pieces.  An edge where (d e)^s e^(-d e) overflows a double raises
+    ValueError.  From the masses of [0, e] and of [e, infinity), each piece
     takes the difference of whichever is smaller, so a thin piece at either
     end does not cancel against the whole mass; a piece past infinity has
     mass 0.
     """
-    edges = [e if math.exp(-e) > 0.0 else math.inf for e in edges]
-    head, tail = zip(*(_incomplete_gammas(s, e) for e in edges))
+    ys = [d * e if math.exp(-d * e) > 0.0 else math.inf for e in edges]
+    for e, y in zip(edges, ys):
+        if 0.0 < y < math.inf and s * math.log(y) - y > _LOG_MAX:
+            raise ValueError(f"the step mass overflows at the edge {e} for alpha = {s - 1.0}")
+    head, tail = zip(*(_incomplete_gammas(s, y) for y in ys))
     return [h1 - h0 if h1 <= t0 else t0 - t1
             for h0, h1, t0, t1 in zip(head, head[1:], tail, tail[1:])]
 
@@ -304,7 +314,8 @@ def laguerre_coefficient_series(f, kmax: int, alpha: float) -> np.ndarray:
     """Coefficients for k = 0..kmax in one recurrence sweep.
 
     A step's series is a closed form: incomplete gamma masses at k = 0, and
-    one sum over its jumps for k >= 1.  Other inputs take Gauss rules.
+    one sum over its jumps for k >= 1; an edge e where e^(a+1) e^(-e)
+    overflows a double raises ValueError.  Other inputs take Gauss rules.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -319,12 +330,13 @@ def laguerre_norm(f, alpha: float) -> float:
     one Gauss-Laguerre rule in (rate + 1/2) x of ceil((d + 1) / 2) points, d
     the degree of p, is exact.  A step needs no nodes: x = 2 y turns each
     piece's integral into 2^(a+1) times an incomplete gamma mass at the
-    halved edges (_step_masses).  Any other input doubles from 32 nodes,
-    where _coefficient_values starts at kmax 0.
+    halved edges (_step_masses), and an edge e where (e/2)^(a+1) e^(-e/2)
+    overflows a double raises ValueError.  Any other input doubles from 32
+    nodes, where _coefficient_values starts at kmax 0.
     """
     alpha = _check_exponent(alpha)
     if isinstance(f, LaguerreStep):
-        masses = _step_masses(alpha + 1.0, [e / 2.0 for e in (0.0, *f.breakpoints)])
+        masses = _step_masses(alpha + 1.0, (0.0, *f.breakpoints), 0.5)
         return 2.0 ** (alpha + 1.0) * sum(abs(v) * m for v, m in zip(f.values, masses) if v)
     pieces = []
     for lo, hi, p, rate in _pieces(f, 0.5):

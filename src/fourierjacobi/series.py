@@ -1,19 +1,20 @@
 """Fourier-Jacobi analysis on [0, pi]: coefficients, Parseval sums, decay fits.
 
 The expansion weight is w(theta) = (sin theta/2)^(2a+1) (cos theta/2)^(2b+1).
-Every integral is transformed to x = cos(theta), where the weight becomes
-2^(-a-b-1) (1-x)^a (1+x)^b dx and Gauss-Jacobi rules absorb the endpoint
-singularities exactly.  Coefficients, L1 norms and squared norms are the hat
-values of f, |f| and f^2, split by one piece builder (_pieces) and summed by
-one dispatcher (_values).  Step functions, the power weight and the constant
-end pieces of a grid have their coefficients in closed form.  A cosine
-polynomial of degree d, and its square, are polynomials in x: their hat(k)
-are exactly 0 past the degree and come from one Gauss-Jacobi rule of
-degree + 1 points below it.  Other inputs are integrated piece by piece with
-mapped rules, doubling the rule size from the size that is exact for R_k
-times a polynomial of degree below 64 until two sizes agree.  Sup norms of
-R_k are maxima over the few critical points that Sonin's function leaves as
-candidates.
+In x = cos(theta) it becomes 2^(-a-b-1) (1-x)^a (1+x)^b dx, and on a piece
+that reaches x = +-1 a Gauss-Jacobi rule absorbs the endpoint singularity
+exactly; a piece inside (-1, 1) is integrated in theta.  Coefficients, L1
+norms and squared norms are the hat values of f, |f| and f^2, split by one
+piece builder (_pieces) and summed by one dispatcher (_values).  Step
+functions, the power weight and the constant end pieces of a grid have their
+coefficients in closed form.  A cosine polynomial of degree d, and its square,
+are polynomials in x: their hat(k) are exactly 0 past the degree and come from
+one Gauss-Jacobi rule of degree + 1 points below it.  Other inputs are
+integrated piece by piece with mapped rules, all pieces doubling together
+until two sizes agree.  Each piece starts from a rule sized by the angle it
+spans, capped at the size that is exact for R_k times a polynomial of degree
+below 64.  Sup norms of R_k are maxima over the few critical points that
+Sonin's function leaves as candidates.
 """
 
 import math
@@ -141,19 +142,41 @@ class GridSampled:
 
 
 # ---------------------------------------------------------------------------
-# piecewise integration engine (x = cos theta space)
+# piecewise integration engine (x = cos theta at the ends, theta inside)
 
 
 @dataclass(frozen=True)
 class _XPiece:
+    """A piece that reaches x = 1 or x = -1, integrated in x = cos theta."""
+
     lo: float
     hi: float
     g: object         # vectorized callable of x, the smooth remainder
     rho: float = 0.0  # power of (1+x) beyond beta, for the power weight
 
+    @property
+    def span(self) -> float:
+        return math.acos(self.lo) - math.acos(self.hi)
 
-def _pieces(f, g=None) -> list[_XPiece]:
-    """g(f) as x-pieces on which it is smooth; g is None (f), abs or np.square.
+
+@dataclass(frozen=True)
+class _ThetaPiece:
+    """A piece inside (-1, 1) in x, integrated in theta itself."""
+
+    t0: float
+    t1: float
+    h: object         # vectorized callable of theta
+
+    @property
+    def span(self) -> float:
+        return self.t1 - self.t0
+
+
+def _pieces(f, g=None) -> list:
+    """g(f) as pieces on which it is smooth; g is None (f), abs or np.square.
+
+    A piece that reaches x = +-1 is an _XPiece, a piece inside (-1, 1) in x
+    a _ThetaPiece (see _weighted_nodes).
 
     Zero pieces are dropped, and a grid gives its linear interior pieces only
     (_values sums its constant ends in closed form).  abs cuts the pieces at
@@ -189,7 +212,9 @@ def _pieces(f, g=None) -> list[_XPiece]:
     for t0, t1, h in parts:
         hi = 1.0 if t0 <= 0.0 else float(np.cos(t0))
         lo = -1.0 if t1 >= math.pi else float(np.cos(t1))
-        if lo < hi:
+        if -1.0 < lo < hi < 1.0:
+            out.append(_ThetaPiece(t0, t1, h))
+        elif lo < hi:
             out.append(_XPiece(lo, hi, lambda x, h=h: h(np.arccos(np.clip(x, -1.0, 1.0)))))
     return out
 
@@ -233,15 +258,23 @@ def _sign_change_cuts(h, t0: float, t1: float, samples: int) -> list[float]:
     return sorted(set(r for r in roots if t0 < r < t1))
 
 
-def _weighted_nodes(p: _XPiece, params: JacobiParams,
-                    n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of the n-point rule on a piece, and its weights times the rest.
+def _weighted_nodes(p, params: JacobiParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x of the n-point rule on a piece, and its weights times the rest.
 
-    An end at x = 1 puts (1-x)^alpha into the rule and an end at x = -1 puts
-    (1+x)^(beta+rho) there; at any other end the factor is multiplied in at
-    the nodes.
+    On an _XPiece an end at x = 1 puts (1-x)^alpha into the rule and an end at
+    x = -1 puts (1+x)^(beta+rho) there; at any other end the factor is
+    multiplied in at the nodes.  A _ThetaPiece takes a Gauss-Legendre rule in
+    theta, where R_k oscillates evenly and the input of a grid is linear:
+    with s and c the sine and cosine of theta/2, x = cos theta and
+    (1-x)^alpha (1+x)^beta dx = (2 s^2)^alpha (2 c^2)^beta 2 s c dtheta, so
+    1 - x and 1 + x keep full precision next to the ends.
     """
     a, b = params.alpha, params.beta
+    if isinstance(p, _ThetaPiece):
+        rule = mapped_jacobi_rule(n, 0.0, 0.0, p.t0, p.t1)
+        s, c = np.sin(0.5 * rule.nodes), np.cos(0.5 * rule.nodes)
+        w = rule.weights * (2.0 * s * c) * (2.0 * s * s) ** a * (2.0 * c * c) ** b
+        return np.cos(rule.nodes), w * np.asarray(p.h(rule.nodes), dtype=float)
     rule = mapped_jacobi_rule(n, a if p.hi == 1.0 else 0.0,
                               b + p.rho if p.lo == -1.0 else 0.0, p.lo, p.hi)
     x = rule.nodes
@@ -253,14 +286,14 @@ def _weighted_nodes(p: _XPiece, params: JacobiParams,
     return x, rule.weights * g
 
 
-def _integrate_pieces(pieces: list[_XPiece], params: JacobiParams,
-                      kmax: int, n: int) -> np.ndarray:
-    """Hat-coefficient vector over k = 0..kmax from one fixed rule size.
+def _integrate_pieces(pieces: list, params: JacobiParams,
+                      kmax: int, sizes: list[int]) -> np.ndarray:
+    """Hat-coefficient vector over k = 0..kmax from one fixed rule size per piece.
 
     One recurrence runs over the nodes of all pieces and sums R_k against
     their weights degree by degree, so no (kmax+1) x n table is built.
     """
-    x, u = zip(*(_weighted_nodes(p, params, n) for p in pieces))
+    x, u = zip(*(_weighted_nodes(p, params, n) for p, n in zip(pieces, sizes)))
     return (_jacobi_r_sums(kmax, params, np.concatenate(x), np.concatenate(u))
             * 2.0 ** (-params.alpha - params.beta - 1.0))
 
@@ -268,15 +301,25 @@ def _integrate_pieces(pieces: list[_XPiece], params: JacobiParams,
 def _converged_values(pieces, params, kmax, rtol=1e-10) -> np.ndarray:
     """Hat coefficients of the pieces for k = 0..kmax, by doubling to rtol.
 
-    Every caller, the norms at kmax 0 too, starts at the ladder size n at or
-    above (kmax + 1) // 2 + 32: its rule is exact for R_k times any polynomial
-    of degree below 64, so n against 2n already settles a polynomial input.
+    The exact size N is the ladder size at or above (kmax + 1) // 2 + 32: an
+    N-point rule on [-1, 1] is exact for R_k times any polynomial of degree
+    below 64.  R_k has about k dtheta / pi half-oscillations on a piece that
+    spans the angle dtheta, so each piece starts at the ladder size at or
+    above 1.5 ((kmax + 1) // 2) dtheta / pi + 32, capped at N.  A piece
+    spanning [0, pi], every callable and the norms at kmax 0 among them,
+    starts at N, so N against 2N still settles a polynomial input.  All
+    pieces double together, and converge_doubling caps the largest.
     """
     if not pieces:
         return np.zeros(kmax + 1)
-    n = ladder_size((kmax + 1) // 2 + 32)
+    half = (kmax + 1) // 2
+    exact = ladder_size(half + 32)
+    base = [min(exact, ladder_size(math.ceil(1.5 * half * p.span / math.pi) + 32))
+            for p in pieces]
+    top = max(base)
     return converge_doubling(
-        lambda m: _integrate_pieces(pieces, params, kmax, m), n, rtol)
+        lambda m: _integrate_pieces(pieces, params, kmax, [n * m // top for n in base]),
+        top, rtol)
 
 
 def _step_values(f: StepFunction, params: JacobiParams, kmax: int) -> np.ndarray:
@@ -346,7 +389,7 @@ def _cospoly_values(c: np.ndarray, params: JacobiParams, kmax: int) -> np.ndarra
     """
     top = min(len(c) - 1, kmax)
     piece = _XPiece(-1.0, 1.0, lambda x: chebval(x, c))
-    return np.pad(_integrate_pieces([piece], params, top, len(c)), (0, kmax - top))
+    return np.pad(_integrate_pieces([piece], params, top, [len(c)]), (0, kmax - top))
 
 
 def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10) -> np.ndarray:

@@ -269,6 +269,13 @@ class TestStepClosedForm:
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got[0], 1.14267679128917091809503e+263, rtol=1e-13)
 
+    def test_overflowing_edge_is_refused(self):
+        """400^201 e^(-400) = e^804 overflows a double, and so does the mass
+        of [0, 400) against x^200 e^(-x): the series names the edge and the
+        exponent instead of a bare OverflowError from math.exp."""
+        with pytest.raises(ValueError, match=r"edge 400\.0 for alpha = 200\.0"):
+            laguerre_coefficient_series(LaguerreStep((400.0, 1000.0), (0.0, 1.0)), 4, 200.0)
+
     def test_requests_no_rule(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a Gauss rule was requested")
@@ -314,6 +321,13 @@ class TestNorm:
         head piece at a = -0.9."""
         f = LaguerreStep((1e-9, 2.0, 50.0), (3.0, -1.0, 0.5))
         np.testing.assert_allclose(laguerre_norm(f, -0.9), 12.591170790480829557, rtol=1e-14)
+
+    def test_overflowing_edge_is_refused(self):
+        """The norm takes its masses at the halved edges: 200^201 e^(-200) =
+        e^865 overflows, so the edge at 400 is refused by name, as for the
+        coefficients."""
+        with pytest.raises(ValueError, match=r"edge 400\.0 for alpha = 200\.0"):
+            laguerre_norm(LaguerreStep((400.0, 1000.0), (0.0, 1.0)), 200.0)
 
     def test_start_above_half_the_cap(self, monkeypatch):
         """A start size past 2048 (a polynomial of 2041 or more coefficients)

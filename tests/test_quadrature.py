@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from fourierjacobi import (
     AccuracyError,
     CosinePoly,
+    GridSampled,
     HalfLineGrid,
     Indicator,
     JacobiParams,
@@ -457,6 +458,23 @@ class TestDoublingLoops:
         built_sizes.clear()
         laguerre_coefficient_series(UNIT_RAMP, 1024, 0.5)
         assert built_sizes[0] == 544
+
+    def test_grid_pieces_start_from_the_angle_they_span(self, built_sizes):
+        """At kmax 1024 each linear piece starts at the ladder size of
+        1.5 * 512 * dtheta / pi + 32, capped at 544: the piece [0.5, 0.6]
+        (dtheta 0.1) at 25 + 32 -> 64 and [0.6, 2.5] (dtheta 1.9) at
+        465 + 32 -> 512.  Both pieces double together, one rule each per rung
+        (the constant ends are closed form)."""
+        f = GridSampled((0.5, 0.6, 2.5), (1.0, -1.0, 0.5))
+        coefficient_series(f, 1024, JacobiParams(0.5, -0.25))
+        rungs = [built_sizes[i:i + 2] for i in range(0, len(built_sizes), 2)]
+        assert len(rungs) >= 2 and len(built_sizes) == 2 * len(rungs)
+        narrow, wide = rungs[0]
+        assert max(rungs[0]) <= 544
+        assert narrow < wide
+        assert rungs[0] == [64, 512]
+        for lower, upper in zip(rungs, rungs[1:]):
+            assert upper == [2 * n for n in lower]
 
     def test_polynomials_request_one_rule_of_the_exact_size(self, built_sizes):
         """A cosine polynomial of degree 24 takes one 25-point rule at any

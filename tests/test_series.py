@@ -38,6 +38,7 @@ from fourierjacobi import (
 )
 import fourierjacobi.laguerre as laguerre_module
 import fourierjacobi.series as series_module
+from fourierjacobi.quadrature import ladder_size
 from fourierjacobi.selftest import closed_form_gap
 
 CHEB = JacobiParams(-0.5, -0.5)
@@ -765,6 +766,60 @@ class TestGridSampledSeries:
         f = GridSampled((0.3, 1.2, 2.9), (2.0, -1.0, 0.5))
         coefficient_series(f, 128, JacobiParams(0.5, -0.25))
         assert exponents == {(0.0, 0.0)}
+
+
+def near_end_grid(seed: int):
+    """A seeded grid whose interior runs from 1e-3 to pi - 1e-3, with its
+    kmax (64 to 2048) and exponents drawn from (-0.9, 2) x (-0.9, 1.5)."""
+    rng = np.random.default_rng(seed)
+    inner = np.sort(rng.uniform(0.05, math.pi - 0.05, int(rng.integers(1, 6)))).tolist()
+    ts = (1e-3, *inner, math.pi - 1e-3)
+    ys = tuple(rng.uniform(-1.0, 1.0, len(ts)).tolist())
+    params = JacobiParams(float(rng.uniform(-0.9, 2.0)), float(rng.uniform(-0.9, 1.5)))
+    return GridSampled(ts, ys), (64, 256, 1024, 2048)[seed % 4], params
+
+
+class TestAngleSizedPieces:
+    """Each piece of the doubling quadrature starts at a rule sized by the
+    angle it spans, and pieces inside (-1, 1) in x are integrated in theta."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_against_one_large_rule_on_every_piece(self, seed):
+        """The same pieces summed with one rule of at least 2N nodes each
+        (N the exact size of the first rung at kmax), and at least 1024: at
+        kmax 64, 2N = 128 nodes leave 1.7e-10 on a piece 1e-3 from an end."""
+        f, kmax, params = near_end_grid(seed)
+        pieces = series_module._pieces(f)
+        got = series_module._converged_values(pieces, params, kmax)
+        n = max(2 * ladder_size((kmax + 1) // 2 + 32), 1024)
+        ref = series_module._integrate_pieces(pieces, params, kmax, [n] * len(pieces))
+        assert float(np.max(np.abs(got - ref))) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_against_adaptive_quadrature(self, seed):
+        """The whole series, closed-form ends included, at three degrees."""
+        f, kmax, params = near_end_grid(seed)
+        a, b = params.alpha, params.beta
+        values = coefficient_series(f, kmax, params).values
+        cuts = (0.0, *f.abscissae, math.pi)
+        for k in (0, 5, 33):
+            def integrand(theta):
+                return f(theta) * jacobi_r(k, params, math.cos(theta)) * theta_weight(theta, a, b)
+            ref = sum(quad(integrand, lo, hi, limit=200, epsabs=1e-14)[0]
+                      for lo, hi in zip(cuts, cuts[1:]))
+            assert abs(values[k] - ref) <= 1e-9 * max(1.0, abs(ref)), k
+
+    def test_near_end_pieces_settle(self):
+        """The x-rule of an interior piece next to theta = 0 sees (1 - x)^alpha
+        and arccos x as near-singular: GridSampled((1e-3, 2.0), (1, 1)) at
+        (-0.5, -0.5) and (-0.9, 0) did not settle by n = 4096.  In theta the
+        piece is the weight mass of [1e-3, 2], a regularized incomplete beta."""
+        f = GridSampled((1e-3, 2.0), (1.0, 1.0))
+        for a, b in [(-0.5, -0.5), (-0.9, 0.0), (0.5, -0.25)]:
+            mass = sp.beta(a + 1.0, b + 1.0) * (sp.betainc(a + 1.0, b + 1.0, math.sin(1.0) ** 2)
+                                                - sp.betainc(a + 1.0, b + 1.0, math.sin(5e-4) ** 2))
+            piece = series_module._converged_values(series_module._pieces(f), JacobiParams(a, b), 8)
+            assert abs(piece[0] - mass) <= 1e-12 * max(1.0, mass)
 
 
 class TestTableFree:
