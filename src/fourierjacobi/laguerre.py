@@ -190,30 +190,33 @@ def _quadrature_values(pieces, kmax: int, alpha: float) -> np.ndarray:
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-def _power_exp(s: float, x: float) -> float:
-    """x^s e^(-x) for x > 0, through logarithms where x^s alone overflows."""
+def _power_exp(s: float, x: float, r: float = 1.0) -> float:
+    """(r x)^s e^(-x) for x > 0, through logarithms where (r x)^s alone
+    overflows."""
     try:
-        return x ** s * math.exp(-x)
+        return (r * x) ** s * math.exp(-x)
     except OverflowError:
-        return math.exp(s * math.log(x) - x)
+        return math.exp(s * math.log(r * x) - x)
 
 
-def _incomplete_gammas(s: float, x: float) -> tuple[float, float]:
-    """The lower and upper incomplete gamma functions (gamma(s, x), Gamma(s, x)),
-    for s > 0 and x in [0, infinity].
+def _incomplete_gammas(s: float, x: float, r: float = 1.0) -> tuple[float, float]:
+    """r^s times the lower and upper incomplete gamma functions
+    (gamma(s, x), Gamma(s, x)), for s > 0, x in [0, infinity] and r >= 1.
 
     Below x = s + 1 the lower one is the series of positive terms
     x^s e^(-x) sum_n x^n / (s (s+1) ... (s+n)) (DLMF 8.7.1); from there on the
     upper one is x^s e^(-x) times the continued fraction of DLMF 8.9.2 in its
     even form, 1 / (x + 1 - s - 1 (1 - s) / (x + 3 - s - 2 (2 - s) / ...)).
     The other one is Gamma(s) minus it, infinite once Gamma(s) overflows.
+    r^s rides in the front factor, (r x)^s e^(-x), so that it cannot overflow
+    on its own where the product is finite.
     """
-    whole = math.gamma(s) if s < 171.0 else math.inf
+    whole = math.gamma(s) * r ** s if s < 171.0 else math.inf
     if x == 0.0:
         return 0.0, whole
     if x == math.inf:
         return whole, 0.0
-    front = _power_exp(s, x)
+    front = _power_exp(s, x, r)
     if x < s + 1.0:
         term = total = 1.0 / s
         m = s
@@ -240,11 +243,12 @@ def _incomplete_gammas(s: float, x: float) -> tuple[float, float]:
 
 
 def _step_masses(s: float, edges, d: float = 1.0) -> list[float]:
-    """The masses of [e_i, e_(i+1)) against (d x)^(s-1) e^(-d x) d dx for
-    ascending edges: incomplete gamma masses between the edges d e_i.
+    """The masses of [e_i, e_(i+1)) against x^(s-1) e^(-d x) dx for
+    ascending edges: d^(-s) times incomplete gamma masses between the edges
+    d e_i, for d = 1 or 1/2.
 
     An edge e with e^(-d e) = 0 in double precision counts as infinity, as in
-    _pieces.  An edge where (d e)^s e^(-d e) overflows a double raises
+    _pieces.  An edge where e^s e^(-d e) overflows a double raises
     ValueError.  From the masses of [0, e] and of [e, infinity), each piece
     takes the difference of whichever is smaller, so a thin piece at either
     end does not cancel against the whole mass; a piece past infinity has
@@ -252,9 +256,9 @@ def _step_masses(s: float, edges, d: float = 1.0) -> list[float]:
     """
     ys = [d * e if math.exp(-d * e) > 0.0 else math.inf for e in edges]
     for e, y in zip(edges, ys):
-        if 0.0 < y < math.inf and s * math.log(y) - y > _LOG_MAX:
+        if 0.0 < y < math.inf and s * math.log(y / d) - y > _LOG_MAX:
             raise ValueError(f"the step mass overflows at the edge {e} for alpha = {s - 1.0}")
-    head, tail = zip(*(_incomplete_gammas(s, y) for y in ys))
+    head, tail = zip(*(_incomplete_gammas(s, y, 1.0 / d) for y in ys))
     return [h1 - h0 if h1 <= t0 else t0 - t1
             for h0, h1, t0, t1 in zip(head, head[1:], tail, tail[1:])]
 
@@ -330,14 +334,19 @@ def laguerre_norm(f, alpha: float) -> float:
     one Gauss-Laguerre rule in (rate + 1/2) x of ceil((d + 1) / 2) points, d
     the degree of p, is exact.  A step needs no nodes: x = 2 y turns each
     piece's integral into 2^(a+1) times an incomplete gamma mass at the
-    halved edges (_step_masses), and an edge e where (e/2)^(a+1) e^(-e/2)
-    overflows a double raises ValueError.  Any other input doubles from 32
-    nodes, where _coefficient_values starts at kmax 0.
+    halved edges, and _step_masses carries that factor inside the powers
+    e^(a+1) e^(-e/2), so a finite norm comes back at any alpha.  An edge
+    where that power overflows a double, or a norm that does, raises
+    ValueError.  Any other input doubles from 32 nodes, where
+    _coefficient_values starts at kmax 0.
     """
     alpha = _check_exponent(alpha)
     if isinstance(f, LaguerreStep):
         masses = _step_masses(alpha + 1.0, (0.0, *f.breakpoints), 0.5)
-        return 2.0 ** (alpha + 1.0) * sum(abs(v) * m for v, m in zip(f.values, masses) if v)
+        norm = sum(abs(v) * m for v, m in zip(f.values, masses) if v)
+        if norm == math.inf:
+            raise ValueError(f"the step norm overflows a double for alpha = {alpha}")
+        return norm
     pieces = []
     for lo, hi, p, rate in _pieces(f, 0.5):
         cuts = sorted({float(r.real) for r in polyroots(p)

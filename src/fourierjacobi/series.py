@@ -1,20 +1,18 @@
 """Fourier-Jacobi analysis on [0, pi]: coefficients, Parseval sums, decay fits.
 
 The expansion weight is w(theta) = (sin theta/2)^(2a+1) (cos theta/2)^(2b+1).
-In x = cos(theta) it becomes 2^(-a-b-1) (1-x)^a (1+x)^b dx, and on a piece
-that reaches x = +-1 a Gauss-Jacobi rule absorbs the endpoint singularity
-exactly; a piece inside (-1, 1) is integrated in theta.  Coefficients, L1
-norms and squared norms are the hat values of f, |f| and f^2, split by one
-piece builder (_pieces) and summed by one dispatcher (_values).  Step
+In x = cos(theta) it becomes 2^(-a-b-1) (1-x)^a (1+x)^b dx.  Coefficients,
+L1 norms and squared norms are the hat values of f, |f| and f^2, split by
+one piece builder (_pieces) and summed by one dispatcher (_values).  Step
 functions, the power weight and the constant end pieces of a grid have their
 coefficients in closed form.  A cosine polynomial of degree d, and its square,
 are polynomials in x: their hat(k) are exactly 0 past the degree and come from
-one Gauss-Jacobi rule of degree + 1 points below it.  Other inputs are
-integrated piece by piece with mapped rules, all pieces doubling together
-until two sizes agree.  Each piece starts from a rule sized by the angle it
-spans, capped at the size that is exact for R_k times a polynomial of degree
-below 64.  Sup norms of R_k are maxima over the few critical points that
-Sonin's function leaves as candidates.
+one Gauss-Jacobi rule in x of degree + 1 points below it.  Other inputs are
+integrated piece by piece in theta, all pieces doubling together until two
+sizes agree; a piece that reaches theta = 0 or pi puts the power of the
+weight there into its Gauss-Jacobi rule.  Each piece starts from a rule sized
+by the angle it spans.  Sup norms of R_k are maxima over the few critical
+points that Sonin's function leaves as candidates.
 """
 
 import math
@@ -142,51 +140,37 @@ class GridSampled:
 
 
 # ---------------------------------------------------------------------------
-# piecewise integration engine (x = cos theta at the ends, theta inside)
-
-
-@dataclass(frozen=True)
-class _XPiece:
-    """A piece that reaches x = 1 or x = -1, integrated in x = cos theta."""
-
-    lo: float
-    hi: float
-    g: object         # vectorized callable of x, the smooth remainder
-    rho: float = 0.0  # power of (1+x) beyond beta, for the power weight
-
-    @property
-    def span(self) -> float:
-        return math.acos(self.lo) - math.acos(self.hi)
+# piecewise integration engine, in theta
 
 
 @dataclass(frozen=True)
 class _ThetaPiece:
-    """A piece inside (-1, 1) in x, integrated in theta itself."""
+    """A piece [t0, t1] of [0, pi], integrated in theta (see _weighted_nodes)."""
 
     t0: float
     t1: float
     h: object         # vectorized callable of theta
+    rho: float = 0.0  # power of (1 + cos theta) beyond beta, for the power weight
 
     @property
     def span(self) -> float:
         return self.t1 - self.t0
 
 
-def _pieces(f, g=None) -> list:
+def _pieces(f, g=None) -> list[_ThetaPiece]:
     """g(f) as pieces on which it is smooth; g is None (f), abs or np.square.
-
-    A piece that reaches x = +-1 is an _XPiece, a piece inside (-1, 1) in x
-    a _ThetaPiece (see _weighted_nodes).
 
     Zero pieces are dropped, and a grid gives its linear interior pieces only
     (_values sums its constant ends in closed form).  abs cuts the pieces at
-    sign changes of f.  Pieces empty in x are dropped for every g: ends
-    closer than the resolution of cos() carry no mass, and a neighbouring
-    piece reaches the rounded x.  The power weight, which _values sums in
-    closed form, gives one reference piece, for f itself.
+    sign changes of f.  An end whose cosine rounds to +-1 becomes exactly 0
+    or pi, where _weighted_nodes puts the end factor into the rule, and a
+    piece left empty by this is dropped for every g: it carries no mass the
+    resolution of cos() can see, and a neighbouring piece reaches the end.
+    The power weight, which _values sums in closed form, gives one reference
+    piece, for f itself.
     """
     if isinstance(f, PowerWeight):
-        return [_XPiece(-1.0, 1.0, np.ones_like, f.rho)]
+        return [_ThetaPiece(0.0, math.pi, np.ones_like, f.rho)]
     if isinstance(f, StepFunction):
         cuts = (0.0, *f.breakpoints, math.pi)
         parts = [(a, b, lambda th, v=v: np.full_like(th, v))
@@ -208,22 +192,22 @@ def _pieces(f, g=None) -> list:
                  for a, b in pairwise([t0, *_sign_change_cuts(h, t0, t1, samples), t1])]
     if g is not None:
         parts = [(a, b, lambda th, h=h: g(h(th))) for a, b, h in parts]
-    out = []
-    for t0, t1, h in parts:
-        hi = 1.0 if t0 <= 0.0 else float(np.cos(t0))
-        lo = -1.0 if t1 >= math.pi else float(np.cos(t1))
-        if -1.0 < lo < hi < 1.0:
-            out.append(_ThetaPiece(t0, t1, h))
-        elif lo < hi:
-            out.append(_XPiece(lo, hi, lambda x, h=h: h(np.arccos(np.clip(x, -1.0, 1.0)))))
-    return out
+    parts = [(_snap(t0), _snap(t1), h) for t0, t1, h in parts]
+    return [_ThetaPiece(t0, t1, h) for t0, t1, h in parts if t0 < t1]
+
+
+def _snap(t: float) -> float:
+    """0 or pi for an angle whose cosine rounds to 1 or -1, else t itself."""
+    x = np.cos(t)
+    return 0.0 if x == 1.0 else math.pi if x == -1.0 else t
 
 
 def _grid_ends(f: GridSampled) -> StepFunction:
     """The constant end pieces [0, t_0] and [t_last, pi] of a grid, as a step.
 
-    An end whose x interval rounds to empty is left out: the interior piece
-    next to it then reaches x = +-1 in _pieces and carries that mass.
+    An end whose cosine rounds to +-1, like t_0 = 1e-9, is left out: _pieces
+    then moves the interior piece next to it onto 0 or pi, and that piece
+    carries the mass.
     """
     t0, t1 = f.abscissae[0], f.abscissae[-1]
     return StepFunction((t0, t1), (f.ordinates[0] if np.cos(t0) < 1.0 else 0.0, 0.0,
@@ -258,32 +242,36 @@ def _sign_change_cuts(h, t0: float, t1: float, samples: int) -> list[float]:
     return sorted(set(r for r in roots if t0 < r < t1))
 
 
-def _weighted_nodes(p, params: JacobiParams, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x of the n-point rule on a piece, and its weights times the rest.
+def _weighted_nodes(p: _ThetaPiece, params: JacobiParams,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x = cos theta of the n-point rule on a piece, and its weights
+    times the rest of the integrand.
 
-    On an _XPiece an end at x = 1 puts (1-x)^alpha into the rule and an end at
-    x = -1 puts (1+x)^(beta+rho) there; at any other end the factor is
-    multiplied in at the nodes.  A _ThetaPiece takes a Gauss-Legendre rule in
-    theta, where R_k oscillates evenly and the input of a grid is linear:
-    with s and c the sine and cosine of theta/2, x = cos theta and
+    The rule is Gauss-Jacobi in theta, where R_k oscillates evenly and the
+    input of a grid is linear.  With s and c the sine and cosine of theta/2,
     (1-x)^alpha (1+x)^beta dx = (2 s^2)^alpha (2 c^2)^beta 2 s c dtheta, so
-    1 - x and 1 + x keep full precision next to the ends.
+    1 - x and 1 + x keep full precision next to the ends.  That weight
+    vanishes like theta^(2 alpha + 1) at 0 and like (pi - theta)^(2 beta + 1)
+    at pi (beta + rho for the power weight), so a piece that starts at 0 or
+    ends at pi puts that power into the rule and takes s / theta, or
+    c / (pi - theta), at the nodes instead of s or c.  Next to pi, c is
+    sin((pi - theta)/2): cos(theta/2) would keep only an absolute precision
+    there, and at beta near -1 those nodes carry most of the mass.  A piece
+    inside (0, pi) takes a Gauss-Legendre rule.
     """
-    a, b = params.alpha, params.beta
-    if isinstance(p, _ThetaPiece):
-        rule = mapped_jacobi_rule(n, 0.0, 0.0, p.t0, p.t1)
-        s, c = np.sin(0.5 * rule.nodes), np.cos(0.5 * rule.nodes)
-        w = rule.weights * (2.0 * s * c) * (2.0 * s * s) ** a * (2.0 * c * c) ** b
-        return np.cos(rule.nodes), w * np.asarray(p.h(rule.nodes), dtype=float)
-    rule = mapped_jacobi_rule(n, a if p.hi == 1.0 else 0.0,
-                              b + p.rho if p.lo == -1.0 else 0.0, p.lo, p.hi)
-    x = rule.nodes
-    g = np.asarray(p.g(x), dtype=float)
-    if p.hi != 1.0:
-        g = g * (1.0 - x) ** a
-    if p.lo != -1.0:
-        g = g * (1.0 + x) ** b
-    return x, rule.weights * g
+    a, b = params.alpha, params.beta + p.rho
+    at_0, at_pi = p.t0 == 0.0, p.t1 == math.pi
+    rule = mapped_jacobi_rule(n, 2.0 * b + 1.0 if at_pi else 0.0,
+                              2.0 * a + 1.0 if at_0 else 0.0, p.t0, p.t1)
+    t = rule.nodes
+    s = np.sin(0.5 * t)
+    c = np.sin(0.5 * (math.pi - t)) if at_pi else np.cos(0.5 * t)
+    if at_0:
+        s = s / t
+    if at_pi:
+        c = c / (math.pi - t)
+    w = rule.weights * (2.0 * s * c) * (2.0 * s * s) ** a * (2.0 * c * c) ** b
+    return np.cos(t), w * np.asarray(p.h(t), dtype=float)
 
 
 def _integrate_pieces(pieces: list, params: JacobiParams,
@@ -301,20 +289,20 @@ def _integrate_pieces(pieces: list, params: JacobiParams,
 def _converged_values(pieces, params, kmax, rtol=1e-10) -> np.ndarray:
     """Hat coefficients of the pieces for k = 0..kmax, by doubling to rtol.
 
-    The exact size N is the ladder size at or above (kmax + 1) // 2 + 32: an
-    N-point rule on [-1, 1] is exact for R_k times any polynomial of degree
-    below 64.  R_k has about k dtheta / pi half-oscillations on a piece that
-    spans the angle dtheta, so each piece starts at the ladder size at or
-    above 1.5 ((kmax + 1) // 2) dtheta / pi + 32, capped at N.  A piece
-    spanning [0, pi], every callable and the norms at kmax 0 among them,
-    starts at N, so N against 2N still settles a polynomial input.  All
-    pieces double together, and converge_doubling caps the largest.
+    R_k has about k dtheta / pi half-oscillations on a piece that spans the
+    angle dtheta, so each piece starts at the ladder size at or above
+    1.5 ((kmax + 1) // 2) dtheta / pi + 32, capped at N, the ladder size at
+    or above (kmax + 1) // 2 + 32.  The cap bounds only the first rung: past
+    kmax ~ 100, N nodes in theta do not yet resolve R_kmax on [0, pi], which
+    takes about pi kmax / 4, so a piece spanning [0, pi], every callable
+    among them, settles at 2N against 4N.  All pieces double together, and
+    converge_doubling caps the largest.
     """
     if not pieces:
         return np.zeros(kmax + 1)
     half = (kmax + 1) // 2
-    exact = ladder_size(half + 32)
-    base = [min(exact, ladder_size(math.ceil(1.5 * half * p.span / math.pi) + 32))
+    cap = ladder_size(half + 32)
+    base = [min(cap, ladder_size(math.ceil(1.5 * half * p.span / math.pi) + 32))
             for p in pieces]
     top = max(base)
     return converge_doubling(
@@ -387,9 +375,11 @@ def _cospoly_values(c: np.ndarray, params: JacobiParams, kmax: int) -> np.ndarra
     k > D, and the (D+1)-point Gauss-Jacobi rule integrates R_k times the
     input, of degree at most 2D, exactly for k <= D (Szego 1975; DLMF 18.2).
     """
+    a, b = params.alpha, params.beta
     top = min(len(c) - 1, kmax)
-    piece = _XPiece(-1.0, 1.0, lambda x: chebval(x, c))
-    return np.pad(_integrate_pieces([piece], params, top, [len(c)]), (0, kmax - top))
+    rule = mapped_jacobi_rule(len(c), a, b, -1.0, 1.0)
+    vals = _jacobi_r_sums(top, params, rule.nodes, rule.weights * chebval(rule.nodes, c))
+    return np.pad(vals * 2.0 ** (-a - b - 1.0), (0, kmax - top))
 
 
 def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10) -> np.ndarray:

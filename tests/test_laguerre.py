@@ -323,11 +323,26 @@ class TestNorm:
         np.testing.assert_allclose(laguerre_norm(f, -0.9), 12.591170790480829557, rtol=1e-14)
 
     def test_overflowing_edge_is_refused(self):
-        """The norm takes its masses at the halved edges: 200^201 e^(-200) =
-        e^865 overflows, so the edge at 400 is refused by name, as for the
+        """The norm's mass at the edge 400 carries 400^201 e^(-200) = e^1004,
+        which overflows, so the edge is refused by name, as for the
         coefficients."""
         with pytest.raises(ValueError, match=r"edge 400\.0 for alpha = 200\.0"):
             laguerre_norm(LaguerreStep((400.0, 1000.0), (0.0, 1.0)), 200.0)
+
+    # 30-digit mpmath: 2^(a+1) gammainc(a+1, 0, 1/2).
+    @pytest.mark.parametrize("alpha, want", [(1022.0, 5.931837358737590569e-4),
+                                             (1023.0, 5.9260417244418321173e-4),
+                                             (1100.0, 5.5114076286729834167e-4)])
+    def test_step_norm_past_the_double_range_of_two_to_alpha(self, alpha, want):
+        """2^(a+1) overflows from a = 1023 on and 0.5^(a+1) underflows, but
+        the norm of the unit step, e^(-1/2) / (a + 1) to first order, is
+        finite."""
+        np.testing.assert_allclose(laguerre_norm(UNIT_STEP, alpha), want, rtol=1e-12)
+
+    def test_overflowing_norm_is_refused(self):
+        """The mass of [1, infinity) at a = 1100 is about 2^1101 Gamma(1101)."""
+        with pytest.raises(ValueError, match="step norm overflows"):
+            laguerre_norm(LaguerreStep((1.0, 1e6), (0.0, 1.0)), 1100.0)
 
     def test_start_above_half_the_cap(self, monkeypatch):
         """A start size past 2048 (a polynomial of 2041 or more coefficients)

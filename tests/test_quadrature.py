@@ -448,13 +448,16 @@ class TestDoublingLoops:
         assert built_sizes == []
 
     def test_coefficient_quadrature_starts_at_the_exact_size(self, built_sizes):
-        """At kmax 1024 the first rule has (1025 // 2) + 32 -> 544 nodes, exact
-        for R_k times a polynomial of degree below 64, so a degree-24 cosine
-        polynomial, passed as a plain callable so that it takes the
-        quadrature, settles at the first comparison."""
+        """At kmax 1024 a piece spanning [0, pi] starts at the cap
+        (1025 // 2) + 32 -> 544 nodes.  In theta, 544 nodes do not yet
+        resolve R_1024, so a degree-24 cosine polynomial, passed as a plain
+        callable so that it takes the quadrature, settles at 1088 against
+        2176.  As a CosinePoly it takes one exact rule instead
+        (test_polynomials_request_one_rule_of_the_exact_size).  The Laguerre
+        quadrature also starts at (1025 // 2) + 32 -> 544."""
         f = CosinePoly(tuple(1.0 / (m + 1.0) for m in range(25)))
         coefficient_series(lambda th: f(th), 1024, JacobiParams(0.5, -0.25))
-        assert built_sizes == [544, 1088]
+        assert built_sizes == [544, 1088, 2176]
         built_sizes.clear()
         laguerre_coefficient_series(UNIT_RAMP, 1024, 0.5)
         assert built_sizes[0] == 544

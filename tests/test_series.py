@@ -57,6 +57,51 @@ def theta_weight(theta, a, b):
             * np.cos(theta / 2.0) ** (2.0 * b + 1.0))
 
 
+def r_scipy(k, params, theta):
+    """R_k(cos theta) from SciPy's Jacobi polynomial, apart from the package."""
+    return (sp.eval_jacobi(k, params.alpha, params.beta, math.cos(theta))
+            / jacobi_p_one(k, params))
+
+
+def quad_alg(h, params, cuts=()):
+    """The integral of h(theta) against the expansion weight by SciPy quad,
+    cut at cuts.  A piece that reaches 0 or pi hands the power of the weight
+    there to quad (weight='alg'), and takes sin(theta/2) / theta or
+    sin((pi - theta)/2) / (pi - theta) in place of the half-angle sine or
+    cosine, so the weight keeps full precision next to both ends.  quad's
+    own error estimate must stay below 1e-10."""
+    a, b = params.alpha, params.beta
+    ends = (0.0, *cuts, math.pi)
+    total = error = 0.0
+    for lo, hi in zip(ends, ends[1:]):
+        at_0, at_pi = lo == 0.0, hi == math.pi
+
+        def integrand(t):
+            s, c = math.sin(t / 2.0), math.sin((math.pi - t) / 2.0)
+            if at_0:
+                s = s / t if t > 0.0 else 0.5
+            if at_pi:
+                c = c / (math.pi - t) if t < math.pi else 0.5
+            return h(t) * s ** (2.0 * a + 1.0) * c ** (2.0 * b + 1.0)
+
+        wvar = (2.0 * a + 1.0 if at_0 else 0.0, 2.0 * b + 1.0 if at_pi else 0.0)
+        value, abserr, *_ = quad(integrand, lo, hi, weight="alg", wvar=wvar,
+                                 epsabs=1e-14, epsrel=1e-12, limit=2000, full_output=1)
+        total, error = total + value, error + abserr
+    assert error <= 1e-10
+    return total
+
+
+def assert_series_matches_quad(f, params, kmax, ks, cuts=()):
+    """coefficient_series(f) at the degrees ks within 1e-9 of max(1, max|hat|)
+    of quad_alg against SciPy's R_k."""
+    values = coefficient_series(f, kmax, params).values
+    scale = max(1.0, float(np.max(np.abs(values))))
+    for k in ks:
+        ref = quad_alg(lambda t: f(t) * r_scipy(k, params, t), params, cuts)
+        assert abs(values[k] - ref) <= 1e-9 * scale, k
+
+
 class TestFunctionSpecs:
     def test_step_evaluation(self):
         assert STEP(1.2) == 1.0
@@ -346,6 +391,14 @@ class TestClosedForms:
     def test_power_weight_matches_quadrature(self, a, b, rho):
         assume(b + rho > -0.9)
         assert closed_form_gap(PowerWeight(rho), JacobiParams(a, b), 64) <= 1e-9
+
+    @pytest.mark.parametrize("f, a, b", [(PowerWeight(-0.95), 0.5, 0.0),
+                                         (StepFunction((1.0, 3.0), (0.0, 1.0, 2.0)), 0.0, -0.95)])
+    def test_piece_ending_at_pi_keeps_relative_precision(self, f, a, b):
+        """Next to pi the quadrature takes the half-angle cosine as
+        sin((pi - theta)/2): cos(theta/2) keeps only an absolute precision
+        there, which left gaps of 4e-11 at an end exponent of -0.95."""
+        assert closed_form_gap(f, JacobiParams(a, b), 256) <= 1e-12
 
     @pytest.mark.parametrize("f", [MULTI, PowerWeight(-0.3), CosinePoly((0.5, 1.0, -0.25)),
                                    GridSampled((0.5, 1.0, 2.0), (1.0, 3.0, 0.0))])
@@ -710,8 +763,8 @@ class TestGridSampledSeries:
                                        rtol=1e-8, atol=1e-12)
 
     def test_end_next_to_zero(self):
-        """The constant end [0, 1e-9] is empty in x; it is summed in closed
-        form, and the interior piece next to it reaches x = 1."""
+        """cos(1e-9) rounds to 1, so the constant end [0, 1e-9] is left out
+        and the interior piece next to it runs from theta = 0."""
         f = GridSampled((1e-9, 1.0), (1.0, 0.0))
         params = JacobiParams(0.5, -0.25)
         series = coefficient_series(f, 64, params)
@@ -719,9 +772,10 @@ class TestGridSampledSeries:
         assert 0.0 <= parseval_check(f, params, 64).rel_gap < 1e-4
 
     def test_interior_piece_empty_in_x(self):
-        """Both abscissae round to x = cos t = 1, so the interior piece
-        [1e-9, 2e-9] is empty in x and is dropped for f and f^2 as for |f|;
-        the next piece reaches x = 1.  References: 40-digit mpmath."""
+        """Both abscissae have cosines that round to 1, so the interior piece
+        [1e-9, 2e-9] shrinks to [0, 0] and is dropped for f and f^2 as for
+        |f|; the next piece runs from theta = 0.  References: 40-digit
+        mpmath."""
         f = GridSampled((1e-9, 2e-9, 1.0), (1.0, 1.0, 0.0))
         params = JacobiParams(0.5, -0.25)
         ref = np.array([0.019650193989703766, 0.01688653900337214,
@@ -735,13 +789,20 @@ class TestGridSampledSeries:
         assert abs(norm_sq - 0.0079932774141139282) <= 1e-10
 
     def test_interior_piece_empty_in_x_at_negative_alpha(self):
-        """At (-0.9, 0) the same input reaches the x-rule limit near
-        theta = 0, which is an AccuracyError, not a malformed piece."""
+        """At (-0.9, 0) the weight is theta^(-0.8) next to 0, so the mass
+        of [0, 2e-9] counts, and the piece that _pieces moves onto [0, 1]
+        takes theta^(-0.8) into its rule."""
         f = GridSampled((1e-9, 2e-9, 1.0), (1.0, 1.0, 0.0))
-        with pytest.raises(AccuracyError):
-            coefficient_series(f, 8, JacobiParams(-0.9, 0.0))
+        assert_series_matches_quad(f, JacobiParams(-0.9, 0.0), 8, range(9), f.abscissae)
 
-    @pytest.mark.parametrize("a,b", [(0.5, -0.25), (-0.5, -0.5), (2.0, 1.0)])
+    def test_piece_moved_onto_pi(self):
+        """cos(pi - 1e-9) rounds to -1, so the constant end is left out and
+        the linear piece next to it runs to pi, where beta = -0.9 puts much
+        of the weight."""
+        f = GridSampled((0.5, math.pi - 1e-9), (1.0, 0.3))
+        assert_series_matches_quad(f, JacobiParams(0.0, -0.9), 8, range(9), f.abscissae)
+
+    @pytest.mark.parametrize("a,b", [(0.5, -0.25), (-0.5, -0.5), (2.0, 1.0), (-0.9, 0.0)])
     def test_constant_grid_is_the_weight_mass(self, a, b):
         f = GridSampled((1e-9, 2.0), (1.0, 1.0))
         params = JacobiParams(a, b)
@@ -781,7 +842,7 @@ def near_end_grid(seed: int):
 
 class TestAngleSizedPieces:
     """Each piece of the doubling quadrature starts at a rule sized by the
-    angle it spans, and pieces inside (-1, 1) in x are integrated in theta."""
+    angle it spans, and every piece is integrated in theta."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_against_one_large_rule_on_every_piece(self, seed):
@@ -822,6 +883,31 @@ class TestAngleSizedPieces:
             assert abs(piece[0] - mass) <= 1e-12 * max(1.0, mass)
 
 
+class TestCallablesReachingTheEnds:
+    """A callable is one piece on [0, pi], integrated in theta with the powers
+    of the weight at both ends in its rule.  sin theta = sqrt(1 - x^2) is not
+    smooth in x, so a rule in x did not settle it by n = 4096."""
+
+    FUNCTIONS = {"sin": np.sin,
+                 "exp_cos_sin3": lambda t: np.exp(np.cos(t)) * np.sin(3.0 * t) + 0.25}
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    @pytest.mark.parametrize("a, b", [(0.5, -0.25), (-0.9, 0.0), (2.0, 1.0)])
+    @pytest.mark.parametrize("kmax", [64, 1024])
+    def test_series_against_adaptive_quadrature(self, name, a, b, kmax):
+        assert_series_matches_quad(self.FUNCTIONS[name], JacobiParams(a, b), kmax,
+                                   (0, 5, kmax // 2))
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    @pytest.mark.parametrize("a, b", [(0.5, -0.25), (-0.9, 0.0), (2.0, 1.0)])
+    def test_norm_against_adaptive_quadrature(self, name, a, b):
+        f, params = self.FUNCTIONS[name], JacobiParams(a, b)
+        got = norm_l(f, params)
+        ref = quad_alg(lambda t: abs(f(t)), params,
+                       series_module._sign_change_cuts(f, 0.0, math.pi, 256))
+        assert abs(got - ref) <= 1e-9 * max(1.0, ref)
+
+
 class TestTableFree:
     """Coefficient quadrature sums R_k degree by degree, so it builds no
     (kmax+1) x n table of R_k."""
@@ -849,8 +935,8 @@ class TestTableFree:
         laguerre_module.laguerre_coefficient_series(f, 64, 0.5)
 
     def test_memory_is_linear_in_the_rule_size(self):
-        """kmax 4096 compares rules of 2080 and 4160 nodes; a table of R_k
-        at the larger one alone would take 130 MiB."""
+        """kmax 4096 compares rules of 2080, 4160 and 8320 nodes; a table of
+        R_k at the largest one alone would take 260 MiB."""
         tracemalloc.start()
         try:
             coefficient_series(on_quadrature(CosinePoly((0.5, 1.0, 0.25))), 4096,
