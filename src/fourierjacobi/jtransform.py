@@ -11,7 +11,8 @@ prefactors are assembled in log space so large t cannot overflow.  The inputs
 are laguerre's half-line specs, split by its piece builder.  A constant piece
 needs no integral: its transform is a boundary term, one phi row at
 (alpha + 1, beta + 1) per jump.  Linear pieces and the damped tail, the piece
-that runs to infinity, are integrated against phi rows at outer nodes.
+that runs to infinity, are integrated against phi rows at outer nodes, whose
+rule for the weight's t^(2 alpha + 1) comes from quadrature._anchored_rule.
 """
 
 import math
@@ -22,8 +23,8 @@ import numpy as np
 
 from .errors import AccuracyError
 from .specfun import JacobiParams, _hyp2f1_array
-from .quadrature import (_check_rtol, _check_size, converge_doubling, ladder_size,
-                         mapped_jacobi_rule)
+from .quadrature import (_anchored_rule, _check_rtol, _check_size, converge_doubling,
+                         ladder_size, mapped_jacobi_rule)
 from .mehler import _cosine_sum
 from .laguerre import LaguerreExpDamped, LaguerreStep, _pieces
 
@@ -194,11 +195,10 @@ def _sweep_piece(lo: float, hi: float, g, taus: np.ndarray,
                          f"over the budget of {_MAX_KERNEL_WORK}")
     if _log_weight(hi, params) > _LOG_MAX:
         raise ValueError(f"the weight overflows at t = {hi} for {params}")
-    # A piece at t = 0 puts the weight's t^(2a+1) into its rule.
-    e = 2.0 * params.alpha + 1.0 if lo == 0.0 else 0.0
-    rule = mapped_jacobi_rule(n_out, 0.0, e, lo, hi)
-    t_nodes = rule.nodes
-    u = rule.weights * np.asarray(g(t_nodes), dtype=float) * np.exp(
+    # The weight's t^(2a+1) goes to the rule, and the smooth rest to the nodes.
+    e = 2.0 * params.alpha + 1.0
+    t_nodes, w = _anchored_rule(n_out, lo, hi, e)
+    u = w * np.asarray(g(t_nodes), dtype=float) * np.exp(
         _log_weight(t_nodes, params) - e * np.log(t_nodes))
     out = np.zeros(taus.size)
     # Summed in node order: u @ rows would change the order and the bits.

@@ -6,9 +6,11 @@ splits once into pieces p(x) e^(-rate x) on [lo, hi) (_pieces).
 Coefficients integrate f R_k^a x^a e^(-x); the space norm integrates
 |f| x^a e^(-x/2), the split that makes |e^(-x/2) R_k| <= 1 usable.  Both
 take their nodes from one builder for the weight x^a e^(-d x), with d = 1
-and d = 1/2.  A step's coefficients need no nodes: they are a closed form
-summed over its jumps (_step_values), and its norm is a sum of incomplete
-gamma masses (_step_masses).  The step identity checks that
+and d = 1/2: a finite piece takes its rule for x^a from
+quadrature._anchored_rule, and the piece that runs to infinity a
+Gauss-Laguerre rule.  A step's coefficients need no nodes: they are a
+closed form summed over its jumps (_step_values), and its norm is a sum of
+incomplete gamma masses (_step_masses).  The step identity checks that
 closed form against the quadrature of the [0, a] indicator, one sweep of
 degrees per rule size.
 """
@@ -23,8 +25,7 @@ from numpy.polynomial.polynomial import polyval, polyroots
 
 from .specfun import (_check_degree, _check_exponent, _check_finite, _check_knots,
                       _laguerre_r_sums, laguerre_r_table)
-from .quadrature import (converge_doubling, gauss_laguerre_rule, ladder_size,
-                         mapped_jacobi_rule)
+from .quadrature import _anchored_rule, converge_doubling, gauss_laguerre_rule, ladder_size
 from .series import DecayReport, _decay_report
 
 __all__ = [
@@ -139,27 +140,27 @@ def _weighted_nodes(pieces, n: int, alpha: float,
                     d: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and values u with u @ h(x) ~ the integral of f h x^a e^(-d x).
 
-    A piece that starts at 0 puts x^a into its Gauss-Jacobi rule; any other
-    piece multiplies it in at the nodes.  A piece that runs to infinity
-    takes a Gauss-Laguerre rule, which also absorbs the exponential.  Nodes
-    whose weighted value underflows to 0 are dropped: R_k can overflow at
-    the far Gauss-Laguerre nodes, and 0 * inf would be NaN.
+    A finite piece takes its rule for x^a from quadrature._anchored_rule,
+    and p e^(-rate x) continues smoothly onto [0, lo] if that splits it.  A
+    piece that runs to infinity takes a Gauss-Laguerre rule, which also
+    absorbs the exponential, and x^a when it starts at 0.  Nodes whose
+    weighted value underflows to 0 are dropped: R_k can overflow at the far
+    Gauss-Laguerre nodes, and 0 * inf would be NaN.
     """
     xs, us = [], []
     for lo, hi, p, rate in pieces:
         s = rate + d
-        a = alpha if lo == 0.0 else 0.0
         if hi == math.inf:
+            a = alpha if lo == 0.0 else 0.0
             rule = gauss_laguerre_rule(n, a)
             x = lo + rule.nodes / s
             w = rule.weights * (math.exp(-s * lo) / s ** (a + 1.0))
             g = polyval(x, p)
+            if lo != 0.0:
+                g = g * x ** alpha
         else:
-            rule = mapped_jacobi_rule(n, 0.0, a, lo, hi)
-            x, w = rule.nodes, rule.weights
+            x, w = _anchored_rule(n, lo, hi, alpha)
             g = polyval(x, p) * np.exp(-s * x)
-        if lo != 0.0:
-            g = g * x ** alpha
         xs.append(x)
         us.append(w * g)
     x, u = np.concatenate(xs), np.concatenate(us)
@@ -280,8 +281,13 @@ def _step_values(f: LaguerreStep, kmax: int, alpha: float) -> np.ndarray:
     if kmax >= 1:
         e = [x for x in f.breakpoints if math.exp(-x) > 0.0]
         drops = [v0 - v1 for v0, v1 in zip(f.values, f.values[1:] + (0.0,))]
-        out[1:] = _laguerre_r_sums(kmax - 1, s, e, [dv * _power_exp(s, x) / s
-                                                    for dv, x in zip(drops, e)])
+        jumps = [dv * _power_exp(s, x) / s for dv, x in zip(drops, e)]
+        # The jumps are summed divided by a power of two near the largest,
+        # which is exact, so a jump near the largest double cannot overflow
+        # the sum where hat(k) itself is finite.
+        shift = math.frexp(max(map(abs, jumps), default=0.0))[1]
+        out[1:] = np.ldexp(_laguerre_r_sums(kmax - 1, s, e, [math.ldexp(j, -shift)
+                                                             for j in jumps]), shift)
     return out
 
 
@@ -329,7 +335,10 @@ def laguerre_coefficient_series(f, kmax: int, alpha: float) -> np.ndarray:
 def laguerre_norm(f, alpha: float) -> float:
     """Space norm of f: the integral of |f| x^a e^(-x/2).
 
-    Pieces are cut at the positive real roots of p, so |p| is smooth on each.
+    Pieces are cut at the positive real roots of p, so p has one sign on
+    each, and the norm sums the magnitudes of the pieces' signed integrals:
+    a piece that _anchored_rule splits has negative weights, so |u| node by
+    node would be wrong.
     A damped polynomial p e^(-rate x) with no positive root has |p| = +-p, so
     one Gauss-Laguerre rule in (rate + 1/2) x of ceil((d + 1) / 2) points, d
     the degree of p, is exact.  A step needs no nodes: x = 2 y turns each
@@ -357,7 +366,7 @@ def laguerre_norm(f, alpha: float) -> float:
         return 0.0
 
     def one(n: int) -> float:
-        return float(np.sum(np.abs(_weighted_nodes(pieces, n, alpha, 0.5)[1])))
+        return sum(abs(float(np.sum(_weighted_nodes([p], n, alpha, 0.5)[1]))) for p in pieces)
 
     if isinstance(f, LaguerreExpDamped) and len(pieces) == 1:
         return one((len(f.coefficients) + 1) // 2)

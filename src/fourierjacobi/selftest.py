@@ -130,8 +130,11 @@ def check_decay_dichotomy() -> CriterionResult:
             worst_ratio = max(worst_ratio, high / low)
         ok = ok and worst_ratio < 0.2
         parts.append(f"{label} worst tail/low ratio {worst_ratio:.3e}")
-    gap = max(closed_form_gap(f, JacobiParams(a, b))
-              for f in (step, cospoly) for a, b in pairs)
+    # Two steps with a breakpoint next to an end, at exponents near -1 there.
+    near_ends = [(StepFunction((1e-7, 2.0), (0.0, 1.0, 0.0)), (-0.9, 0.0)),
+                 (StepFunction((1.0, math.pi - 1e-6), (0.0, 1.0, 0.0)), (0.0, -0.9))]
+    cases = [(f, p) for f in (step, cospoly) for p in pairs] + near_ends
+    gap = max(closed_form_gap(f, JacobiParams(*p)) for f, p in cases)
     ok = ok and gap <= 1e-9
     parts.append(f"step and cospoly closed forms vs quadrature {gap:.3e} of scale "
                  "(tol 1e-9)")

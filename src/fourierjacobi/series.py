@@ -9,10 +9,11 @@ coefficients in closed form.  A cosine polynomial of degree d, and its square,
 are polynomials in x: their hat(k) are exactly 0 past the degree and come from
 one Gauss-Jacobi rule in x of degree + 1 points below it.  Other inputs are
 integrated piece by piece in theta, all pieces doubling together until two
-sizes agree; a piece that reaches theta = 0 or pi puts the power of the
-weight there into its Gauss-Jacobi rule.  Each piece starts from a rule sized
-by the angle it spans.  Sup norms of R_k are maxima over the few critical
-points that Sonin's function leaves as candidates.
+sizes agree; each piece takes its rule for the end powers theta^(2a+1) and
+(pi - theta)^(2b+1) of the weight from quadrature._anchored_rule.  Each
+piece starts from a rule sized by the angle it spans.  Sup norms of R_k are
+maxima over the few critical points that Sonin's function leaves as
+candidates.
 """
 
 import math
@@ -27,8 +28,8 @@ from scipy.special import beta as beta_function, betainc
 from .specfun import (JacobiParams, _binomial_ratios, _check_degree, _check_finite,
                       _check_knots, _jacobi_p_table, _jacobi_r_sums, h_normalizer_table,
                       jacobi_r, jacobi_r_table)
-from .quadrature import (_check_rtol, _jacobi_coeffs, converge_doubling, ladder_size,
-                         mapped_jacobi_rule)
+from .quadrature import (_anchored_rule, _check_rtol, _jacobi_coeffs, converge_doubling,
+                         ladder_size, mapped_jacobi_rule)
 
 __all__ = [
     "StepFunction",
@@ -162,12 +163,11 @@ def _pieces(f, g=None) -> list[_ThetaPiece]:
 
     Zero pieces are dropped, and a grid gives its linear interior pieces only
     (_values sums its constant ends in closed form).  abs cuts the pieces at
-    sign changes of f.  An end whose cosine rounds to +-1 becomes exactly 0
-    or pi, where _weighted_nodes puts the end factor into the rule, and a
-    piece left empty by this is dropped for every g: it carries no mass the
-    resolution of cos() can see, and a neighbouring piece reaches the end.
-    The power weight, which _values sums in closed form, gives one reference
-    piece, for f itself.
+    sign changes of f and takes +-f on each, not |f|: a piece next to an end
+    may be integrated as a difference of two pieces from that end (see
+    _weighted_nodes), so h must continue smoothly past the piece.  The power
+    weight, which _values sums in closed form, gives one reference piece,
+    for f itself.
     """
     if isinstance(f, PowerWeight):
         return [_ThetaPiece(0.0, math.pi, np.ones_like, f.rho)]
@@ -190,28 +190,17 @@ def _pieces(f, g=None) -> list[_ThetaPiece]:
         samples = 3 if isinstance(f, GridSampled) else max(256, 16 * (deg + 2))
         parts = [(a, b, h) for t0, t1, h in parts
                  for a, b in pairwise([t0, *_sign_change_cuts(h, t0, t1, samples), t1])]
-    if g is not None:
+        parts = [(a, b, lambda th, h=h, s=math.copysign(1.0, float(h(0.5 * (a + b)))):
+                  s * h(th)) for a, b, h in parts]
+    elif g is not None:
         parts = [(a, b, lambda th, h=h: g(h(th))) for a, b, h in parts]
-    parts = [(_snap(t0), _snap(t1), h) for t0, t1, h in parts]
-    return [_ThetaPiece(t0, t1, h) for t0, t1, h in parts if t0 < t1]
-
-
-def _snap(t: float) -> float:
-    """0 or pi for an angle whose cosine rounds to 1 or -1, else t itself."""
-    x = np.cos(t)
-    return 0.0 if x == 1.0 else math.pi if x == -1.0 else t
+    return [_ThetaPiece(t0, t1, h) for t0, t1, h in parts]
 
 
 def _grid_ends(f: GridSampled) -> StepFunction:
-    """The constant end pieces [0, t_0] and [t_last, pi] of a grid, as a step.
-
-    An end whose cosine rounds to +-1, like t_0 = 1e-9, is left out: _pieces
-    then moves the interior piece next to it onto 0 or pi, and that piece
-    carries the mass.
-    """
-    t0, t1 = f.abscissae[0], f.abscissae[-1]
-    return StepFunction((t0, t1), (f.ordinates[0] if np.cos(t0) < 1.0 else 0.0, 0.0,
-                                   f.ordinates[-1] if np.cos(t1) > -1.0 else 0.0))
+    """The constant end pieces [0, t_0] and [t_last, pi] of a grid, as a step."""
+    return StepFunction((f.abscissae[0], f.abscissae[-1]),
+                        (f.ordinates[0], 0.0, f.ordinates[-1]))
 
 
 def _bisect(h, a: float, b: float) -> float:
@@ -247,30 +236,22 @@ def _weighted_nodes(p: _ThetaPiece, params: JacobiParams,
     """Nodes x = cos theta of the n-point rule on a piece, and its weights
     times the rest of the integrand.
 
-    The rule is Gauss-Jacobi in theta, where R_k oscillates evenly and the
-    input of a grid is linear.  With s and c the sine and cosine of theta/2,
-    (1-x)^alpha (1+x)^beta dx = (2 s^2)^alpha (2 c^2)^beta 2 s c dtheta, so
-    1 - x and 1 + x keep full precision next to the ends.  That weight
-    vanishes like theta^(2 alpha + 1) at 0 and like (pi - theta)^(2 beta + 1)
-    at pi (beta + rho for the power weight), so a piece that starts at 0 or
-    ends at pi puts that power into the rule and takes s / theta, or
-    c / (pi - theta), at the nodes instead of s or c.  Next to pi, c is
-    sin((pi - theta)/2): cos(theta/2) would keep only an absolute precision
-    there, and at beta near -1 those nodes carry most of the mass.  A piece
-    inside (0, pi) takes a Gauss-Legendre rule.
+    The rule is in theta, where R_k oscillates evenly and the input of a
+    grid is linear.  With s = sin(theta/2) and c = sin((pi - theta)/2),
+    (1-x)^alpha (1+x)^beta dx = 2^(alpha+beta+1) s^(2 alpha+1) c^(2 beta+1)
+    dtheta, so 1 - x and 1 + x keep full precision next to both ends
+    (cos(theta/2) would keep only an absolute one next to pi, where at beta
+    near -1 the nodes carry most of the mass).  The end powers
+    theta^(2 alpha+1) and (pi - theta)^(2 beta+1) (beta + rho for the power
+    weight) go to quadrature._anchored_rule, and the smooth rest,
+    2^(alpha+beta+1) (s/theta)^(2 alpha+1) (c/(pi - theta))^(2 beta+1), is
+    taken at the nodes.
     """
     a, b = params.alpha, params.beta + p.rho
-    at_0, at_pi = p.t0 == 0.0, p.t1 == math.pi
-    rule = mapped_jacobi_rule(n, 2.0 * b + 1.0 if at_pi else 0.0,
-                              2.0 * a + 1.0 if at_0 else 0.0, p.t0, p.t1)
-    t = rule.nodes
-    s = np.sin(0.5 * t)
-    c = np.sin(0.5 * (math.pi - t)) if at_pi else np.cos(0.5 * t)
-    if at_0:
-        s = s / t
-    if at_pi:
-        c = c / (math.pi - t)
-    w = rule.weights * (2.0 * s * c) * (2.0 * s * s) ** a * (2.0 * c * c) ** b
+    t, w = _anchored_rule(n, p.t0, p.t1, 2.0 * a + 1.0, 2.0 * b + 1.0, math.pi)
+    s, c = np.sin(0.5 * t), np.sin(0.5 * (math.pi - t))
+    w = w * (2.0 ** (a + b + 1.0) * (s / t) ** (2.0 * a + 1.0)
+             * (c / (math.pi - t)) ** (2.0 * b + 1.0))
     return np.cos(t), w * np.asarray(p.h(t), dtype=float)
 
 
@@ -329,9 +310,15 @@ def _step_values(f: StepFunction, params: JacobiParams, kmax: int) -> np.ndarray
     cos_h[-1] = 0.0  # cos(pi/2) rounds to 6e-17
     # Regularized masses of [0, t] and of [t, pi].  Each piece takes the
     # difference of whichever is smaller, so a thin piece at an end does not
-    # cancel against the whole mass.
-    head = betainc(a + 1.0, b + 1.0, sin_h ** 2).tolist()
-    tail = betainc(b + 1.0, a + 1.0, cos_h ** 2).tolist()
+    # cancel against the whole mass.  Where sin^2(t/2) > 3/4 the head is
+    # 1 - tail, and where cos^2(t/2) > 3/4 the tail is 1 - head: an argument
+    # near 1 keeps only an absolute precision in its distance from 1, which
+    # a thin piece at the far end would lose.  The switch is off pi/2, where
+    # both are accurate, so a breakpoint there keeps its direct values.
+    s2, c2 = sin_h ** 2, cos_h ** 2
+    head, tail = betainc(a + 1.0, b + 1.0, s2), betainc(b + 1.0, a + 1.0, c2)
+    head, tail = (np.where(s2 > 0.75, 1.0 - tail, head).tolist(),
+                  np.where(c2 > 0.75, 1.0 - head, tail).tolist())
     masses = [h1 - h0 if h1 <= t0 else t0 - t1
               for h0, h1, t0, t1 in zip(head, head[1:], tail, tail[1:])]
     out = np.zeros(kmax + 1)

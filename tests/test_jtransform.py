@@ -314,17 +314,21 @@ class TestTransform:
                                        rtol=1e-7)
 
     def test_grid_profile_against_adaptive(self):
+        """The second grid starts at 1e-5, next to the weight's t^0.2 at
+        (-0.4, 0): a Gauss-Legendre rule on its first piece did not settle."""
         from fourierjacobi.jtransform import _log_weight, _transform_prefactor
-        params = JacobiParams(0.5, 0.0)
-        f = HalfLineGrid((0.5, 1.5, 2.5), (0.0, 2.0, 0.0))
-        pref = _transform_prefactor(params)
         tau = 2.0
-        def integrand(t):
-            return (f(t) * jacobi_function(tau, t, params)
-                    * math.exp(_log_weight(t, params)))
-        ref, _ = quad(integrand, 0.5, 2.5, limit=300, points=[1.5])
-        np.testing.assert_allclose(transform(f, tau, params), pref * ref,
-                                   rtol=1e-7)
+        cases = [(HalfLineGrid((0.5, 1.5, 2.5), (0.0, 2.0, 0.0)), JacobiParams(0.5, 0.0)),
+                 (HalfLineGrid((1e-5, 0.5, 1.0), (1.0, 2.0, 1.0)), JacobiParams(-0.4, 0.0))]
+        for f, params in cases:
+            pref = _transform_prefactor(params)
+            def integrand(t):
+                return (f(t) * jacobi_function(tau, t, params)
+                        * math.exp(_log_weight(t, params)))
+            ts = f.abscissae
+            ref, _ = quad(integrand, ts[0], ts[-1], limit=300, points=ts[1:-1])
+            np.testing.assert_allclose(transform(f, tau, params), pref * ref,
+                                       rtol=1e-7)
 
     # (D phi')' = -(tau^2 + rho^2) D phi with D = sinh^(2a+1) t cosh^(2b+1) t, and
     # phi' = -(tau^2 + rho^2) sinh(2t) phi^(a+1,b+1) / (4 (a+1)) from the derivative

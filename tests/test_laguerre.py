@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from fourierjacobi import (
+    HalfLineGrid,
     LaguerreStep,
     LaguerreExpDamped,
     gauss_laguerre_rule,
@@ -18,7 +20,7 @@ from fourierjacobi import (
     laguerre_bound_profile,
     laguerre_decay,
 )
-from fourierjacobi import laguerre
+from fourierjacobi import laguerre, quadrature
 
 UNIT_STEP = LaguerreStep((1.0,), (1.0,))
 
@@ -99,6 +101,15 @@ class TestCoefficient:
             np.testing.assert_allclose(laguerre_coefficient(UNIT_STEP, k,
                                                             alpha),
                                        ref, rtol=1e-9, atol=1e-13)
+
+    def test_piece_next_to_a_singular_end(self):
+        """The piece [1e-5, 2] sees x^(-0.9) just off its end, so a
+        Gauss-Legendre rule on it did not settle by n = 4096; it is
+        [0, 2] - [0, 1e-5] in its rule.  References: 30-digit mpmath, checked
+        at 36 digits."""
+        got = laguerre_coefficient_series(HalfLineGrid((1e-5, 2.0), (1.0, 1.0)), 64, -0.9)
+        want = [6.297254945177868603909, -2.881910237518796678018, -3.612823271619474569825]
+        assert np.max(np.abs(got[[0, 5, 64]] - want)) <= 1e-12 * np.max(np.abs(got))
 
     def test_eigenfunction_pickout(self):
         """The degree-2 polynomial L_2 itself has a single nonzero coefficient.
@@ -269,6 +280,17 @@ class TestStepClosedForm:
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got[0], 1.14267679128917091809503e+263, rtol=1e-13)
 
+    def test_jump_near_the_largest_double(self):
+        """40^201 e^(-40) / 201 = 2.6e302, so the jump sum overflowed to inf
+        from k = 5 on; it is summed divided by a power of two.  References:
+        the integrals of R_k x^200 e^(-x) over [0, 40] in 40-digit mpmath."""
+        with np.errstate(all="raise"):
+            got = laguerre_coefficient_series(LaguerreStep((40.0,), (1.0,)), 8, 200.0)
+        with mp.workdps(40):
+            want = [float(mp.quad(lambda x: mp.laguerre(k, 200, x) / mp.binomial(k + 200, k)
+                                  * x ** 200 * mp.exp(-x), [0, 20, 40])) for k in range(9)]
+        assert np.max(np.abs(got - want)) <= 1e-13 * got[0]
+
     def test_overflowing_edge_is_refused(self):
         """400^201 e^(-400) = e^804 overflows a double, and so does the mass
         of [0, 400) against x^200 e^(-x): the series names the edge and the
@@ -280,7 +302,7 @@ class TestStepClosedForm:
         def refuse(*args):
             raise AssertionError("a Gauss rule was requested")
 
-        monkeypatch.setattr(laguerre, "mapped_jacobi_rule", refuse)
+        monkeypatch.setattr(quadrature, "mapped_jacobi_rule", refuse)
         monkeypatch.setattr(laguerre, "gauss_laguerre_rule", refuse)
         laguerre_coefficient_series(LaguerreStep((0.5, 3.0, 900.0), (1.0, -2.0, 0.25)), 256, 0.5)
 
@@ -299,6 +321,14 @@ class TestNorm:
             return abs(f(x)) * x ** alpha * math.exp(-x / 2.0)
         ref, _ = quad(integrand, 0.0, 60.0, limit=300, points=[1.0])
         np.testing.assert_allclose(laguerre_norm(f, alpha), ref, rtol=1e-8)
+
+    def test_signed_sums_per_piece(self):
+        """[1e-5, 1] and [1, 2] are split into pieces from 0, whose weights
+        are partly negative: each piece's signed sum is taken before its
+        magnitude (|u| node by node gave 12.198).  Reference: 30-digit
+        mpmath."""
+        got = laguerre_norm(HalfLineGrid((1e-5, 2.0), (1.0, -1.0)), -0.9)
+        np.testing.assert_allclose(got, 5.87324296181062023503, rtol=1e-14, atol=0.0)
 
     def test_damped_norm(self):
         alpha = 0.5
@@ -351,7 +381,7 @@ class TestNorm:
         2 (1 - x) on [0, 1], so the norm is 2^2.5 Gamma(2.5) - 2^1.5 Gamma(1.5)
         + 2 (2^1.5 gamma(1.5, 1/2) - 2^2.5 gamma(2.5, 1/2))."""
         from scipy.special import gammainc
-        from fourierjacobi import laguerre
+        from fourierjacobi import laguerre, quadrature
         monkeypatch.setattr(laguerre, "ladder_size", lambda n: 2080)
         got = laguerre_norm(LaguerreExpDamped((1.0, -1.0)), 0.5)
         whole = [2.0 ** (m + 1.5) * math.gamma(m + 1.5) for m in (0, 1)]

@@ -40,7 +40,7 @@ from fourierjacobi import (
 )
 from fourierjacobi import laguerre, mehler, quadrature
 from fourierjacobi.jtransform import _phi_grid
-from fourierjacobi.quadrature import _jacobi_coeffs, ladder_size
+from fourierjacobi.quadrature import _anchored_rule, _jacobi_coeffs, ladder_size
 
 
 class TestGaussJacobi:
@@ -175,6 +175,32 @@ class TestMappedRule:
     def test_infinite_end_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="finite"):
             mapped_jacobi_rule(8, 0.0, 0.0, lo, hi)
+
+
+def test_anchored_rule_integrates_monomials():
+    """quadrature._anchored_rule(n, lo, hi, e_lo, e_hi, top) integrates
+    g(x) x^e_lo (top - x)^e_hi over [lo, hi].  In each of its cases it takes
+    every monomial of degree below 2n exactly, up to rounding; a split piece
+    has 2n nodes, n of them with negative weights."""
+    n = 8
+    m = np.arange(2.0 * n)
+    near_end = (2.0 ** (m + 0.2) - 1e-4 ** (m + 0.2)) / (m + 0.2)
+    # x^(m+1) (3 - x)^2 = 9 x^(m+1) - 6 x^(m+2) + x^(m+3), of degree m + 3 < 2n
+    interior = sum(c * (2.0 ** (m[:-3] + j) - 1.0) / (m[:-3] + j)
+                   for c, j in ((9.0, 2), (-6.0, 3), (1.0, 4)))
+    cases = [
+        ((0.0, 3.0, -0.8, -0.5, 3.0), lambda x: x, 3.0 ** (m - 0.3) * sp.beta(m + 0.2, 0.5)),
+        ((1e-4, 2.0, -0.8), lambda x: x, near_end),                    # [0, 2] - [0, 1e-4]
+        ((1.0, 3.0 - 1e-4, 0.0, -0.8, 3.0), lambda x: 3.0 - x, near_end),  # its mirror
+        ((1.0, 2.0, 1.0, 2.0, 3.0), lambda x: x, interior),           # powers at the nodes
+    ]
+    for args, g, want in cases:
+        x, w = _anchored_rule(n, *args)
+        split = args[0] == 1e-4 or args[1] == 3.0 - 1e-4
+        assert x.size == (2 * n if split else n)
+        assert np.all(w[n:] < 0.0) and np.all(w[:n] > 0.0)
+        got = np.array([w @ g(x) ** k for k in range(want.size)])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=str(args))
 
 
 class TestMehlerInnerRule:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -37,6 +38,7 @@ from fourierjacobi import (
     jacobi_r,
 )
 import fourierjacobi.laguerre as laguerre_module
+import fourierjacobi.quadrature as quadrature_module
 import fourierjacobi.series as series_module
 from fourierjacobi.quadrature import ladder_size
 from fourierjacobi.selftest import closed_form_gap
@@ -366,6 +368,23 @@ class TestClosedForms:
         vals = coefficient_series(f, 256, JacobiParams(a, b)).values
         got = vals[[0, 1, 97, 256]]
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("a, b", [(-0.9, 0.0), (0.0, -0.9), (-0.99, -0.99), (0.5, -0.25),
+                                      (-0.5, -0.5), (2.0, 1.0)])
+    def test_step_mass_next_to_an_end_against_mpmath(self, a, b):
+        """hat(0) of a step with a breakpoint next to 0 or pi keeps its relative
+        precision: sin^2(t/2) near 1 keeps only an absolute one, which left
+        [1e-7, 2] at (-0.9, 0) 8.6e-5 off and [1, pi - 1e-6] at (0, -0.9)
+        5.3e-7 off.  References: 40-digit mpmath, the incomplete beta integral
+        of u^a (1-u)^b between sin^2(t0/2) and sin^2(t1/2)."""
+        steps = [(1e-12, 1.0), (1e-7, 2.0), (1.0, math.pi - 1e-6), (2.0, math.pi - 1e-10),
+                 (1e-9, math.pi - 1e-9), (1e-12, math.pi - 1e-10), (0.5, math.pi - 1e-3)]
+        for t0, t1 in steps:
+            got = coefficient(StepFunction((t0, t1), (0.0, 1.0, 0.0)), 0, JacobiParams(a, b))
+            with mp.workdps(40):
+                s0, s1 = (mp.sin(mp.mpf(t) / 2) ** 2 for t in (t0, t1))
+                want = float(mp.betainc(a + 1.0, b + 1.0, s0, s1))
+            assert abs(got - want) <= 1e-14 * want, (t0, t1)
 
     def test_power_weight_against_mpmath(self):
         """hat(k) of (1 + cos theta)^-0.8 at (-0.9, 0), k = 0, 1, 512, 1024:
@@ -763,8 +782,8 @@ class TestGridSampledSeries:
                                        rtol=1e-8, atol=1e-12)
 
     def test_end_next_to_zero(self):
-        """cos(1e-9) rounds to 1, so the constant end [0, 1e-9] is left out
-        and the interior piece next to it runs from theta = 0."""
+        """cos(1e-9) rounds to 1: the constant end [0, 1e-9] is a step, and
+        the interior piece next to it is [0, 1] - [0, 1e-9] in its rule."""
         f = GridSampled((1e-9, 1.0), (1.0, 0.0))
         params = JacobiParams(0.5, -0.25)
         series = coefficient_series(f, 64, params)
@@ -773,8 +792,8 @@ class TestGridSampledSeries:
 
     def test_interior_piece_empty_in_x(self):
         """Both abscissae have cosines that round to 1, so the interior piece
-        [1e-9, 2e-9] shrinks to [0, 0] and is dropped for f and f^2 as for
-        |f|; the next piece runs from theta = 0.  References: 40-digit
+        [1e-9, 2e-9] is empty in x; in theta it takes a Gauss-Legendre
+        rule, and the next piece is [0, 1] - [0, 2e-9].  References: 40-digit
         mpmath."""
         f = GridSampled((1e-9, 2e-9, 1.0), (1.0, 1.0, 0.0))
         params = JacobiParams(0.5, -0.25)
@@ -790,40 +809,61 @@ class TestGridSampledSeries:
 
     def test_interior_piece_empty_in_x_at_negative_alpha(self):
         """At (-0.9, 0) the weight is theta^(-0.8) next to 0, so the mass
-        of [0, 2e-9] counts, and the piece that _pieces moves onto [0, 1]
-        takes theta^(-0.8) into its rule."""
+        of [0, 2e-9] counts, and every piece from 0 takes theta^(-0.8) into
+        its rule."""
         f = GridSampled((1e-9, 2e-9, 1.0), (1.0, 1.0, 0.0))
         assert_series_matches_quad(f, JacobiParams(-0.9, 0.0), 8, range(9), f.abscissae)
 
     def test_piece_moved_onto_pi(self):
-        """cos(pi - 1e-9) rounds to -1, so the constant end is left out and
-        the linear piece next to it runs to pi, where beta = -0.9 puts much
+        """cos(pi - 1e-9) rounds to -1; the linear piece next to it is
+        [0.5, pi] - [pi - 1e-9, pi] in its rule, where beta = -0.9 puts much
         of the weight."""
         f = GridSampled((0.5, math.pi - 1e-9), (1.0, 0.3))
         assert_series_matches_quad(f, JacobiParams(0.0, -0.9), 8, range(9), f.abscissae)
 
     @pytest.mark.parametrize("a,b", [(0.5, -0.25), (-0.5, -0.5), (2.0, 1.0), (-0.9, 0.0)])
     def test_constant_grid_is_the_weight_mass(self, a, b):
-        f = GridSampled((1e-9, 2.0), (1.0, 1.0))
+        """A first abscissa of 1e-5 did not settle by n = 4096 at (-0.9, 0)."""
         params = JacobiParams(a, b)
         mass = sp.beta(a + 1.0, b + 1.0)
-        values = coefficient_series(f, 256, params).values
         scale = max(1.0, mass)
-        assert abs(values[0] - mass) <= 1e-10 * scale
-        assert np.max(np.abs(values[1:])) <= 1e-10 * scale
-        assert abs(parseval_check(f, params, 64).rel_gap) <= 1e-10
-        assert abs(norm_l(f, params) - mass) <= 1e-10 * scale
+        for t0 in (1e-9, 1e-5):
+            f = GridSampled((t0, 2.0), (1.0, 1.0))
+            values = coefficient_series(f, 256, params).values
+            assert abs(values[0] - mass) <= 1e-10 * scale
+            assert np.max(np.abs(values[1:])) <= 1e-10 * scale
+            assert abs(parseval_check(f, params, 64).rel_gap) <= 1e-10
+            assert abs(norm_l(f, params) - mass) <= 1e-10 * scale
+
+    def test_piece_next_to_a_singular_end(self):
+        """The piece [1e-5, 2] sees theta^(-0.8) just off its end, so a
+        Gauss-Legendre rule on it did not settle by n = 4096; it is
+        [0, 2] - [0, 1e-5] in its rule.  References: 30-digit mpmath
+        (checked at 35 digits), the ends by closed form and [0, 1e-5] in
+        u = theta^(1/5).  hat(k) computes R_k at x = cos theta, which rounds
+        next to 0, hence the looser bound for k > 0."""
+        f, params = GridSampled((1e-5, 2.0), (1.0, -1.0)), JacobiParams(-0.9, 0.0)
+        values = coefficient_series(f, 64, params).values
+        ref = [6.4561546658775219195, 1.2857098619457424005, 0.059725947146624545338]
+        scale = float(np.max(np.abs(values)))
+        assert abs(values[0] - ref[0]) <= 1e-14 * scale
+        assert np.max(np.abs(values[[5, 64]] - ref[1:])) <= 1e-11 * scale
+        assert abs(parseval_check(f, params, 64).norm_sq - 7.1911453653718730912) <= 1e-14 * 7.2
+        # This grid is positive, but its first piece continued onto [0, 1e-5]
+        # changes sign at 8e-6: |f| there, not f, put the norm 5.5e-6 off.
+        g = GridSampled((1e-5, 2.0), (1e-6, 1.0))
+        assert abs(norm_l(g, params) - coefficient_series(g, 8, params).values[0]) <= 1e-14
 
     def test_requests_legendre_rules_only(self, monkeypatch):
         """Only the linear interior pieces go through quadrature."""
         exponents = set()
-        rule = series_module.mapped_jacobi_rule
+        rule = quadrature_module.mapped_jacobi_rule
 
         def recording(n, a, b, lo, hi):
             exponents.add((a, b))
             return rule(n, a, b, lo, hi)
 
-        monkeypatch.setattr(series_module, "mapped_jacobi_rule", recording)
+        monkeypatch.setattr(quadrature_module, "mapped_jacobi_rule", recording)
         f = GridSampled((0.3, 1.2, 2.9), (2.0, -1.0, 0.5))
         coefficient_series(f, 128, JacobiParams(0.5, -0.25))
         assert exponents == {(0.0, 0.0)}
