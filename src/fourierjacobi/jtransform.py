@@ -196,10 +196,8 @@ def _sweep_piece(lo: float, hi: float, g, taus: np.ndarray,
     if _log_weight(hi, params) > _LOG_MAX:
         raise ValueError(f"the weight overflows at t = {hi} for {params}")
     # The weight's t^(2a+1) goes to the rule, and the smooth rest to the nodes.
-    e = 2.0 * params.alpha + 1.0
-    t_nodes, w = _anchored_rule(n_out, lo, hi, e)
-    u = w * np.asarray(g(t_nodes), dtype=float) * np.exp(
-        _log_weight(t_nodes, params) - e * np.log(t_nodes))
+    t_nodes, w, l = _anchored_rule(n_out, lo, hi, 2.0 * params.alpha + 1.0)
+    u = w * np.asarray(g(t_nodes), dtype=float) * np.exp(_log_weight(t_nodes, params) - l)
     out = np.zeros(taus.size)
     # Summed in node order: u @ rows would change the order and the bits.
     for ui, row in zip(u[u != 0.0], _phi_rows(params, t_nodes[u != 0.0], taus, factor)):

@@ -159,8 +159,8 @@ def _weighted_nodes(pieces, n: int, alpha: float,
             if lo != 0.0:
                 g = g * x ** alpha
         else:
-            x, w = _anchored_rule(n, lo, hi, alpha)
-            g = polyval(x, p) * np.exp(-s * x)
+            x, w, l = _anchored_rule(n, lo, hi, alpha)
+            g = polyval(x, p) * np.exp(alpha * np.log(x) - l - s * x)
         xs.append(x)
         us.append(w * g)
     x, u = np.concatenate(xs), np.concatenate(us)

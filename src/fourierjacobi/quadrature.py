@@ -204,16 +204,19 @@ _SPLIT = 0.125
 
 
 def _anchored_rule(n: int, lo: float, hi: float, e_lo: float, e_hi: float = 0.0,
-                   top: float = inf) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x and weights w with w @ g(x) ~ the integral of
-    g(x) x^e_lo (top - x)^e_hi over [lo, hi], for 0 <= lo < hi <= top.
+                   top: float = inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x, weights w and logs l with w @ (F(x) e^(-l)) ~ the integral of
+    F(x) = g(x) x^e_lo (top - x)^e_hi over [lo, hi], for 0 <= lo < hi <= top.
 
-    A piece that reaches 0 (or top) puts that end's power into its
-    Gauss-Jacobi rule.  A piece with 0 < lo < _SPLIT (hi - lo) is
-    [0, hi] - [0, lo], the second with negative weights, and its mirror at
-    top is [lo, top] - [hi, top]; so g must continue smoothly onto the end
-    piece.  Any other piece multiplies the powers in at the nodes.  A zero
-    power is no singularity, and its end splits nothing.
+    l is the log of the end powers that w carries at each node.  A piece
+    that reaches 0 (or top) puts that end's power into its Gauss-Jacobi
+    rule, and l is e_lo log x (or e_hi log(top - x)) there.  A piece with
+    0 < lo < _SPLIT (hi - lo) is [0, hi] - [0, lo], the second with negative
+    weights, and its mirror at top is [lo, top] - [hi, top]; so g must
+    continue smoothly onto the end piece.  Any other piece is Gauss-Legendre,
+    with l = 0.  A zero power is no singularity, and its end splits nothing.
+    The caller forms F e^(-l) in log space, so a power that overflows on its
+    own, like theta^(2 alpha + 1) at large alpha, is never formed.
     """
     if e_lo and 0.0 < lo < _SPLIT * (hi - lo):
         parts = ((0.0, hi), (0.0, lo))
@@ -222,14 +225,15 @@ def _anchored_rule(n: int, lo: float, hi: float, e_lo: float, e_hi: float = 0.0,
     else:
         at_lo, at_hi = lo == 0.0, hi == top
         rule = mapped_jacobi_rule(n, e_hi if at_hi else 0.0, e_lo if at_lo else 0.0, lo, hi)
-        x, w = rule.nodes, rule.weights
-        if not at_lo:
-            w = w * x ** e_lo
-        if not at_hi:
-            w = w * (top - x) ** e_hi
-        return x, w
-    (x0, w0), (x1, w1) = (_anchored_rule(n, a, b, e_lo, e_hi, top) for a, b in parts)
-    return np.concatenate((x0, x1)), np.concatenate((w0, -w1))
+        x = rule.nodes
+        l = np.zeros(n)
+        if at_lo:
+            l = l + e_lo * np.log(x)
+        if at_hi:
+            l = l + e_hi * np.log(top - x)
+        return x, rule.weights, l
+    (x0, w0, l0), (x1, w1, l1) = (_anchored_rule(n, a, b, e_lo, e_hi, top) for a, b in parts)
+    return np.concatenate((x0, x1)), np.concatenate((w0, -w1)), np.concatenate((l0, l1))
 
 
 def ladder_size(n: int) -> int:

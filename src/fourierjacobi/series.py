@@ -163,9 +163,10 @@ def _pieces(f, g=None) -> list[_ThetaPiece]:
 
     Zero pieces are dropped, and a grid gives its linear interior pieces only
     (_values sums its constant ends in closed form).  abs cuts the pieces at
-    sign changes of f and takes +-f on each, not |f|: a piece next to an end
+    sign changes of f and keeps f on each, not |f|: a piece next to an end
     may be integrated as a difference of two pieces from that end (see
-    _weighted_nodes), so h must continue smoothly past the piece.  The power
+    _weighted_nodes), so h must continue smoothly past the piece, and
+    _converged_values sums the magnitudes of the pieces' integrals.  The power
     weight, which _values sums in closed form, gives one reference piece,
     for f itself.
     """
@@ -190,8 +191,6 @@ def _pieces(f, g=None) -> list[_ThetaPiece]:
         samples = 3 if isinstance(f, GridSampled) else max(256, 16 * (deg + 2))
         parts = [(a, b, h) for t0, t1, h in parts
                  for a, b in pairwise([t0, *_sign_change_cuts(h, t0, t1, samples), t1])]
-        parts = [(a, b, lambda th, h=h, s=math.copysign(1.0, float(h(0.5 * (a + b)))):
-                  s * h(th)) for a, b, h in parts]
     elif g is not None:
         parts = [(a, b, lambda th, h=h: g(h(th))) for a, b, h in parts]
     return [_ThetaPiece(t0, t1, h) for t0, t1, h in parts]
@@ -241,17 +240,19 @@ def _weighted_nodes(p: _ThetaPiece, params: JacobiParams,
     (1-x)^alpha (1+x)^beta dx = 2^(alpha+beta+1) s^(2 alpha+1) c^(2 beta+1)
     dtheta, so 1 - x and 1 + x keep full precision next to both ends
     (cos(theta/2) would keep only an absolute one next to pi, where at beta
-    near -1 the nodes carry most of the mass).  The end powers
-    theta^(2 alpha+1) and (pi - theta)^(2 beta+1) (beta + rho for the power
-    weight) go to quadrature._anchored_rule, and the smooth rest,
-    2^(alpha+beta+1) (s/theta)^(2 alpha+1) (c/(pi - theta))^(2 beta+1), is
-    taken at the nodes.
+    near -1 the nodes carry most of the mass).  hat(k) carries the factor
+    2^(-alpha-beta-1), so the weight taken here is s^(2 alpha+1)
+    c^(2 beta+1), and 2^rho s^(2 alpha+1) c^(2 beta+2 rho+1) for the power
+    weight, whose b below is beta + rho.  Its end powers
+    theta^(2 alpha+1) and (pi - theta)^(2 beta+1) go to
+    quadrature._anchored_rule, and the weight is divided by those the rule
+    carries in log space, so it stays finite at any exponents.
     """
     a, b = params.alpha, params.beta + p.rho
-    t, w = _anchored_rule(n, p.t0, p.t1, 2.0 * a + 1.0, 2.0 * b + 1.0, math.pi)
+    t, w, l = _anchored_rule(n, p.t0, p.t1, 2.0 * a + 1.0, 2.0 * b + 1.0, math.pi)
     s, c = np.sin(0.5 * t), np.sin(0.5 * (math.pi - t))
-    w = w * (2.0 ** (a + b + 1.0) * (s / t) ** (2.0 * a + 1.0)
-             * (c / (math.pi - t)) ** (2.0 * b + 1.0))
+    w = w * 2.0 ** p.rho * np.exp((2.0 * a + 1.0) * np.log(s)
+                                  + (2.0 * b + 1.0) * np.log(c) - l)
     return np.cos(t), w * np.asarray(p.h(t), dtype=float)
 
 
@@ -263,12 +264,13 @@ def _integrate_pieces(pieces: list, params: JacobiParams,
     their weights degree by degree, so no (kmax+1) x n table is built.
     """
     x, u = zip(*(_weighted_nodes(p, params, n) for p, n in zip(pieces, sizes)))
-    return (_jacobi_r_sums(kmax, params, np.concatenate(x), np.concatenate(u))
-            * 2.0 ** (-params.alpha - params.beta - 1.0))
+    return _jacobi_r_sums(kmax, params, np.concatenate(x), np.concatenate(u))
 
 
-def _converged_values(pieces, params, kmax, rtol=1e-10) -> np.ndarray:
-    """Hat coefficients of the pieces for k = 0..kmax, by doubling to rtol.
+def _converged_values(pieces, params, kmax, rtol=1e-10,
+                      magnitudes: bool = False) -> np.ndarray:
+    """Hat coefficients of the pieces for k = 0..kmax, by doubling to rtol;
+    with magnitudes, the sum of their magnitudes over the pieces.
 
     R_k has about k dtheta / pi half-oscillations on a piece that spans the
     angle dtheta, so each piece starts at the ladder size at or above
@@ -277,7 +279,10 @@ def _converged_values(pieces, params, kmax, rtol=1e-10) -> np.ndarray:
     kmax ~ 100, N nodes in theta do not yet resolve R_kmax on [0, pi], which
     takes about pi kmax / 4, so a piece spanning [0, pi], every callable
     among them, settles at 2N against 4N.  All pieces double together, and
-    converge_doubling caps the largest.
+    converge_doubling caps the largest.  The magnitudes give |f| from the
+    sign-definite pieces of _pieces(f, abs), as laguerre_norm does: a piece
+    that _anchored_rule splits has negative weights, so |h| node by node
+    would be wrong.
     """
     if not pieces:
         return np.zeros(kmax + 1)
@@ -286,9 +291,15 @@ def _converged_values(pieces, params, kmax, rtol=1e-10) -> np.ndarray:
     base = [min(cap, ladder_size(math.ceil(1.5 * half * p.span / math.pi) + 32))
             for p in pieces]
     top = max(base)
-    return converge_doubling(
-        lambda m: _integrate_pieces(pieces, params, kmax, [n * m // top for n in base]),
-        top, rtol)
+
+    def evaluate(m: int) -> np.ndarray:
+        sizes = [n * m // top for n in base]
+        if magnitudes:
+            return sum(np.abs(_integrate_pieces([p], params, kmax, [n]))
+                       for p, n in zip(pieces, sizes))
+        return _integrate_pieces(pieces, params, kmax, sizes)
+
+    return converge_doubling(evaluate, top, rtol)
 
 
 def _step_values(f: StepFunction, params: JacobiParams, kmax: int) -> np.ndarray:
@@ -393,7 +404,7 @@ def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10) -> 
     if isinstance(f, CosinePoly) and g in (None, np.square):
         c = np.array(f.coefficients)
         return _cospoly_values(c if g is None else chebmul(c, c), params, kmax)
-    vals = _converged_values(_pieces(f, g), params, kmax, rtol)
+    vals = _converged_values(_pieces(f, g), params, kmax, rtol, g is abs)
     if isinstance(f, GridSampled):
         vals = _values(_grid_ends(f), params, kmax, g) + vals
     return vals

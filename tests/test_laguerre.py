@@ -381,7 +381,7 @@ class TestNorm:
         2 (1 - x) on [0, 1], so the norm is 2^2.5 Gamma(2.5) - 2^1.5 Gamma(1.5)
         + 2 (2^1.5 gamma(1.5, 1/2) - 2^2.5 gamma(2.5, 1/2))."""
         from scipy.special import gammainc
-        from fourierjacobi import laguerre, quadrature
+        from fourierjacobi import laguerre
         monkeypatch.setattr(laguerre, "ladder_size", lambda n: 2080)
         got = laguerre_norm(LaguerreExpDamped((1.0, -1.0)), 0.5)
         whole = [2.0 ** (m + 1.5) * math.gamma(m + 1.5) for m in (0, 1)]

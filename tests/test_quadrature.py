@@ -179,9 +179,10 @@ class TestMappedRule:
 
 def test_anchored_rule_integrates_monomials():
     """quadrature._anchored_rule(n, lo, hi, e_lo, e_hi, top) integrates
-    g(x) x^e_lo (top - x)^e_hi over [lo, hi].  In each of its cases it takes
-    every monomial of degree below 2n exactly, up to rounding; a split piece
-    has 2n nodes, n of them with negative weights."""
+    F(x) = g(x) x^e_lo (top - x)^e_hi over [lo, hi] as w @ (F(x) e^(-l)).
+    In each of its cases it takes every monomial of degree below 2n exactly,
+    up to rounding; a split piece has 2n nodes, n of them with negative
+    weights."""
     n = 8
     m = np.arange(2.0 * n)
     near_end = (2.0 ** (m + 0.2) - 1e-4 ** (m + 0.2)) / (m + 0.2)
@@ -195,11 +196,13 @@ def test_anchored_rule_integrates_monomials():
         ((1.0, 2.0, 1.0, 2.0, 3.0), lambda x: x, interior),           # powers at the nodes
     ]
     for args, g, want in cases:
-        x, w = _anchored_rule(n, *args)
+        x, w, l = _anchored_rule(n, *args)
+        e_lo, e_hi, top = (*args[2:], 0.0, math.inf)[:3]
+        log_power = e_lo * np.log(x) + (e_hi * np.log(top - x) if e_hi else 0.0)
         split = args[0] == 1e-4 or args[1] == 3.0 - 1e-4
         assert x.size == (2 * n if split else n)
         assert np.all(w[n:] < 0.0) and np.all(w[:n] > 0.0)
-        got = np.array([w @ g(x) ** k for k in range(want.size)])
+        got = np.array([w @ (g(x) ** k * np.exp(log_power - l)) for k in range(want.size)])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=str(args))
 
 

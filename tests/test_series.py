@@ -273,8 +273,13 @@ class TestNorm:
             parseval_check(PowerWeight(-0.6), JacobiParams(0.0, 0.0), 8)
 
     def test_plain_callable_norms(self):
-        """At (-1/2, -1/2) the weight is 1: |cos| integrates to 2, cos^2 to pi/2."""
+        """At (-1/2, -1/2) the weight is 1: |cos| integrates to 2, cos^2 to pi/2.
+        sin - 1 <= 0 touches 0 at pi/2, where it rounds to +0.0, so no piece
+        may take its sign from there; its norm at (1/2, -1/4) is 30-digit
+        mpmath."""
         np.testing.assert_allclose(norm_l(np.cos, CHEB), 2.0, rtol=1e-13)
+        np.testing.assert_allclose(norm_l(lambda t: np.sin(t) - 1.0, JacobiParams(0.5, -0.25)),
+                                   0.247401076677362654840826882713, rtol=1e-13)
         np.testing.assert_allclose(parseval_check(np.cos, CHEB, 4).norm_sq, math.pi / 2.0,
                                    rtol=1e-13)
 
@@ -853,6 +858,25 @@ class TestGridSampledSeries:
         # changes sign at 8e-6: |f| there, not f, put the norm 5.5e-6 off.
         g = GridSampled((1e-5, 2.0), (1e-6, 1.0))
         assert abs(norm_l(g, params) - coefficient_series(g, 8, params).values[0]) <= 1e-14
+
+    @pytest.mark.parametrize("a,b,ref", [
+        (400.0, 0.0, [0.002165554859283558437, 1.9389968040669268299e-6,
+                      2.0962638188205530693e-16, 5.6564707097343251539e-22]),
+        (1100.0, -0.5, [0.029690361529661195765, 3.8404598039365039646e-6,
+                        -2.0677526454775049446e-17, 2.1360948914303682012e-24]),
+    ])
+    def test_large_exponents(self, a, b, ref):
+        """theta^(2a+1) overflows a double at the far nodes of a piece off
+        the ends, and 2^(a+b+1) does too once a + b + 1 >= 1024: the weight
+        is taken in log space.  References: hat(0, 1, 5, 8) in 30-digit
+        mpmath.  s = sin(theta/2) carries one rounding, which s^(2a+1) turns
+        into a relative error near (2a+1) 2^-53, hence the bound."""
+        f, params = GridSampled((1.0, 2.9, 3.1), (1.0, 2.0, 0.5)), JacobiParams(a, b)
+        with np.errstate(over="raise", invalid="raise"):
+            values = coefficient_series(f, 8, params).values
+            norm = norm_l(f, params)
+        assert np.max(np.abs(values[[0, 1, 5, 8]] - ref)) <= 2e-12 * ref[0]
+        assert abs(norm - ref[0]) <= 2e-12 * ref[0]
 
     def test_requests_legendre_rules_only(self, monkeypatch):
         """Only the linear interior pieces go through quadrature."""
