@@ -26,10 +26,9 @@ from .laguerre import (
     LaguerreExpDamped,
     laguerre_coefficient_series,
     laguerre_bound_profile,
-    step_identity_check,
 )
 from .jtransform import _check_half_line, transform_sweep
-from .selftest import mehler_pathway_discrepancies, run_all
+from .selftest import mehler_pathway_discrepancies, run_all, step_identity_deviation
 
 __all__ = ["main", "build_parser"]
 
@@ -187,10 +186,7 @@ def _cmd_laguerre(args) -> int:
     if args.mode == "identity":
         if args.kmax < 1:
             raise ValueError(f"the identity needs --kmax >= 1, got {args.kmax}")
-        worst = 0.0
-        for k in range(1, args.kmax + 1):
-            lhs, rhs = step_identity_check(args.a, k, args.alpha)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        worst = step_identity_deviation(args.a, args.kmax, args.alpha)
         print(f"max identity deviation {worst!r} over k <= {args.kmax}")
         if worst > 1e-10:
             print("FAIL: exceeds tolerance 1e-10")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AccuracyError
 from .specfun import JacobiParams, _hyp2f1_array
-from .quadrature import (_anchored_rule, _check_rtol, _check_size, converge_doubling,
+from .quadrature import (_LOG_MAX, _anchored_rule, _check_rtol, _check_size, converge_doubling,
                          ladder_size, mapped_jacobi_rule)
 from .mehler import _cosine_sum
 from .laguerre import LaguerreExpDamped, LaguerreStep, _pieces
@@ -60,8 +60,13 @@ def _check_half_line(name: str, values) -> np.ndarray:
 # the kernel phi
 
 def _log_sinh(t):
+    """log sinh t: t + log1p(-e^(-2t)) - log 2, which cannot overflow, but
+    log(sinh t) below 2t = ln 2, where the sum would cancel digits as t
+    falls to 0."""
     t = np.asarray(t, dtype=float)
-    return t + np.log1p(-np.exp(-2.0 * t)) - log(2.0)
+    low = 2.0 * t < log(2.0)
+    return np.where(low, np.log(np.sinh(np.where(low, t, 1.0))),
+                    t + np.log1p(-np.exp(-2.0 * t)) - log(2.0))
 
 
 def _log_cosh(t):
@@ -182,9 +187,6 @@ def _transform_prefactor(params: JacobiParams) -> float:
 # the kernel-rule size at its far edge.  A build costs O(n^2), so a far
 # support edge at a high frequency would otherwise run for hours.
 _MAX_KERNEL_WORK = 1 << 26
-
-# Largest log weight whose exponential is a finite double.
-_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _sweep_piece(lo: float, hi: float, g, taus: np.ndarray,

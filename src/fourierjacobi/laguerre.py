@@ -8,15 +8,14 @@ Coefficients integrate f R_k^a x^a e^(-x); the space norm integrates
 take their nodes from one builder for the weight x^a e^(-d x), with d = 1
 and d = 1/2: a finite piece takes its rule for x^a from
 quadrature._anchored_rule, and the piece that runs to infinity a
-Gauss-Laguerre rule.  A step's coefficients need no nodes: they are a
-closed form summed over its jumps (_step_values), and its norm is a sum of
-incomplete gamma masses (_step_masses).  The step identity checks that
-closed form against the quadrature of the [0, a] indicator, one sweep of
-degrees per rule size.
+Gauss-Laguerre rule, and one doubling loop (_converged_values) serves grid
+series, norms and the step identity.  A step needs no nodes: its
+coefficients are a closed form summed over its jumps (_step_values), its
+norm a sum of incomplete gamma masses (_step_masses); the step identity
+checks that closed form against the quadrature of the [0, a] indicator.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +24,8 @@ from numpy.polynomial.polynomial import polyval, polyroots
 
 from .specfun import (_check_degree, _check_exponent, _check_finite, _check_knots,
                       _laguerre_r_sums, laguerre_r_table)
-from .quadrature import _anchored_rule, converge_doubling, gauss_laguerre_rule, ladder_size
+from .quadrature import (_LOG_MAX, _anchored_rule, converge_doubling, gauss_laguerre_rule,
+                         ladder_size)
 from .series import DecayReport, _decay_report
 
 __all__ = [
@@ -168,27 +168,26 @@ def _weighted_nodes(pieces, n: int, alpha: float,
     return x[keep], u[keep]
 
 
-def _sums(pieces, top: int, alpha: float, n: int) -> np.ndarray:
-    """hat(k) for k = 0..top from n-point rules on the pieces.
+def _sums(pieces, top: int, alpha: float, n: int, d: float = 1.0,
+          magnitudes: bool = False) -> np.ndarray:
+    """hat(k) for k = 0..top against x^a e^(-d x) from n-point rules on the
+    pieces, summed against R_k degree by degree (specfun._laguerre_r_sums)
+    with no table; with magnitudes, the sum of their magnitudes over the
+    pieces."""
+    if magnitudes:
+        return sum(np.abs(_laguerre_r_sums(top, alpha, *_weighted_nodes([p], n, alpha, d)))
+                   for p in pieces)
+    return _laguerre_r_sums(top, alpha, *_weighted_nodes(pieces, n, alpha, d))
 
-    The weighted nodes of all pieces are summed against R_k degree by
-    degree (specfun._laguerre_r_sums), with no table and no BLAS product.
+
+def _converged_values(pieces, kmax: int, alpha: float, d: float = 1.0,
+                      rtol: float = 1e-10, magnitudes: bool = False) -> np.ndarray:
+    """_sums for k = 0..kmax, doubling the rule size until two sizes agree
+    to rtol.  The first rule, of ladder_size((kmax + 1) // 2 + 32) points,
+    is exact for R_kmax times a polynomial of degree below 64, as in series.
     """
-    return _laguerre_r_sums(top, alpha, *_weighted_nodes(pieces, n, alpha, 1.0))
-
-
-def _quadrature_values(pieces, kmax: int, alpha: float) -> np.ndarray:
-    """hat(k) for k = 0..kmax by the doubling quadrature.
-
-    The first rule is exact for R_k times a polynomial of degree below 64,
-    as in series.
-    """
-    return converge_doubling(lambda n: _sums(pieces, kmax, alpha, n),
-                             ladder_size((kmax + 1) // 2 + 32), 1e-10)
-
-
-# Log of the largest double: exp(t) overflows exactly when t exceeds it.
-_LOG_MAX = math.log(sys.float_info.max)
+    return converge_doubling(lambda n: _sums(pieces, kmax, alpha, n, d, magnitudes),
+                             ladder_size((kmax + 1) // 2 + 32), rtol)
 
 
 def _power_exp(s: float, x: float, r: float = 1.0) -> float:
@@ -299,7 +298,7 @@ def _coefficient_values(f, kmax: int, alpha: float) -> np.ndarray:
     (1 + rate) x absorbs the exponential, and n nodes with 2n - 1 >= k + d
     integrate R_k p exactly.  At rate 0, R_k is orthogonal to p for k > d,
     so hat(k) = 0 there and d + 1 nodes suffice.  Anything else takes the
-    doubling quadrature (_quadrature_values).
+    doubling quadrature (_converged_values).
     """
     kmax, alpha = _check_degree(kmax), _check_exponent(alpha)
     if isinstance(f, LaguerreStep):
@@ -308,11 +307,11 @@ def _coefficient_values(f, kmax: int, alpha: float) -> np.ndarray:
     if not pieces:
         return np.zeros(kmax + 1)
     if isinstance(f, LaguerreExpDamped):
-        d = len(f.coefficients) - 1
-        top = kmax if f.rate > 0.0 else min(d, kmax)
-        return np.pad(_sums(pieces, top, alpha, max(d + 1, (top + d) // 2 + 1)),
+        m = len(f.coefficients) - 1
+        top = kmax if f.rate > 0.0 else min(m, kmax)
+        return np.pad(_sums(pieces, top, alpha, max(m + 1, (top + m) // 2 + 1)),
                       (0, kmax - top))
-    return _quadrature_values(pieces, kmax, alpha)
+    return _converged_values(pieces, kmax, alpha)
 
 
 def laguerre_coefficient(f, k: int, alpha: float) -> float:
@@ -346,8 +345,8 @@ def laguerre_norm(f, alpha: float) -> float:
     halved edges, and _step_masses carries that factor inside the powers
     e^(a+1) e^(-e/2), so a finite norm comes back at any alpha.  An edge
     where that power overflows a double, or a norm that does, raises
-    ValueError.  Any other input doubles from 32 nodes, where
-    _coefficient_values starts at kmax 0.
+    ValueError.  Any other input takes the doubling quadrature
+    (_converged_values) at kmax 0.
     """
     alpha = _check_exponent(alpha)
     if isinstance(f, LaguerreStep):
@@ -364,13 +363,9 @@ def laguerre_norm(f, alpha: float) -> float:
         pieces += [(a, b, p, rate) for a, b in zip(edges, edges[1:])]
     if not pieces:
         return 0.0
-
-    def one(n: int) -> float:
-        return sum(abs(float(np.sum(_weighted_nodes([p], n, alpha, 0.5)[1]))) for p in pieces)
-
     if isinstance(f, LaguerreExpDamped) and len(pieces) == 1:
-        return one((len(f.coefficients) + 1) // 2)
-    return converge_doubling(one, 32, 1e-11)
+        return float(_sums(pieces, 0, alpha, (len(f.coefficients) + 1) // 2, 0.5, True)[0])
+    return float(_converged_values(pieces, 0, alpha, 0.5, 1e-11, True)[0])
 
 
 def step_identity_check(a: float, k: int, alpha: float) -> tuple[float, float]:
@@ -379,15 +374,17 @@ def step_identity_check(a: float, k: int, alpha: float) -> tuple[float, float]:
     lhs integrates R_k^a x^a e^(-x) over [0, a] by the doubling quadrature;
     rhs is e^(-a) a^(a+1) R_(k-1)^(a+1)(a) / (a+1), the closed form that
     laguerre_coefficient_series takes for the step (_step_values).  Both come
-    from one sweep over the degrees that start on the rule of
-    ladder_size(k + 24) points, cached per (a, rung, alpha), so a loop over
-    k costs one sweep per rung.  The values depend on (a, k, alpha) alone.
+    from one sweep up to k's rung, the highest degree whose doubling loop
+    starts on k's first rule: 64 for k <= 64, 128 for k <= 128, and so on.
+    Sweeps are cached per (a, rung, alpha), so a loop over k costs one sweep
+    per 64 degrees.  The values depend on (a, k, alpha) alone.
     """
     if not 0.0 < a < math.inf:
         raise ValueError(f"endpoint must be positive and finite, got {a}")
     if _check_degree(k) < 1:
         raise ValueError("the identity needs degree k >= 1")
-    lhs, rhs = _identity_sides(float(a), ladder_size(k + 24) - 24, _check_exponent(alpha))
+    top = 2 * ladder_size((k + 1) // 2 + 32) - 64
+    lhs, rhs = _identity_sides(float(a), top, _check_exponent(alpha))
     return float(lhs[k]), float(rhs[k])
 
 
@@ -396,12 +393,9 @@ def _identity_sides(a: float, top: int, alpha: float) -> tuple[np.ndarray, np.nd
     """Both sides of the step identity for k = 0..top, as read-only arrays.
 
     The quadrature takes the piece [0, a] itself rather than _pieces, so an
-    endpoint past the underflow of e^(-a) stays a finite interval.  Its
-    first rule has ladder_size(top + 24) points, where each degree of the
-    rung started on its own.
+    endpoint past the underflow of e^(-a) stays a finite interval.
     """
-    piece = [(0.0, a, (1.0,), 0.0)]
-    lhs = converge_doubling(lambda n: _sums(piece, top, alpha, n), top + 24, 1e-12)
+    lhs = _converged_values([(0.0, a, (1.0,), 0.0)], top, alpha, rtol=1e-12)
     rhs = _step_values(LaguerreStep((a,), (1.0,)), top, alpha)
     for side in (lhs, rhs):
         side.setflags(write=False)

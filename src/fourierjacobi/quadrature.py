@@ -52,6 +52,9 @@ class QuadratureRule:
 # are rescaled: leaves room for one step's growth and for the summed squares.
 _RESCALE = 1e128
 
+# Log of the largest double: exp(t) overflows exactly when t exceeds it.
+_LOG_MAX = log(np.finfo(float).max)
+
 # Largest rule a caller may request: a build costs O(n^2) time, so a larger
 # request (a far support edge at a high frequency, say) raises at once.
 _MAX_NODES = 1 << 16
@@ -109,14 +112,26 @@ def _golub_welsch(d: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return x + dx, e2[0] * np.exp(-2.0 * log_scale) / (acc[0] + 2.0 * dx * acc[1])
 
 
+def _mass(log_mass: float, exponents: str) -> float:
+    """exp(log_mass), the total mass of a rule's weight, or ValueError
+    naming the exponents where it overflows a double."""
+    if log_mass > _LOG_MAX:
+        raise ValueError(f"the rule's mass overflows a double for {exponents}")
+    return exp(log_mass)
+
+
+def _jacobi_log_mass(a: float, b: float) -> float:
+    """log of 2^(a+b+1) B(a+1, b+1), the mass of (1-x)^a (1+x)^b on [-1, 1]."""
+    return (a + b + 1.0) * log(2.0) + lgamma(a + 1.0) + lgamma(b + 1.0) - lgamma(a + b + 2.0)
+
+
 def _jacobi_coeffs(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     i = np.arange(n, dtype=float)
     s = 2.0 * i + a + b
     d = np.empty(n)
     e2 = np.empty(n)
     d[0] = (b - a) / (a + b + 2.0)
-    e2[0] = exp((a + b + 1.0) * log(2.0) + lgamma(a + 1.0) + lgamma(b + 1.0)
-                - lgamma(a + b + 2.0))
+    e2[0] = _mass(_jacobi_log_mass(a, b), f"alpha = {a}, beta = {b}")
     if n > 1:
         d[1:] = (b * b - a * a) / (s[1:] * (s[1:] + 2.0))
         e2[1] = 4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
@@ -161,7 +176,7 @@ def _gauss_laguerre_cached(n: int, a: float) -> QuadratureRule:
     i = np.arange(n, dtype=float)
     d = 2.0 * i + a + 1.0
     e2 = np.empty(n)
-    e2[0] = exp(lgamma(a + 1.0))
+    e2[0] = _mass(lgamma(a + 1.0), f"alpha = {a}")
     if n > 1:
         e2[1:] = i[1:] * (i[1:] + a)
     x, w = _golub_welsch(d, e2)
@@ -180,11 +195,16 @@ def mapped_jacobi_rule(n: int, alpha: float, beta: float,
 
     Integrates f(x) (hi-x)^alpha (x-lo)^beta dx; the endpoint factors are
     absorbed into the weights, so callers supply only the smooth part f.
+    Where the weights, or the scale h^(alpha+beta+1) on its own, would
+    overflow a double, ValueError names the exponents.
     """
     if not -np.inf < lo < hi < np.inf:
         raise ValueError("interval must be finite with positive length")
     base = gauss_jacobi_rule(n, alpha, beta)
     h = 0.5 * (hi - lo)
+    if (alpha + beta + 1.0) * log(h) + max(_jacobi_log_mass(alpha, beta), 0.0) > _LOG_MAX:
+        raise ValueError(f"the weights on [{lo}, {hi}] overflow a double for "
+                         f"alpha = {alpha}, beta = {beta}")
     x = lo + (base.nodes + 1.0) * h
     w = base.weights * h ** (alpha + beta + 1.0)
     return _freeze(QuadratureRule(x, w))

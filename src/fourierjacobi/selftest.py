@@ -94,6 +94,13 @@ def mehler_pathway_discrepancies(kmax: int) -> tuple[float, float]:
     return singular, limit
 
 
+def step_identity_deviation(a: float, kmax: int, alpha: float) -> float:
+    """Worst gap between the sides of the step identity over k = 1..kmax,
+    relative to max(1, |rhs|)."""
+    sides = (step_identity_check(a, k, alpha) for k in range(1, kmax + 1))
+    return max((abs(lhs - rhs) / max(1.0, abs(rhs)) for lhs, rhs in sides), default=0.0)
+
+
 def check_mehler_pathways() -> CriterionResult:
     """Integral-representation values against the recurrence, both formulas."""
     t0 = time.perf_counter()
@@ -198,12 +205,8 @@ def check_unnormalized_rate() -> CriterionResult:
 def check_laguerre() -> CriterionResult:
     """Step identity, uniform bound, and coefficient decay on the half-line."""
     t0 = time.perf_counter()
-    worst_id = 0.0
-    for alpha in (0.0, 0.5, 2.0):
-        for a in (0.5, 1.0, 2.5, 10.0):
-            for k in range(1, 51):
-                lhs, rhs = step_identity_check(a, k, alpha)
-                worst_id = max(worst_id, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    worst_id = max(step_identity_deviation(a, 50, alpha)
+                   for alpha in (0.0, 0.5, 2.0) for a in (0.5, 1.0, 2.5, 10.0))
     worst_bound = 0.0
     for alpha in (0.0, 1.0, 3.7):
         prof = laguerre_bound_profile(200, alpha)

@@ -268,9 +268,11 @@ def _integrate_pieces(pieces: list, params: JacobiParams,
 
 
 def _converged_values(pieces, params, kmax, rtol=1e-10,
-                      magnitudes: bool = False) -> np.ndarray:
+                      magnitudes: bool = False, ends=None) -> np.ndarray:
     """Hat coefficients of the pieces for k = 0..kmax, by doubling to rtol;
-    with magnitudes, the sum of their magnitudes over the pieces.
+    with magnitudes, the sum of their magnitudes over the pieces.  ends, a
+    grid's closed-form end pieces, are added before each comparison, so the
+    stop test sees the whole series, as coefficient_series states it.
 
     R_k has about k dtheta / pi half-oscillations on a piece that spans the
     angle dtheta, so each piece starts at the ladder size at or above
@@ -285,7 +287,7 @@ def _converged_values(pieces, params, kmax, rtol=1e-10,
     would be wrong.
     """
     if not pieces:
-        return np.zeros(kmax + 1)
+        return np.zeros(kmax + 1)  # a grid with no interior pieces is 0, ends too
     half = (kmax + 1) // 2
     cap = ladder_size(half + 32)
     base = [min(cap, ladder_size(math.ceil(1.5 * half * p.span / math.pi) + 32))
@@ -295,9 +297,11 @@ def _converged_values(pieces, params, kmax, rtol=1e-10,
     def evaluate(m: int) -> np.ndarray:
         sizes = [n * m // top for n in base]
         if magnitudes:
-            return sum(np.abs(_integrate_pieces([p], params, kmax, [n]))
+            vals = sum(np.abs(_integrate_pieces([p], params, kmax, [n]))
                        for p, n in zip(pieces, sizes))
-        return _integrate_pieces(pieces, params, kmax, sizes)
+        else:
+            vals = _integrate_pieces(pieces, params, kmax, sizes)
+        return vals if ends is None else ends + vals
 
     return converge_doubling(evaluate, top, rtol)
 
@@ -404,10 +408,8 @@ def _values(f, params: JacobiParams, kmax: int, g=None, rtol: float = 1e-10) -> 
     if isinstance(f, CosinePoly) and g in (None, np.square):
         c = np.array(f.coefficients)
         return _cospoly_values(c if g is None else chebmul(c, c), params, kmax)
-    vals = _converged_values(_pieces(f, g), params, kmax, rtol, g is abs)
-    if isinstance(f, GridSampled):
-        vals = _values(_grid_ends(f), params, kmax, g) + vals
-    return vals
+    ends = _values(_grid_ends(f), params, kmax, g) if isinstance(f, GridSampled) else None
+    return _converged_values(_pieces(f, g), params, kmax, rtol, g is abs, ends)
 
 
 # ---------------------------------------------------------------------------

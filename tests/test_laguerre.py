@@ -233,7 +233,7 @@ class TestCoefficient:
 
 def quadrature_series(f, kmax, alpha):
     """The doubling-quadrature series of f, the pathway a step no longer takes."""
-    return laguerre._quadrature_values(laguerre._pieces(f, 1.0), kmax, alpha)
+    return laguerre._converged_values(laguerre._pieces(f, 1.0), kmax, alpha)
 
 
 class TestStepClosedForm:
@@ -376,14 +376,18 @@ class TestNorm:
 
     def test_start_above_half_the_cap(self, monkeypatch):
         """A start size past 2048 (a polynomial of 2041 or more coefficients)
-        must still compare two rule sizes rather than skip the loop.  The
-        root at x = 1 keeps the input on the loop: |1 - x| is (x - 1) plus
-        2 (1 - x) on [0, 1], so the norm is 2^2.5 Gamma(2.5) - 2^1.5 Gamma(1.5)
+        must still compare two rule sizes rather than skip the loop: the
+        first two sizes are 2080 and 4160.  The root at x = 1 keeps the
+        input on the loop: |1 - x| is (x - 1) plus 2 (1 - x) on [0, 1], so
+        the norm is 2^2.5 Gamma(2.5) - 2^1.5 Gamma(1.5)
         + 2 (2^1.5 gamma(1.5, 1/2) - 2^2.5 gamma(2.5, 1/2))."""
         from scipy.special import gammainc
-        from fourierjacobi import laguerre
+        sizes, sums = [], laguerre._sums
         monkeypatch.setattr(laguerre, "ladder_size", lambda n: 2080)
+        monkeypatch.setattr(laguerre, "_sums", lambda pieces, top, alpha, n, *rest:
+                            sizes.append(n) or sums(pieces, top, alpha, n, *rest))
         got = laguerre_norm(LaguerreExpDamped((1.0, -1.0)), 0.5)
+        assert sizes[:2] == [2080, 4160]
         whole = [2.0 ** (m + 1.5) * math.gamma(m + 1.5) for m in (0, 1)]
         head = [w * gammainc(m + 1.5, 0.5) for m, w in enumerate(whole)]
         np.testing.assert_allclose(got, whole[1] - whole[0] + 2.0 * (head[0] - head[1]),
@@ -429,6 +433,19 @@ class TestStepIdentity:
         laguerre._identity_sides.cache_clear()
         warm = {k: step_identity_check(2.5, k, 0.5) for k in range(1, 51)}
         assert {k: warm[k] for k in ks} == cold
+
+    def test_one_sweep_per_rung(self):
+        """Degrees 1..64 share one first rule, so a loop over them sweeps
+        the identity once, up to degree 64; degree 65 starts a new rung."""
+        laguerre._identity_sides.cache_clear()
+        for k in range(1, 65):
+            step_identity_check(2.5, k, 0.5)
+        info = laguerre._identity_sides.cache_info()
+        assert (info.misses, info.hits) == (1, 63)
+        assert len(laguerre._identity_sides(2.5, 64, 0.5)[0]) == 65
+        step_identity_check(2.5, 65, 0.5)
+        assert laguerre._identity_sides.cache_info().misses == 2
+        laguerre._identity_sides.cache_clear()
 
     def test_endpoint_past_the_underflow_stays_finite(self):
         """At a = 800 the quadrature keeps the finite interval [0, 800]."""

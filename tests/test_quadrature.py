@@ -177,6 +177,29 @@ class TestMappedRule:
             mapped_jacobi_rule(8, 0.0, 0.0, lo, hi)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: gauss_jacobi_rule(32, 1100.0, 0.0), r"mass overflows .* alpha = 1100\.0, beta = 0\.0"),
+    (lambda: gauss_laguerre_rule(8, 200.0), r"mass overflows .* alpha = 200\.0"),
+    (lambda: laguerre_coefficient_series(LaguerreExpDamped((1.0,), 1.0), 8, 200.0),
+     r"mass overflows .* alpha = 200\.0"),
+    (lambda: laguerre_norm(LaguerreExpDamped((1.0,), 1.0), 200.0),
+     r"mass overflows .* alpha = 200\.0"),
+    (lambda: coefficient_series(GridSampled((1e-5, 2.0), (1.0, 1.0)), 8,
+                                JacobiParams(520.0, 0.0)),
+     r"mass overflows .* alpha = 0\.0, beta = 1041\.0"),
+    (lambda: coefficient_series(np.ones_like, 8, JacobiParams(400.0, 0.0)),
+     r"weights on \[0\.0, 3\.14\d*\] overflow .* alpha = 1\.0, beta = 801\.0"),
+], ids=["jacobi", "laguerre", "laguerre-series", "laguerre-norm", "grid-series",
+        "callable-series"])
+def test_overflowing_rule_is_refused(call, match):
+    """A rule's mass, Gamma(201) or 2^1101 / 1101, or its weights mapped to
+    [0, pi] at the exponent 801, overflow a double: the rule names the
+    exponents instead of raising a bare OverflowError, or returning inf
+    weights that the doubling loop turns into AccuracyError."""
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_anchored_rule_integrates_monomials():
     """quadrature._anchored_rule(n, lo, hi, e_lo, e_hi, top) integrates
     F(x) = g(x) x^e_lo (top - x)^e_hi over [lo, hi] as w @ (F(x) e^(-l)).

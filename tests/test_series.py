@@ -892,6 +892,14 @@ class TestGridSampledSeries:
         coefficient_series(f, 128, JacobiParams(0.5, -0.25))
         assert exponents == {(0.0, 0.0)}
 
+    def test_stop_test_sees_the_ends(self):
+        """The interior alone has max|hat| near 5.5 and the series near 8.1:
+        judged on its own scale, the interior missed rtol by 1.04e-10 at
+        kmax 1024 and raised AccuracyError."""
+        f = GridSampled((0.3, 2.8), (1.0, -1.0))
+        assert_series_matches_quad(f, JacobiParams(-0.9, 0.0), 1024, (0, 7, 512, 1024),
+                                   f.abscissae)
+
 
 def near_end_grid(seed: int):
     """A seeded grid whose interior runs from 1e-3 to pi - 1e-3, with its
