@@ -1,9 +1,15 @@
 """Integral-representation pathway for R_k(cos theta), independent of the recurrence.
 
 Two formulas are implemented: the cosine-kernel integral with an algebraic
-endpoint singularity for alpha > -1/2, on a Gauss-Jacobi rule in phi, and
-its alpha -> -1/2 limit, with a separate non-integral leading term.  Both
-cross-check the recurrence values, which share no code with this module.
+endpoint singularity for alpha > -1/2, and its alpha -> -1/2 limit, with a
+separate non-integral leading term.  Both cross-check the recurrence values,
+which share no code with this module.
+
+The singular kernel is integrated in phi on two panels (_singular_rule): an
+n-point Gauss-Legendre bulk on [0, (1 - _SPLIT) theta] and an n // 4-point
+Gauss-Jacobi end panel that carries the end power.  The bulk, like the limit
+form's Legendre rule on [0, theta], depends on no exponent, so every
+parameter pair shares its cached sizes and builds only its small end rules.
 
 Both formulas, like the kernel of the continuous transform in jtransform
 (the hyperbolic form of the same integral), reduce to nodes S and amplitudes
@@ -26,7 +32,7 @@ from math import lgamma, exp, cos, sin
 import numpy as np
 
 from .specfun import JacobiParams, PolyValue, _check_degree, _hyp2f1_array
-from .quadrature import mapped_jacobi_rule, converge_doubling, ladder_size
+from .quadrature import _SPLIT, mapped_jacobi_rule, converge_doubling, ladder_size
 
 __all__ = ["mehler_r", "mehler_limit_r", "kernel_mass_h"]
 
@@ -79,11 +85,22 @@ def _cosine_sum(s: np.ndarray, amp: np.ndarray, lams) -> np.ndarray:
 def _singular_rule(theta: float, alpha: float, n: int):
     """Nodes phi in (0, theta), gaps cos phi - cos theta (a product of sines, to
     keep their low bits near theta) and weights against gap^(alpha - 1/2) dphi:
-    a rule for (theta - phi)^(alpha - 1/2) times (gap / (theta - phi))^(alpha - 1/2)."""
-    rule = mapped_jacobi_rule(n, alpha - 0.5, 0.0, 0.0, theta)
-    phi = rule.nodes
+    a rule for (theta - phi)^(alpha - 1/2) times (gap / (theta - phi))^(alpha - 1/2).
+
+    Two panels meet at theta_c = (1 - _SPLIT) theta.  The bulk [0, theta_c]
+    takes n Gauss-Legendre nodes with (theta - phi)^(alpha - 1/2) multiplied
+    in; it ends _SPLIT theta from the singular end, 1/7 of its own length.
+    The end panel [theta_c, theta] takes n // 4 Gauss-Jacobi nodes that carry
+    the end power.  The bulk depends on no exponent, so every alpha, and the
+    alpha = -1/2 limit form, share its sizes; each alpha builds only end rules.
+    """
+    tc = (1.0 - _SPLIT) * theta
+    bulk = mapped_jacobi_rule(n, 0.0, 0.0, 0.0, tc)
+    end = mapped_jacobi_rule(n // 4, alpha - 0.5, 0.0, tc, theta)
+    phi = np.concatenate((bulk.nodes, end.nodes))
+    w = np.concatenate((bulk.weights * (theta - bulk.nodes) ** (alpha - 0.5), end.weights))
     gap = 2.0 * np.sin((theta + phi) / 2.0) * np.sin((theta - phi) / 2.0)
-    return phi, gap, rule.weights * (gap / (theta - phi)) ** (alpha - 0.5)
+    return phi, gap, w * (gap / (theta - phi)) ** (alpha - 0.5)
 
 
 @lru_cache(maxsize=_KERNEL_CACHE_SIZE)
@@ -137,9 +154,9 @@ def mehler_r(k: int, params: JacobiParams, theta: float,
              rtol: float = 1e-10) -> PolyValue:
     """R_k(cos theta) through the singular-kernel integral, for alpha > -1/2.
 
-    The (cos phi - cos theta)^(alpha - 1/2) factor is absorbed by a
-    Gauss-Jacobi rule in phi; the remaining integrand factor is smooth in phi
-    and its node count doubles until two sizes agree.
+    The (cos phi - cos theta)^(alpha - 1/2) factor is absorbed by the
+    two-panel rule of _singular_rule; the remaining integrand factor is
+    smooth in phi and its node count doubles until two sizes agree.
     """
     k = _check_degree(k)
     a, b = float(params.alpha), float(params.beta)

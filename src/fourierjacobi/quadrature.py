@@ -7,7 +7,10 @@ unrounded Newton iterate.  No eigenvector is formed, so a rule costs O(n)
 memory and O(n^2) time.  Rules are cached per (n, exponents), and the
 node/weight arrays are frozen so cached rules cannot be mutated by callers.
 Mapped rules carry the endpoint exponents to a finite interval; every singular
-cosine kernel (Mehler in phi, the transform in s) takes its rule from them.
+cosine kernel takes its rules from them.  The transform's kernel in s is one
+Gauss-Jacobi rule with the end power; the Mehler kernel in phi is a
+Gauss-Legendre bulk, shared by every exponent, that stops _SPLIT of the
+interval short of the singular end, plus a quarter-size Gauss-Jacobi end panel.
 _anchored_rule is the one place that decides how a piece of a coefficient,
 norm or transform integral gets its rule next to an end power such as
 theta^(2a+1) or x^a: series, laguerre and jtransform all call it.
@@ -219,7 +222,8 @@ def mapped_jacobi_rule(n: int, alpha: float, beta: float,
 # most 6.5e-16 at 1/8 and 1/4; the split pieces just inside r stay within
 # 2.6e-15 at all three.  1/8 is the smallest of the three at which the first
 # rung is at rounding level; 1/4 splits pieces twice as far out, each at the
-# cost of a second rule, for no digit.
+# cost of a second rule, for no digit.  The Mehler kernel's Gauss-Legendre
+# bulk stops _SPLIT theta short of its singular end, at r = 1/7.
 _SPLIT = 0.125
 
 

@@ -72,6 +72,19 @@ class TestMehlerIntegral:
         for k, ref in zip((0, 3, 20), (1.0,) + want):
             assert abs(mehler_r(k, params, 2e-6).value - ref) <= 1e-13
 
+    @pytest.mark.parametrize("alpha", [-0.49, 0.0, 1.5, 6.0])
+    @pytest.mark.parametrize("beta", [-0.9, 0.0])
+    @pytest.mark.parametrize("theta", [1e-3, 0.35, 2.9, 3.1])
+    def test_low_degrees_in_closed_form(self, alpha, beta, theta):
+        """R_0 = 1 and R_1 = (alpha + 1 + (alpha + beta + 2)(cos theta - 1)/2)
+        / (alpha + 1), so a kernel rule whose end panel under- or
+        mis-resolves the singular end shows at once.  Near pi with beta > 0
+        the 2F1 argument approaches 1, a separate limit left out here."""
+        params = JacobiParams(alpha, beta)
+        r1 = (alpha + 1.0 + (alpha + beta + 2.0) * (math.cos(theta) - 1.0) / 2.0) / (alpha + 1.0)
+        assert abs(mehler_r(0, params, theta).value - 1.0) <= 1e-10
+        assert abs(mehler_r(1, params, theta).value - r1) <= 1e-10
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             mehler_r(3, JacobiParams(-0.5, -0.5), 1.0)   # needs alpha > -1/2
@@ -322,6 +335,25 @@ class TestKernelMass:
             ref *= math.sin(theta) ** (-2.0 * alpha)
             np.testing.assert_allclose(kernel_mass_h(theta, alpha), ref,
                                        rtol=1e-8)
+
+    @pytest.mark.parametrize("alpha", [-0.4, 2.0])
+    @pytest.mark.parametrize("theta", [0.3, 1.0])
+    def test_against_mpmath(self, alpha, theta):
+        """30-digit mpmath quad, with phi = theta - s^p and p = 1 / (alpha + 1/2):
+        then (theta - phi)^(alpha - 1/2) dphi = p ds, and the integrand left,
+        p (sin(theta - u/2) sin(u/2) / (u/2))^(alpha - 1/2) with u = s^p, has
+        no end power for the reference to resolve."""
+        import mpmath as mp
+        with mp.workdps(30):
+            a, t = mp.mpf(alpha), mp.mpf(theta)
+            p = 1 / (a + 0.5)
+
+            def integrand(s):
+                u = s ** p
+                return p * (mp.sin(t - u / 2) * mp.sinc(u / 2)) ** (a - 0.5)
+
+            ref = float(mp.sin(t) ** (-2 * a) * mp.quad(integrand, [0, t ** (a + 0.5)]))
+        np.testing.assert_allclose(kernel_mass_h(theta, alpha), ref, rtol=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.75])
     def test_bounded_toward_zero(self, alpha):

@@ -455,32 +455,54 @@ SINGLE_RULE_LOOPS = {
 }
 
 
-@pytest.fixture
-def built_sizes(monkeypatch):
-    """Sizes of every Gauss rule requested, cache hits included, in order.
+def _record_builds(monkeypatch, entry):
+    """Patch the rule caches to append entry(n, exponents) for every Gauss
+    rule requested, cache hits included, in order.
 
     The Mehler kernel and step identity caches are emptied first: on a warm
     cache those loops request no rule at all.
     """
     mehler._kernel_data.cache_clear()
     laguerre._identity_sides.cache_clear()
-    sizes = []
+    built = []
     for name in ("_gauss_jacobi_cached", "_gauss_laguerre_cached"):
         cached = getattr(quadrature, name)
         monkeypatch.setattr(quadrature, name,
                             lambda n, *ab, cached=cached:
-                            sizes.append(n) or cached(n, *ab))
-    return sizes
+                            built.append(entry(n, ab)) or cached(n, *ab))
+    return built
+
+
+@pytest.fixture
+def built_sizes(monkeypatch):
+    """Sizes of every Gauss rule requested, in order."""
+    return _record_builds(monkeypatch, lambda n, ab: n)
+
+
+@pytest.fixture
+def built_rules(monkeypatch):
+    """(n, exponents) of every Gauss rule requested, in order."""
+    return _record_builds(monkeypatch, lambda n, ab: (n, ab))
 
 
 class TestDoublingLoops:
     @pytest.mark.parametrize("name", sorted(SINGLE_RULE_LOOPS))
-    def test_compares_strictly_larger_rules(self, name, built_sizes):
+    def test_compares_strictly_larger_rules(self, name, built_rules):
         """Rounding a size onto the ladder must never make a loop compare a
-        rule with itself and call that convergence."""
+        rule with itself and call that convergence.  A loop may interleave
+        rule families, as the Mehler kernel does with its Gauss-Legendre bulk
+        and its end panel (32, 8, 64, 16, ...), so sizes must rise strictly
+        within each set of exponents.  An end panel of max(n // 8, 8) nodes
+        stalls at 8 from n = 32 to 64 and settles 5.6e-6 away from
+        R_0 = 1 at (alpha, beta, theta) = (-0.49, 0, 3.1)."""
         SINGLE_RULE_LOOPS[name]()
-        assert len(built_sizes) >= 2
-        assert all(n1 > n0 for n0, n1 in zip(built_sizes, built_sizes[1:]))
+        families = {}
+        for n, ab in built_rules:
+            families.setdefault(ab, []).append(n)
+        assert families
+        for sizes in families.values():
+            assert len(sizes) >= 2
+            assert all(n1 > n0 for n0, n1 in zip(sizes, sizes[1:]))
 
     @pytest.mark.parametrize("f", [StepFunction((1.0, 2.5), (0.5, 1.0, -2.0)),
                                    PowerWeight(-0.3)])
